@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import AccuracyError, CapacityError, DomainError
 
@@ -183,10 +182,18 @@ def _check_sp(s: int, p: float, max_s: int = MAX_EXPLICIT_S) -> None:
         raise DomainError("p must lie in (0, 1)")
 
 
-def _h0_basic_raw(s: int, p: float) -> float:
-    # valid for p in (-1, 0) as well; the |p| branch keeps (1-p)^s stable
-    omp_s = math.exp(s * math.log1p(-p))
-    return 1.0 / (1.0 - p) - 2.0 * omp_s + (1.0 - omp_s) / (p * s)
+def _h0_rows(index_set: IndexSet, s, p: float):
+    """``h0`` at every ``s`` of an array (or one scalar), unvalidated."""
+    s = np.asarray(s, dtype=float)
+    ln1mp = math.log1p(-p)
+    omp_s = np.exp(s * ln1mp)
+    basic = 1.0 / (1.0 - p) - 2.0 * omp_s + (1.0 - omp_s) / (p * s)
+    if index_set.kind == "basic":
+        return basic
+    ratio_s = np.exp(s * (ln1mp - math.log1p(p)))
+    # 1/2 [ h0(s,p) + ratio^s/(1+p) - 2 (1-p)^s + ((1-p)^s - ratio^s)/(ps) ]
+    return 0.5 * (basic + ratio_s / (1.0 + p) - 2.0 * omp_s
+                  + (omp_s - ratio_s) / (p * s))
 
 
 def h0(index_set: IndexSet, s: int, p: float) -> float:
@@ -197,13 +204,7 @@ def h0(index_set: IndexSet, s: int, p: float) -> float:
     ``s`` stays finite.
     """
     _check_sp(s, p)
-    if index_set.kind == "basic":
-        return _h0_basic_raw(s, p)
-    omp_s = math.exp(s * math.log1p(-p))
-    ratio_s = math.exp(s * (math.log1p(-p) - math.log1p(p)))
-    # 1/2 [ h0(s,p) + ratio^s/(1+p) - 2 (1-p)^s + ((1-p)^s - ratio^s)/(ps) ]
-    return 0.5 * (_h0_basic_raw(s, p) + ratio_s / (1.0 + p) - 2.0 * omp_s
-                  + (omp_s - ratio_s) / (p * s))
+    return float(_h0_rows(index_set, s, p))
 
 
 # -- exact h: log-integral closed form with guards, series fallback -----
@@ -261,6 +262,30 @@ def _series_start(index_set: IndexSet) -> tuple[int, int]:
     return (3, 1) if index_set.kind == "basic" else (4, 2)
 
 
+def _log_start_weight(k0: int, s, p: float):
+    """``log(C(k0+s, k0) p^k0 (1-p)^s)`` for a scalar or an array of ``s``.
+
+    Term ``k`` of the series of ``h`` is this weight at order ``k`` times
+    ``(k / (p (k+s)))^2``.  The binomial is summed from the logs of the
+    O(1) factors ``(s+j) p``: differences of ``gammaln`` at ``s ~ 3e5``
+    lose about 1e-9 relative, and summing ``log(s+j)`` alone still loses
+    a few 1e-15.
+    """
+    log_w = s * math.log1p(-p) - math.log(math.factorial(k0))
+    for j in range(1, k0 + 1):
+        log_w = log_w + np.log((s + float(j)) * p)
+    return log_w
+
+
+def _log_ratios(ks, s, p: float, step: int):
+    """``log`` of the weight ratio from order ``k`` to ``k + step``, for
+    every ``k`` in ``ks``."""
+    inc = np.log(p * (s + ks + 1.0) / (ks + 1.0))
+    if step == 2:
+        inc = inc + np.log(p * (s + ks + 2.0) / (ks + 2.0))
+    return inc
+
+
 def h_series(index_set: IndexSet, s: int, p: float) -> float:
     """Direct summation of the defining series of ``h``.
 
@@ -271,22 +296,16 @@ def h_series(index_set: IndexSet, s: int, p: float) -> float:
     """
     _check_sp(s, p, max_s=1_000_000)
     k0, step = _series_start(index_set)
-    lnp, ln1mp = math.log(p), math.log1p(-p)
-    log_w = (gammaln(k0 + s + 1.0) - gammaln(k0 + 1.0) - gammaln(s + 1.0)
-             + k0 * lnp + s * ln1mp - 2.0 * lnp)
+    log_w = float(_log_start_weight(k0, float(s), p))
     total = 0.0
     k = k0
     block = 4096
     for _ in range(20_000):
         ks = k + step * np.arange(block, dtype=float)
         # cumulative log-ratio w_{k+step}/w_k within the block
-        if step == 1:
-            inc = lnp + np.log(ks + s + 1.0) - np.log(ks + 1.0)
-        else:
-            inc = (2.0 * lnp + np.log(ks + s + 1.0) + np.log(ks + s + 2.0)
-                   - np.log(ks + 1.0) - np.log(ks + 2.0))
+        inc = _log_ratios(ks, float(s), p, step)
         log_ws = log_w + np.concatenate(([0.0], np.cumsum(inc[:-1])))
-        terms = np.exp(log_ws) * (ks / (ks + s)) ** 2
+        terms = np.exp(log_ws) * (ks / (p * (ks + s))) ** 2
         total += float(np.sum(terms))
         k_next = k + step * block
         log_w = log_ws[-1] + inc[-1]
@@ -335,27 +354,28 @@ def _scan_block_kmax(index_set: IndexSet, s_hi: int, p: float) -> int:
     return kmax
 
 
-def _scan_max(index_set: IndexSet, p: float, s_cap: int) -> tuple[float, int]:
-    """Vectorized evaluation of ``h`` on ``s = 1..s_cap``; returns the max.
+def _scan_rows(index_set: IndexSet, p: float, s_lo: int,
+               s_hi: int) -> tuple[float, int]:
+    """Largest series row ``h(s, p)`` over ``s = s_lo..s_hi`` and its ``s``.
 
-    Work is chunked so the (s, k) grid stays within a fixed element
-    budget; each row carries its own geometric tail certificate at the
-    truncation edge.
+    Rows are evaluated as an (s, k) grid, chunked so the grid stays within
+    a fixed element budget; each row carries its own geometric tail
+    certificate at the truncation edge.  Ties go to the smallest ``s``.
     """
     k0, step = _series_start(index_set)
-    lnp, ln1mp = math.log(p), math.log1p(-p)
+    kmax_probe = _scan_block_kmax(index_set, s_hi, p)
+    chunk = max(1, int(4e6 / ((kmax_probe - k0) / step + 1)))
     best, best_s = -math.inf, 0
-    s_lo = 1
-    while s_lo <= s_cap:
-        kmax_probe = _scan_block_kmax(index_set, s_cap, p)
-        chunk = max(1, int(4e6 / ((kmax_probe - k0) / step + 1)))
-        s_hi = min(s_cap, s_lo + chunk - 1)
-        kmax = _scan_block_kmax(index_set, s_hi, p)
+    while s_lo <= s_hi:
+        c_hi = min(s_hi, s_lo + chunk - 1)
+        kmax = _scan_block_kmax(index_set, c_hi, p)
         ks = np.arange(k0, kmax + 1, step, dtype=float)
-        svec = np.arange(s_lo, s_hi + 1, dtype=float)[:, None]
-        lw = (gammaln(ks + svec + 1.0) - gammaln(ks + 1.0)
-              - gammaln(svec + 1.0) + ks * lnp + svec * ln1mp - 2.0 * lnp)
-        terms = np.exp(lw) * (ks / (ks + svec)) ** 2
+        svec = np.arange(s_lo, c_hi + 1, dtype=float)[:, None]
+        inc = _log_ratios(ks[:-1], svec, p, step)
+        lw = (_log_start_weight(k0, svec, p)
+              + np.concatenate((np.zeros_like(svec), np.cumsum(inc, axis=1)),
+                               axis=1))
+        terms = np.exp(lw) * (ks / (p * (ks + svec))) ** 2
         vals = terms.sum(axis=1)
 
         k_edge = float(ks[-1])
@@ -374,8 +394,30 @@ def _scan_max(index_set: IndexSet, p: float, s_cap: int) -> tuple[float, int]:
         i = int(np.argmax(vals))
         if float(vals[i]) > best:
             best, best_s = float(vals[i]), s_lo + i
-        s_lo = s_hi + 1
+        s_lo = c_hi + 1
     return best, best_s
+
+
+def _scan_max(index_set: IndexSet, p: float, s_cap: int) -> tuple[float, int]:
+    """Certified maximum of ``h(s, p)`` over ``s = 1..s_cap`` and its ``s``.
+
+    ``h <= h0`` for every ``s``, and ``h0`` costs a few elementwise
+    operations.  The row at the peak of ``h0`` gives a lower bound on the
+    maximum; every ``s`` whose ``h0`` falls below that bound (less a
+    1e-10 relative margin for rounding) is certified without its series.
+    The series rows run only from the first to the last ``s`` that
+    survives, a window of width ``O(1/sqrt(p))``, so no unimodality is
+    assumed.
+    """
+    env = _h0_rows(index_set, np.arange(1, s_cap + 1), p)
+    s_peak = int(np.argmax(env)) + 1
+    floor, _ = _scan_rows(index_set, p, s_peak, s_peak)
+    if floor > env[s_peak - 1]:
+        raise AccuracyError(
+            f"row h={floor} at s={s_peak} exceeds its envelope "
+            f"{env[s_peak - 1]}")
+    live = np.flatnonzero(env >= floor * (1.0 - 1e-10))
+    return _scan_rows(index_set, p, int(live[0]) + 1, int(live[-1]) + 1)
 
 
 def _dominated_beyond(index_set: IndexSet, p: float, s_cap: int) -> float:
@@ -392,10 +434,13 @@ def C_of_p(index_set: IndexSet, p: float,
            method: str = EXACT_MAX) -> ConstantEstimate:
     """``max over s of h(s, p)``, or the explicit closed-form upper bound.
 
-    The exact maximization scans ``s`` up to a cutoff and certifies that
-    the envelope beyond the cutoff cannot beat the maximum found; the
-    cutoff grows (a few doublings) if certification fails.  The winner is
-    re-verified against the scalar ``h_exact`` route.
+    The exact maximization certifies ``s = 1..s_cap`` with the envelope
+    ``h0``, evaluating the series of ``h`` only in the window where ``h0``
+    can still beat the maximum (see ``_scan_max``).  Beyond the cutoff,
+    ``_dominated_beyond`` must fall below the maximum found; the cutoff,
+    first ``20/p``, doubles a few times if it does not.  The winner is
+    re-verified against the scalar ``h_exact`` route (``h_series`` past
+    ``MAX_EXPLICIT_S``).
     """
     if not (0.0 < p < 1.0):
         raise DomainError("p must lie in (0, 1)")
@@ -410,8 +455,9 @@ def C_of_p(index_set: IndexSet, p: float,
         raise DomainError(f"unknown method {method!r}")
     if p < 1e-5:
         raise CapacityError(
-            "exact maximization scans s up to ~20/p; below p=1e-5 use "
-            "the closed-form upper bound instead")
+            "exact maximization certifies s up to a cutoff of 20/p and "
+            "is supported down to p=1e-5; below it use the closed-form "
+            "upper bound instead")
 
     s_cap = math.ceil(20.0 / p)
     for _ in range(7):

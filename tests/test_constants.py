@@ -29,7 +29,12 @@ from chi2norm.constants import (
     sandwich_upper_basic,
     sandwich_upper_sym,
 )
-from chi2norm.constants import _h12_closed
+from chi2norm.constants import (
+    MAX_EXPLICIT_S,
+    _h0_rows,
+    _h12_closed,
+    _scan_rows,
+)
 from chi2norm.errors import CapacityError, DomainError
 
 G_MAX = 1.2182413722709889
@@ -166,6 +171,36 @@ class TestExactH:
                 assert h <= env * (1.0 + 1e-12)
 
 
+def _window(index_set, p):
+    """First and last ``s`` the windowed scan evaluates, and ``20/p``."""
+    s_cap = math.ceil(20.0 / p)
+    env = _h0_rows(index_set, np.arange(1, s_cap + 1), p)
+    live = np.flatnonzero(env >= C_of_p(index_set, p).value * (1.0 - 1e-10))
+    return int(live[0]) + 1, int(live[-1]) + 1, s_cap
+
+
+class TestEnvelopeAtScale:
+    @pytest.mark.parametrize("p", [1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5])
+    @pytest.mark.parametrize("index_set", [BASIC_SET, SYMMETRIC_SET])
+    def test_series_below_envelope(self, index_set, p):
+        lo, hi, s_cap = _window(index_set, p)
+        rng = np.random.default_rng(44)
+        samples = {1, 2, lo - 1, lo, lo + 1, hi - 1, hi, hi + 1, s_cap}
+        samples.update(int(s) for s in rng.integers(1, s_cap + 1, 40))
+        for s in sorted(v for v in samples if 1 <= v <= s_cap):
+            # h_series stops at s = 1e6; past it the scan row stands in
+            h = (h_series(index_set, s, p) if s <= 1_000_000
+                 else _scan_rows(index_set, p, s, s)[0])
+            assert h <= float(_h0_rows(index_set, s, p))
+
+    @pytest.mark.parametrize("p", [1e-5, 1e-3, 0.1, 0.5, 0.9])
+    def test_array_matches_scalar(self, p):
+        s = np.arange(1, MAX_EXPLICIT_S + 1)
+        for index_set in (BASIC_SET, SYMMETRIC_SET):
+            env = _h0_rows(index_set, s, p)
+            assert env.tolist() == [h0(index_set, int(v), p) for v in s]
+
+
 class TestSandwichAndElementary:
     def test_sandwich_fuzz(self):
         rng = np.random.default_rng(42)
@@ -264,6 +299,46 @@ class TestCertifiedMaxima:
         sym = C_of_p(SYMMETRIC_SET, 1e-4)
         assert abs(sym.value - 0.5892547870340183) < 1e-9
         assert sym.value <= 0.5893
+
+    def test_p_floor_matches_oracle(self):
+        # at p = 1e-5 gammaln differences once put both routes ~7e-10 high
+        mp = pytest.importorskip("mpmath")
+
+        def h_oracle(index_set, s, p):
+            # 40 digits; the weights peak near k = sp ~ 4, so by k = 200
+            # the remaining tail is far below double precision
+            k0, step = (3, 1) if index_set.kind == "basic" else (4, 2)
+            with mp.workdps(40):
+                p = mp.mpf(p)
+                w = mp.binomial(k0 + s, k0) * p ** (k0 - 2) * (1 - p) ** s
+                total, k = mp.mpf(0), k0
+                while k < 200:
+                    total += w * (mp.mpf(k) / (k + s)) ** 2
+                    for _ in range(step):
+                        w *= p * (k + s + 1) / (k + 1)
+                        k += 1
+                return float(total)
+
+        assert abs(h_series(BASIC_SET, 321344, 1e-5)
+                   - h_oracle(BASIC_SET, 321344, 1e-5)) < 1e-12
+        for index_set, s_star in ((BASIC_SET, 321357), (SYMMETRIC_SET, 429714)):
+            est = C_of_p(index_set, 1e-5)
+            assert est.argmax_s == s_star
+            exact = h_oracle(index_set, s_star, 1e-5)
+            assert abs(est.value - exact) <= 1e-12 * exact
+            assert h_oracle(index_set, s_star - 1, 1e-5) < exact
+            assert h_oracle(index_set, s_star + 1, 1e-5) < exact
+
+    @pytest.mark.parametrize("index_set", [BASIC_SET, SYMMETRIC_SET])
+    def test_window_equals_full_scan(self, index_set):
+        seed = 45 if index_set.kind == "basic" else 46
+        u = np.random.default_rng(seed).random()
+        seeded = math.exp(math.log(1e-3) + u * (math.log(0.5) - math.log(1e-3)))
+        ps = [1.0 / n for n in range(2, 11)] + [0.5, 0.1, 0.01, 1e-3, seeded]
+        for p in ps:
+            est = C_of_p(index_set, p)
+            full = _scan_rows(index_set, p, 1, math.ceil(20.0 / p))
+            assert (est.value, est.argmax_s) == full
 
     def test_method_metadata(self):
         est = C_of_p(BASIC_SET, 0.25, CLOSED_FORM_UPPER)
