@@ -11,7 +11,6 @@ from .bounds import (
     CorollaryResult,
     VarianceProfile,
     corollary_bound,
-    general_sigma_bound,
     maclaurin_check,
     step_constants,
     stein_recurrence_rhs,
@@ -50,9 +49,6 @@ from .distances import (
     chi2_both,
     chi2_direct,
     chi2_series,
-    chi2_to_kl_bound,
-    chi2_to_nonuniform_bound,
-    chi2_to_tv_bound,
     hermite_profile,
     profile_until_converged,
 )
@@ -61,7 +57,6 @@ from .hermite import (
     addition_formula_eval,
     hermite_coefficients,
     hermite_eval,
-    hermite_eval_normalized,
 )
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 from .subgaussian import (
@@ -105,18 +100,13 @@ __all__ = [
     "chi2_both",
     "chi2_direct",
     "chi2_series",
-    "chi2_to_kl_bound",
-    "chi2_to_nonuniform_bound",
-    "chi2_to_tv_bound",
     "constants_table",
     "corollary_bound",
     "from_name",
     "g",
     "g_sym",
-    "general_sigma_bound",
     "hermite_coefficients",
     "hermite_eval",
-    "hermite_eval_normalized",
     "hermite_mgf_identity_check",
     "hermite_profile",
     "integrate",

@@ -24,7 +24,6 @@ __all__ = [
     "BoundReport",
     "CorollaryResult",
     "stein_recurrence_rhs",
-    "general_sigma_bound",
     "unroll_recurrence",
     "maclaurin_check",
     "step_constants",
@@ -108,31 +107,6 @@ def stein_recurrence_rhs(profiles: list[HermiteProfile],
         rest = np.asarray(leaveout_profiles[k].values[:m][::-1])
         pieces.extend((j * a * rest * w).tolist())
     return math.fsum(pieces) / m
-
-
-def general_sigma_bound(chi2s: list[float],
-                        variances: VarianceProfile,
-                        leaveout_chi2s: list[float],
-                        index_set: IndexSet) -> float:
-    """Single-step inequality for one application of the recurrence.
-
-    Residual orders inside the vanishing set contribute the geometric
-    weight in closed form; every cross term pays the correction constant
-    at that summand's weight.
-    """
-    n = len(variances)
-    if len(chi2s) != n or len(leaveout_chi2s) != n:
-        raise DomainError("chi2 lists must match the variance profile")
-    for v in list(chi2s) + list(leaveout_chi2s):
-        if not (v >= 0.0) or math.isnan(v):
-            raise DomainError("chi-square inputs must be nonnegative")
-    parts: list[float] = []
-    for k in range(n):
-        q = variances.sigma_sq[k]
-        parts.append(index_set.residual_weight(q) * chi2s[k])
-        parts.append(q * _cached_C(index_set, q) * chi2s[k]
-                     * leaveout_chi2s[k])
-    return math.fsum(parts)
 
 
 _C_CACHE: dict[tuple[str, float], float] = {}

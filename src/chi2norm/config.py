@@ -14,18 +14,19 @@ from dataclasses import dataclass, fields
 
 from .errors import DomainError
 from .quadrature import QuadratureSpec
-from .verify import TIERS
 
 __all__ = [
     "CONFIG_ENV_VAR",
     "FORMATS",
     "RunConfig",
+    "TIERS",
     "read_config_file",
     "load_config",
 ]
 
 CONFIG_ENV_VAR = "CHI2NORM_CONFIG"
 FORMATS = ("table", "json", "csv")
+TIERS = (1, 2, 3)
 
 
 @dataclass(frozen=True)

@@ -74,19 +74,6 @@ class IndexSet:
             return j in (1, 2)
         return j == 2 or j % 2 == 1
 
-    def residual_weight(self, sigma_sq: float) -> float:
-        """Closed form of ``sum over j outside J of sigma^(2(j-1))``.
-
-        Basic: orders 3, 4, 5, ... give ``q²/(1-q)`` with ``q = sigma²``.
-        Symmetric: even orders from 4 give ``q³/(1-q²)``.
-        """
-        q = float(sigma_sq)
-        if not 0.0 < q < 1.0:
-            raise DomainError("sigma_sq must lie in (0, 1)")
-        if self.kind == "basic":
-            return q * q / (1.0 - q)
-        return q ** 3 / (1.0 - q * q)
-
     def __str__(self) -> str:
         return self.kind
 

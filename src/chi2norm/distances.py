@@ -30,9 +30,6 @@ __all__ = [
     "chi2_direct",
     "chi2_series",
     "chi2_both",
-    "chi2_to_tv_bound",
-    "chi2_to_kl_bound",
-    "chi2_to_nonuniform_bound",
 ]
 
 DIRECT_METHOD = "direct-integral"
@@ -169,6 +166,10 @@ def _raw_density_ratio(pdf, x: float) -> float:
     px = pdf(x)
     if px == 0.0:
         return 0.0
+    if not px > 0.0:
+        # rounding in the piecewise evaluation can push a tiny density
+        # below zero; no certified value can be built on that
+        raise AccuracyError(f"density evaluated to {px:.3e} at x = {x:.6g}")
     log_ratio = 2.0 * math.log(px) + 0.5 * x * x + _LOG_SQRT_2PI
     return math.exp(log_ratio) if log_ratio < 700.0 else math.inf
 
@@ -268,32 +269,3 @@ def chi2_both(density: StandardizedDensity,
                                       tail_tol, hint)
     return direct, chi2_series(profile)
 
-
-def _check_chi2_arg(chi2: float) -> float:
-    chi2 = float(chi2)
-    if math.isnan(chi2) or chi2 < 0.0:
-        raise DomainError("chi2 must be >= 0")
-    return chi2
-
-
-def chi2_to_tv_bound(chi2: float) -> float:
-    """Total-variation (and Kolmogorov) bound ``sqrt(chi2)/2``."""
-    return 0.5 * math.sqrt(_check_chi2_arg(chi2))
-
-
-def chi2_to_kl_bound(chi2: float) -> float:
-    """Information-divergence bound; the divergence itself dominates it."""
-    return _check_chi2_arg(chi2)
-
-
-def chi2_to_nonuniform_bound(chi2: float, y: float) -> float:
-    """Pointwise CDF-difference bound ``sqrt(min(Φ(y), 1−Φ(y))·chi2)``.
-
-    The smaller normal tail is ``Φ(−|y|)``, computed through ``erfc`` so it
-    stays accurate far out.
-    """
-    chi2 = _check_chi2_arg(chi2)
-    if math.isnan(y):
-        raise DomainError("y must be a real number")
-    tail = 0.5 * math.erfc(abs(y) / math.sqrt(2.0))
-    return math.sqrt(tail) * math.sqrt(chi2)

@@ -1,8 +1,8 @@
 """Probabilists' Hermite polynomials.
 
-Evaluation by the stable three-term recurrence, derivatives, exact integer
-coefficients for small orders, and the additive-splitting identity used when a
-standardized variable is decomposed into two independent components.
+Evaluation by the three-term recurrence in normalized form, exact integer
+coefficients for small orders, and the additive-splitting identity used when
+a standardized variable is decomposed into two independent components.
 """
 
 from __future__ import annotations
@@ -16,12 +16,8 @@ from .errors import CapacityError, DomainError
 __all__ = [
     "MAX_ORDER",
     "hermite_eval",
-    "hermite_eval_normalized",
     "hermite_row_normalized",
-    "hermite_eval_log",
-    "hermite_derivative_eval",
     "addition_formula_eval",
-    "addition_formula_derivative_eval",
     "hermite_coefficients",
 ]
 
@@ -29,6 +25,9 @@ MAX_ORDER = 256
 
 # |alpha^2 + beta^2 - 1| tolerated in the splitting identity.
 _WEIGHT_TOL = 1e-12
+
+# sqrt(k) for every k the recurrence and the factorial products reach
+_SQRT = tuple(math.sqrt(k) for k in range(MAX_ORDER + 2))
 
 
 def _check_order(n: int, limit: int = MAX_ORDER) -> None:
@@ -38,6 +37,29 @@ def _check_order(n: int, limit: int = MAX_ORDER) -> None:
         raise DomainError(f"order must be >= 0, got {n}")
     if n > limit:
         raise CapacityError(f"order {n} exceeds the supported maximum {limit}")
+
+
+def _row(n: int, x: float) -> list[float]:
+    """``[H_0(x)/sqrt(0!), ..., H_n(x)/sqrt(n!)]`` in one recurrence pass.
+
+    The rescaled recurrence keeps intermediate values of moderate size for
+    the orders and arguments used by the profile computations.  Plain floats
+    on purpose: the profile integrand calls this once per abscissa.
+    """
+    x = float(x)
+    row = [1.0]
+    if n >= 1:
+        row.append(x)
+    prev, cur = 1.0, x
+    for k in range(1, n):
+        prev, cur = cur, (x * cur - _SQRT[k] * prev) / _SQRT[k + 1]
+        row.append(cur)
+    return row
+
+
+def _sqrt_factorial(n: int) -> float:
+    """``sqrt(n!)`` as a product of square roots; ``n!`` itself overflows."""
+    return math.prod(_SQRT[1:n + 1])
 
 
 def hermite_eval(n: int, x: float) -> float:
@@ -58,32 +80,12 @@ def hermite_eval(n: int, x: float) -> float:
 
     Notes
     -----
-    Uses the three-term recurrence ``H_{k+1} = x H_k - k H_{k-1}``.  For
-    large ``n`` at large ``|x|`` the values overflow double precision; use
-    :func:`hermite_eval_log` there.
+    Runs the recurrence ``H_{k+1} = x H_k - k H_{k-1}`` on ``H_k/sqrt(k!)``
+    and rescales at the end.  For large ``n`` at large ``|x|`` the value
+    itself overflows double precision.
     """
     _check_order(n)
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, float(x)
-    for k in range(1, n):
-        prev, cur = cur, x * cur - k * prev
-    return cur
-
-
-def hermite_eval_normalized(n: int, x: float) -> float:
-    """``H_n(x) / sqrt(n!)``, evaluated without forming either factor.
-
-    The rescaled recurrence keeps intermediate values of moderate size for
-    the orders and arguments used by the profile computations.
-    """
-    _check_order(n)
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, float(x)  # H_0/sqrt(0!), H_1/sqrt(1!)
-    for k in range(1, n):
-        prev, cur = cur, (x * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
-    return cur
+    return _row(n, x)[n] * _sqrt_factorial(n)
 
 
 def hermite_row_normalized(n: int, x: float) -> "np.ndarray":
@@ -93,56 +95,7 @@ def hermite_row_normalized(n: int, x: float) -> "np.ndarray":
     array rather than repeating the recurrence per order.
     """
     _check_order(n)
-    out = np.empty(n + 1)
-    out[0] = 1.0
-    if n >= 1:
-        out[1] = x
-    for k in range(1, n):
-        out[k + 1] = (x * out[k] - math.sqrt(k) * out[k - 1]) / math.sqrt(k + 1)
-    return out
-
-
-def hermite_eval_log(n: int, x: float) -> tuple[int, float]:
-    """Sign and log-magnitude of ``H_n(x)``.
-
-    Returns ``(sign, log|H_n(x)|)`` with ``sign`` in {-1, 0, 1} and the log
-    equal to ``-inf`` when the value is exactly zero.  Intended for orders
-    above ~64 where the plain recurrence can overflow.
-    """
-    _check_order(n)
-    if n == 0:
-        return 1, 0.0
-    prev, cur = 1.0, float(x)
-    offset = 0.0
-    for k in range(1, n):
-        prev, cur = cur, x * cur - k * prev
-        mag = max(abs(prev), abs(cur))
-        if mag > 1e150:
-            prev /= mag
-            cur /= mag
-            offset += math.log(mag)
-    if cur == 0.0:
-        return 0, -math.inf
-    sign = 1 if cur > 0 else -1
-    return sign, math.log(abs(cur)) + offset
-
-
-def hermite_derivative_eval(n: int, x: float) -> float:
-    """``H_n'(x) = n H_{n-1}(x)``; consistent with ``H_n' = x H_n - H_{n+1}``."""
-    _check_order(n)
-    if n == 0:
-        return 0.0
-    return n * hermite_eval(n - 1, x)
-
-
-def _hermite_row(n: int, x: float) -> list[float]:
-    """``[H_0(x), ..., H_n(x)]`` in one recurrence pass."""
-    row = [1.0]
-    if n >= 1:
-        row.append(float(x))
-    for k in range(1, n):
-        row.append(x * row[k] - k * row[k - 1])
-    return row
+    return np.array(_row(n, x))
 
 
 def _check_weights(alpha: float, beta: float) -> None:
@@ -161,39 +114,17 @@ def addition_formula_eval(m: int, x: float, y: float,
             = sum_{k=0}^{m} C(m, k) H_{m-k}(x) H_k(y) alpha^(m-k) beta^k.
 
     This is how a Hermite moment of a sum of two independent standardized
-    pieces factors into moments of the pieces.  Summed with ``math.fsum``.
+    pieces factors into moments of the pieces.  On normalized rows the
+    weight ``C(m, k)`` becomes ``sqrt(m!) sqrt(C(m, k))``; the terms are
+    summed with ``math.fsum``.
     """
     _check_order(m)
     _check_weights(alpha, beta)
-    hx = _hermite_row(m, x)
-    hy = _hermite_row(m, y)
-    terms = []
-    for k in range(m + 1):
-        terms.append(math.comb(m, k) * hx[m - k] * hy[k]
-                     * alpha ** (m - k) * beta ** k)
-    return math.fsum(terms)
-
-
-def addition_formula_derivative_eval(m: int, x: float, y: float,
-                                     alpha: float, beta: float) -> float:
-    """Evaluate ``H_m'(x alpha + y beta)`` via the differentiated splitting.
-
-    Same expansion as :func:`addition_formula_eval` with ``H_k`` replaced by
-    ``H_k'`` in the ``y`` factor and one power of ``beta`` removed; requires
-    ``beta != 0``.
-    """
-    _check_order(m)
-    _check_weights(alpha, beta)
-    if beta == 0.0:
-        raise DomainError("beta must be nonzero in the differentiated identity")
-    hx = _hermite_row(m, x)
-    hy = _hermite_row(m, y)
-    terms = []
-    for k in range(1, m + 1):
-        # H_k'(y) = k H_{k-1}(y)
-        terms.append(math.comb(m, k) * hx[m - k] * k * hy[k - 1]
-                     * alpha ** (m - k) * beta ** (k - 1))
-    return math.fsum(terms)
+    hx = _row(m, x)
+    hy = _row(m, y)
+    terms = [math.sqrt(math.comb(m, k)) * hx[m - k] * hy[k]
+             * alpha ** (m - k) * beta ** k for k in range(m + 1)]
+    return math.fsum(terms) * _sqrt_factorial(m)
 
 
 _COEFF_CACHE: dict[int, tuple[int, ...]] = {0: (1,), 1: (0, 1)}

@@ -21,6 +21,7 @@ from .bounds import (
     stein_recurrence_rhs,
     theorem_bound,
 )
+from .config import TIERS
 from .constants import (
     BASIC_SET,
     CLOSED_FORM_UPPER,
@@ -50,8 +51,6 @@ __all__ = [
     "stein_check",
 ]
 
-TIERS = (1, 2, 3)
-
 # reference values recomputed here in full; deviations flag a regression
 _G_MAX = 1.2182413722709889
 _G_SYM_MAX = 0.5892126552361075
@@ -63,8 +62,8 @@ _TABLE_BASIC = (2.132659631, 1.658150406, 1.504210153, 1.429248761,
 _TABLE_SYM = (1.0569133003, 0.8167046335, 0.7385957339, 0.7000892222,
               0.6772396147, 0.6621923628, 0.6514933931, 0.6435114039,
               0.6373563159)
-_C12_SMALL_P = 1.2183184085715548
-_CSYM_SMALL_P = 0.5892547870340183
+_C12_SMALL_P = 1.2183184086589702
+_CSYM_SMALL_P = 0.589254787042031
 
 
 @dataclass(frozen=True)

@@ -251,7 +251,7 @@ def test_criterion_8_small_p_constants(small_p_constants):
 @pytest.mark.xfail(
     strict=True,
     reason="the basic constant's small-p limit lies below 1.2183, but at "
-           "p = 1e-4 the certified maximum is 1.21831840857... (argmax "
+           "p = 1e-4 the certified maximum is 1.21831840866... (argmax "
            "s = 32136): the O(p) correction already exceeds the limit's "
            "5.9e-5 headroom, so the finite-p value sits 1.84e-5 above the "
            "target; the clause would need p <= ~7.6e-5")

@@ -14,19 +14,18 @@ from chi2norm.bounds import (
     CorollaryResult,
     VarianceProfile,
     corollary_bound,
-    general_sigma_bound,
     maclaurin_check,
     stein_recurrence_rhs,
     step_constants,
     theorem_bound,
     unroll_recurrence,
 )
-from chi2norm.constants import BASIC_SET, SYMMETRIC_SET
 from chi2norm.densities import make_uniform, normalized_sum_density
 from chi2norm.distances import hermite_profile
 from chi2norm.errors import AccuracyError, CapacityError, DomainError
+from chi2norm.verify import _CHI2_UNIFORM as CHI2_UNIFORM
+from chi2norm.verify import _TABLE_BASIC, _TABLE_SYM
 
-CHI2_UNIFORM = 0.32855669727972673
 SUM_ORACLES = {2: 0.032032844541205434, 3: 0.0089166858130765271,
                4: 0.0042779356146716544, 5: 0.0025922504452250574,
                6: 0.0017562119480415742}
@@ -119,39 +118,6 @@ class TestSteinRecurrence:
             stein_recurrence_rhs([pu, pu], vp, [pu, pu], 0)
 
 
-class TestGeneralSigmaBound:
-    def test_zero_inputs(self):
-        vp = VarianceProfile.equal(3)
-        assert general_sigma_bound([0.0] * 3, vp, [0.0] * 3, BASIC_SET) == 0.0
-
-    def test_equal_variance_reduction(self):
-        # equal weights 1/n: residual part collapses to mean/(n-1) style
-        n = 3
-        vp = VarianceProfile.equal(n)
-        chi2s = [0.2, 0.3, 0.4]
-        leave = [0.1, 0.1, 0.2]
-        got = general_sigma_bound(chi2s, vp, leave, BASIC_SET)
-        from chi2norm.constants import C_of_p
-        c = C_of_p(BASIC_SET, 1.0 / n).value
-        q = 1.0 / n
-        expect = math.fsum(q * q / (1 - q) * x for x in chi2s)
-        expect += math.fsum(q * c * x * y for x, y in zip(chi2s, leave))
-        assert abs(got - expect) < 1e-14
-        resid = math.fsum(q * q / (1 - q) * x for x in chi2s)
-        assert abs(resid - math.fsum(chi2s) / (n * (n - 1))) < 1e-15
-
-    def test_symmetric_set_weights(self):
-        vp = VarianceProfile.equal(4)
-        got = general_sigma_bound([1.0] * 4, vp, [0.0] * 4, SYMMETRIC_SET)
-        q = 0.25
-        assert abs(got - 4 * q ** 3 / (1 - q * q)) < 1e-15
-
-    def test_rejects_negative(self):
-        vp = VarianceProfile.equal(2)
-        with pytest.raises(DomainError):
-            general_sigma_bound([-0.1, 0.2], vp, [0.0, 0.0], BASIC_SET)
-
-
 class TestUnrollRecurrence:
     def test_two_term_form(self):
         assert abs(unroll_recurrence([0.3, 0.3], [2.0]) - 0.48) < 1e-15
@@ -228,11 +194,11 @@ class TestStepConstants:
     def test_frozen_level_values(self):
         d = step_constants(4, False)
         assert abs(d[0] - 2.1326596308470269) < 1e-11
-        assert abs(d[1] - 2.0 * 1.658150406) < 1e-8
-        assert abs(d[2] - 1.5 * 1.504210153) < 1e-8
+        assert abs(d[1] - 2.0 * _TABLE_BASIC[1]) < 1e-8
+        assert abs(d[2] - 1.5 * _TABLE_BASIC[2]) < 1e-8
         ell = step_constants(3, True)
         assert abs(ell[0] - 3.1707399009238912) < 1e-9
-        assert abs(ell[1] - 0.8167046335 * 8.0 / 3.0) < 1e-8
+        assert abs(ell[1] - _TABLE_SYM[1] * 8.0 / 3.0) < 1e-8
 
     def test_example_claims(self):
         ell = step_constants(60, True)

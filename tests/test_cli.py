@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from chi2norm import config
 from chi2norm.cli import EXIT_ACCURACY, EXIT_OK, EXIT_USAGE, run
 from chi2norm.config import RunConfig, load_config, read_config_file
 from chi2norm.constants import g, g_sym
@@ -49,6 +52,18 @@ class TestExitCodes:
         record = json.loads(err)
         assert record["error"]["kind"] == "accuracy"
         assert record["error"]["type"] == "CapacityError"
+
+    def test_negative_density_is_accuracy(self, capsys):
+        # the n = 10 uniform sum's pdf rounds below zero near its support
+        # ends; the direct route refuses instead of raising a raw traceback
+        code, out, err = invoke(capsys, "chi2", "--dist", "uniform",
+                                "--n", "10", "--method", "direct")
+        assert code == EXIT_ACCURACY
+        assert out == ""
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"]["kind"] == "accuracy"
+        assert record["error"]["type"] == "AccuracyError"
 
     def test_bound_needs_values(self, capsys):
         code, _, err = invoke(capsys, "bound", "--n", "3")
@@ -254,6 +269,19 @@ class TestPlotdata:
 
 
 class TestConfig:
+    def test_config_imports_no_upper_layer(self):
+        # the package __init__ loads every module, so the import graph is
+        # read from the source rather than from sys.modules
+        tree = ast.parse(Path(config.__file__).read_text(encoding="utf-8"))
+        local = {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 1}
+        absolute = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        absolute |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.level == 0}
+        assert local <= {"errors", "quadrature"}
+        assert not any(name.startswith("chi2norm") for name in absolute)
+
     def test_file_then_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format=json\n# comment\nquad_abs_tol = 1e-11\n",

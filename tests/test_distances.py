@@ -1,13 +1,11 @@
-"""Divergence computations, both routes, and the metric conversions."""
+"""Divergence computations by both routes."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from chi2norm.densities import (
     make_mixture,
@@ -22,18 +20,14 @@ from chi2norm.distances import (
     chi2_both,
     chi2_direct,
     chi2_series,
-    chi2_to_kl_bound,
-    chi2_to_nonuniform_bound,
-    chi2_to_tv_bound,
     hermite_profile,
     profile_until_converged,
 )
 from chi2norm.errors import DomainError
+from chi2norm.verify import _CHI2_UNIFORM as CHI2_UNIFORM
 
 # mean of H_4 under the uniform law: (E X^4 - 6 E X^2 + 3)/sqrt(24)
 A4_UNIFORM = -math.sqrt(6.0) / 10.0
-
-CHI2_UNIFORM = 0.32855669727972673
 
 
 class TestProfile:
@@ -145,43 +139,3 @@ class TestChi2Series:
     def test_normal_series_zero(self):
         _, series = chi2_both(make_normal())
         assert series.value == pytest.approx(0.0, abs=1e-12)
-
-
-class TestConversions:
-    def test_tv(self):
-        assert chi2_to_tv_bound(0.0) == 0.0
-        assert chi2_to_tv_bound(1.0) == 0.5
-        assert chi2_to_tv_bound(0.3285) == pytest.approx(
-            0.3285 ** 0.5 / 2.0, rel=1e-15)
-
-    def test_kl_passthrough(self):
-        assert chi2_to_kl_bound(0.0) == 0.0
-        assert chi2_to_kl_bound(0.5) == 0.5
-        assert chi2_to_kl_bound(0.3285) == 0.3285
-
-    def test_nonuniform_center(self):
-        got = chi2_to_nonuniform_bound(0.7, 0.0)
-        assert got == pytest.approx(math.sqrt(0.5 * 0.7), rel=1e-14)
-
-    def test_nonuniform_against_cdf_oracle(self):
-        # min(Phi(y), 1-Phi(y)) equals Phi(-|y|); evaluating the CDF there
-        # keeps the oracle itself cancellation-free in the far tail
-        rng = np.random.default_rng(23)
-        for _ in range(200):
-            y = float(rng.normal(scale=3.0))
-            chi2 = float(rng.uniform(0.0, 2.0))
-            expect = math.sqrt(float(ndtr(-abs(y))) * chi2)
-            assert chi2_to_nonuniform_bound(chi2, y) == pytest.approx(
-                expect, rel=1e-12, abs=1e-15)
-
-    def test_nonuniform_far_tail_decays(self):
-        assert chi2_to_nonuniform_bound(1.0, 40.0) < 1e-100
-
-    def test_rejects_bad_arguments(self):
-        for fn in (chi2_to_tv_bound, chi2_to_kl_bound):
-            with pytest.raises(DomainError):
-                fn(-0.1)
-        with pytest.raises(DomainError):
-            chi2_to_nonuniform_bound(-1.0, 0.0)
-        with pytest.raises(DomainError):
-            chi2_to_nonuniform_bound(1.0, math.nan)

@@ -1,4 +1,4 @@
-"""Recurrence, derivative, and splitting-identity checks for the Hermite module."""
+"""Recurrence, normalized-row, and splitting-identity checks for the Hermite module."""
 
 from __future__ import annotations
 
@@ -11,13 +11,10 @@ from numpy.polynomial import hermite_e
 from chi2norm.errors import CapacityError, DomainError
 from chi2norm.hermite import (
     MAX_ORDER,
-    addition_formula_derivative_eval,
     addition_formula_eval,
     hermite_coefficients,
-    hermite_derivative_eval,
     hermite_eval,
-    hermite_eval_log,
-    hermite_eval_normalized,
+    hermite_row_normalized,
 )
 
 
@@ -50,39 +47,34 @@ class TestEvaluation:
                                            rtol=1e-12, atol=1e-12)
 
     def test_derivative_form_recurrence(self):
-        # H_{n+1}(x) = x H_n(x) - H_n'(x), the rearranged three-term rule
+        # H_{n+1}(x) = x H_n(x) - H_n'(x) with H_n' = n H_{n-1}: the
+        # three-term rule on the unnormalized values
         for n in range(20):
             for x in (-3.1, -0.2, 0.9, 2.4):
                 lhs = hermite_eval(n + 1, x)
-                rhs = x * hermite_eval(n, x) - hermite_derivative_eval(n, x)
+                rhs = x * hermite_eval(n, x)
+                if n:
+                    rhs -= n * hermite_eval(n - 1, x)
                 np.testing.assert_allclose(lhs, rhs, rtol=1e-11, atol=1e-11)
 
     def test_normalized_eval(self):
+        # numpy's Clenshaw sum is the reference: hermite_eval shares the row
         for n in (0, 1, 5, 12, 30):
             for x in (-2.0, 0.7, 3.5):
-                ref = hermite_eval(n, x) / math.sqrt(math.factorial(n))
-                np.testing.assert_allclose(hermite_eval_normalized(n, x), ref,
-                                           rtol=1e-11, atol=1e-13)
+                ref = (hermite_e.hermeval(x, [0.0] * n + [1.0])
+                       / math.sqrt(math.factorial(n)))
+                np.testing.assert_allclose(hermite_row_normalized(n, x)[n],
+                                           ref, rtol=1e-11, atol=1e-13)
 
     def test_high_order_normalized_is_finite(self):
-        assert math.isfinite(hermite_eval_normalized(256, 6.0))
+        assert math.isfinite(hermite_row_normalized(256, 6.0)[256])
 
-    def test_log_eval_consistency(self):
-        for n in (1, 7, 33, 64):
-            for x in (-4.2, -0.8, 1.3, 5.5):
-                direct = hermite_eval(n, x)
-                sign, logabs = hermite_eval_log(n, x)
-                if direct == 0.0:
-                    assert sign == 0
-                else:
-                    assert sign == (1 if direct > 0 else -1)
-                    np.testing.assert_allclose(logabs, math.log(abs(direct)),
-                                               rtol=1e-12, atol=1e-12)
-
-    def test_log_eval_survives_overflowing_order(self):
-        sign, logabs = hermite_eval_log(256, 25.0)
-        assert sign != 0 and math.isfinite(logabs)
-        assert logabs > 700  # beyond float range, the whole point
+    def test_max_order_row_finite_in_far_tail(self):
+        # the normal density's profile integrand reaches |x| = 40
+        for x in (-40.0, 40.0):
+            row = hermite_row_normalized(MAX_ORDER, x)
+            assert len(row) == MAX_ORDER + 1
+            assert np.all(np.isfinite(row))
 
     def test_zero_is_a_root_of_odd_orders(self):
         for n in (1, 3, 9, 21):
@@ -99,8 +91,8 @@ class TestOrthogonality:
         for m in range(0, 13, 3):
             for n in range(m, 13, 4):
                 val, _ = integrate(
-                    lambda x: (hermite_eval_normalized(m, x)
-                               * hermite_eval_normalized(n, x) * phi(x)),
+                    lambda x: (hermite_row_normalized(m, x)[m]
+                               * hermite_row_normalized(n, x)[n] * phi(x)),
                     (-15.0, 15.0))
                 expected = 1.0 if m == n else 0.0
                 np.testing.assert_allclose(val, expected, rtol=1e-10, atol=1e-10)
@@ -119,18 +111,6 @@ class TestAdditionFormula:
             np.testing.assert_allclose(split, direct, rtol=1e-9,
                                        atol=1e-9 * max(1.0, abs(direct)))
 
-    def test_differentiated_version(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            m = int(rng.integers(1, 21))
-            x, y = rng.uniform(-4, 4, size=2)
-            theta = rng.uniform(0.1, math.pi / 2 - 0.1)
-            a, b = math.cos(theta), math.sin(theta)
-            split = addition_formula_derivative_eval(m, x, y, a, b)
-            direct = hermite_derivative_eval(m, a * x + b * y)
-            np.testing.assert_allclose(split, direct, rtol=1e-9,
-                                       atol=1e-9 * max(1.0, abs(direct)))
-
     def test_degenerate_weights(self):
         # alpha = 1, beta = 0 collapses to H_m(x)
         for m in (0, 3, 8):
@@ -141,8 +121,6 @@ class TestAdditionFormula:
     def test_rejects_bad_weights(self):
         with pytest.raises(DomainError):
             addition_formula_eval(4, 0.0, 0.0, 0.9, 0.9)
-        with pytest.raises(DomainError):
-            addition_formula_derivative_eval(4, 0.0, 0.0, 1.0, 0.0)
 
 
 class TestValidation:

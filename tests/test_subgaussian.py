@@ -19,13 +19,14 @@ from chi2norm.subgaussian import (
     objective,
     threshold,
 )
+from chi2norm.verify import _THRESHOLDS
 
 # independently located minima (scan + golden section at 1e-12,
 # cross-checked against a 1e6-point brute grid)
-FIRST_THRESHOLD = 0.5
-BASIC_THRESHOLD = 0.9611663395303166
+FIRST_THRESHOLD = _THRESHOLDS["first"]
+BASIC_THRESHOLD = _THRESHOLDS["basic"]
 BASIC_ARGMIN = 5.457542889409966
-SYM_THRESHOLD = 1.9704452863553824
+SYM_THRESHOLD = _THRESHOLDS["symmetric"]
 SYM_ARGMIN = 7.621112563699409
 
 
