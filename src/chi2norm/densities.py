@@ -175,8 +175,9 @@ def make_mixture(components: Sequence[tuple[Fraction | float, Fraction | float]]
 def normalized_sum_density(base: StandardizedDensity, n: int) -> StandardizedDensity:
     """Density of ``(X_1 + ... + X_n) / sqrt(n)`` for iid draws from ``base``.
 
-    The convolution count grows combinatorially in the number of pieces,
-    hence the hard cap.
+    The sum of ``n`` copies of a base with ``k`` knots has at most
+    ``C(n + k - 1, n)`` knots, one per multiset of base knots;
+    ``MAX_SUM_TERMS`` caps ``n``.
     """
     if n < 1:
         raise DomainError("n must be >= 1")

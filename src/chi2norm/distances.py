@@ -238,7 +238,7 @@ def chi2_direct(density: StandardizedDensity,
             if len(totals) >= 3:
                 break
             raise AccuracyError(
-                "direct integral failed even on the shrunk domain",
+                f"direct integral failed even on the shrunk domain: {exc}",
                 value=exc.value, error_estimate=exc.error_estimate) from exc
         totals.append(t)
 

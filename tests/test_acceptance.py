@@ -181,8 +181,7 @@ def test_criterion_7_property_suites():
         p = float(rng.uniform(1e-4, 0.999))
         assert elementary_inequalities_check(s, p) == (True, True, True)
 
-    from chi2norm.constants import (g, g_sym, sandwich_upper_basic,
-                                    sandwich_upper_sym)
+    from chi2norm.constants import g, sandwich_upper_basic, sandwich_upper_sym
     rng = np.random.default_rng(103)
     for _ in range(10_000):
         s = int(rng.integers(1, 1001))

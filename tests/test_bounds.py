@@ -11,7 +11,6 @@ import pytest
 
 from chi2norm.bounds import (
     BoundReport,
-    CorollaryResult,
     VarianceProfile,
     corollary_bound,
     maclaurin_check,

@@ -6,7 +6,6 @@ import ast
 import csv
 import io
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -64,6 +63,12 @@ class TestExitCodes:
         record = json.loads(err)
         assert record["error"]["kind"] == "accuracy"
         assert record["error"]["type"] == "AccuracyError"
+        # the record states the cause: the failed ladder rung's own message
+        message = record["error"]["message"]
+        assert message.startswith(
+            "direct integral failed even on the shrunk domain: "
+            "density evaluated to -")
+        assert " at x = " in message
 
     def test_bound_needs_values(self, capsys):
         code, _, err = invoke(capsys, "bound", "--n", "3")
@@ -343,3 +348,33 @@ class TestConfig:
             RunConfig(tiers=(2, 1))
         with pytest.raises(DomainError):
             RunConfig(series_start_order=100, series_max_order=50)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads; ``__all__`` counts as a read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound: set[str] = set()
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read |= {e.value for e in node.value.elts}
+    return sorted(bound - read)
+
+
+class TestImportHygiene:
+    def test_no_unused_imports(self):
+        # no linter is installed, so the check is an ast scan of the
+        # package and of the tests
+        files = [*sorted(Path(config.__file__).parent.glob("*.py")),
+                 *sorted(Path(__file__).parent.glob("*.py"))]
+        found = {f"{path.parent.name}/{path.name}": names for path in files
+                 if (names := _unused_imports(path))}
+        assert found == {}

@@ -15,7 +15,6 @@ from chi2norm.densities import (
     normalized_sum_density,
 )
 from chi2norm.distances import (
-    Chi2Result,
     HermiteProfile,
     chi2_both,
     chi2_direct,

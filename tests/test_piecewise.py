@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from chi2norm.densities import from_name
 from chi2norm.errors import DomainError
 from chi2norm.piecewise import PiecewisePolyDensity
 
@@ -133,6 +135,84 @@ class TestConvolution:
     def test_convolution_requires_matching_scale(self):
         with pytest.raises(DomainError):
             unit_box().convolve(unit_box().scaled(Fraction(1, 2)))
+
+
+class TestExactConvolution:
+    """Exact identities of the derivative-jump convolution."""
+
+    def test_irwin_hall_pieces_exact(self):
+        # on [i, i+1): sum_{k<=i} (-1)^k C(n,k) (t-k)^(n-1) / (n-1)!
+        for n in range(2, 13):
+            d = unit_box().normalized_sum(n)
+            assert d.knots == tuple(Fraction(i) for i in range(n + 1))
+            for i, piece in enumerate(d.pieces):
+                coeffs = [Fraction(0)] * n
+                for k in range(i + 1):
+                    w = Fraction((-1) ** k * math.comb(n, k),
+                                 math.factorial(n - 1))
+                    for j in range(n):
+                        coeffs[j] += (w * math.comb(n - 1, j)
+                                      * (-k) ** (n - 1 - j))
+                assert piece == tuple(coeffs), (n, i)
+
+    def test_commutative_and_associative(self):
+        beta = from_name("beta:2").exact
+        mix = from_name("mixture:1:1,1:2").exact
+        mix = mix.scaled(beta.scale_sq / mix.scale_sq)
+        assert beta.convolve(mix) == mix.convolve(beta)
+        for f in (beta, mix):
+            ff = f.convolve(f)
+            assert ff.convolve(f) == f.convolve(ff)
+            assert f.normalized_sum(3) == ff.convolve(f).scaled(Fraction(1, 3))
+
+    def test_gapped_support_mass_and_moments(self):
+        # mass 1/2 on [0, 1] and on [2, 3], nothing in between
+        half = Fraction(1, 2)
+        f = PiecewisePolyDensity(
+            knots=(Fraction(0), Fraction(1), Fraction(2), Fraction(3)),
+            pieces=((half,), (Fraction(0),), (half,)),
+            scale_sq=Fraction(12, 13),
+            shift=Fraction(3, 2),
+        )
+        assert f.is_standardized()
+        assert f.normalized_sum(1) == f
+        box = unit_box().scaled(f.scale_sq / unit_box().scale_sq)
+        for g in (f, box):
+            h = f.convolve(g)
+            assert h.mass() == 1
+            for k in range(7):
+                # E[(X + Y)^k] from the moments of independent X and Y
+                want = sum(math.comb(k, i) * f.moment_t(i) * g.moment_t(k - i)
+                           for i in range(k + 1))
+                assert h.moment_t(k) == want
+
+    def test_knot_without_jump_is_kept(self):
+        # every pairwise knot sum is a knot, also where the density is smooth
+        split = PiecewisePolyDensity(
+            knots=(Fraction(0), Fraction(1, 2), Fraction(1)),
+            pieces=((Fraction(1),), (Fraction(1),)),
+            scale_sq=Fraction(12),
+            shift=Fraction(1, 2),
+        )
+        d = split.convolve(split)
+        assert d.knots == tuple(Fraction(i, 2) for i in range(5))
+        assert d.pieces == ((Fraction(0), Fraction(1)),) * 2 \
+            + ((Fraction(2), Fraction(-1)),) * 2
+
+    @pytest.mark.parametrize("name,n,digest", [
+        ("uniform", 12,
+         "bc9cc7e04305929cfacf3f06ba20e36c04a2a02769b17c34144ac090b84aadc5"),
+        ("beta:2", 6,
+         "000f3057b4974b7aea566f963365feb85f110345c9818303e2ed77216bdea207"),
+        ("mixture:1:1,1:2", 6,
+         "6fc1d4184ba481f8eb0bbc51ac3549b76a688ceaa08e363ed955ba7f6a115062"),
+    ])
+    def test_pinned_sums(self, name, n, digest):
+        # digests recorded with the pairwise-overlap integral: the jump
+        # form agrees with it Fraction for Fraction
+        d = from_name(name).exact.normalized_sum(n)
+        text = repr((d.knots, d.pieces)).encode()
+        assert hashlib.sha256(text).hexdigest() == digest
 
 
 class TestValidation:
