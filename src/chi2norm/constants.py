@@ -67,13 +67,6 @@ class IndexSet:
         if self.kind not in ("basic", "symmetric"):
             raise DomainError(f"unknown index set kind {self.kind!r}")
 
-    def contains(self, j: int) -> bool:
-        if j < 1:
-            raise DomainError("orders are positive integers")
-        if self.kind == "basic":
-            return j in (1, 2)
-        return j == 2 or j % 2 == 1
-
     def __str__(self) -> str:
         return self.kind
 

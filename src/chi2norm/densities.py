@@ -59,13 +59,15 @@ class StandardizedDensity:
         return self.pdf(x)
 
 
-def _wrap_exact(d: PiecewisePolyDensity, description: str) -> StandardizedDensity:
+def _wrap_exact(d: PiecewisePolyDensity, description: str,
+                symmetric: bool | None = None) -> StandardizedDensity:
+    """Float-facing wrapper; ``symmetric`` is checked exactly unless given."""
     lo, hi = d.support()
     inner = tuple(d.x_knots()[1:-1])
     return StandardizedDensity(
         pdf=d.evaluate,
         support=(lo, hi),
-        symmetric=d.is_symmetric(),
+        symmetric=d.is_symmetric() if symmetric is None else symmetric,
         description=description,
         breakpoints=inner,
         exact=d,
@@ -178,6 +180,10 @@ def normalized_sum_density(base: StandardizedDensity, n: int) -> StandardizedDen
     The sum of ``n`` copies of a base with ``k`` knots has at most
     ``C(n + k - 1, n)`` knots, one per multiset of base knots;
     ``MAX_SUM_TERMS`` caps ``n``.
+
+    The sum inherits ``symmetric`` from ``base``: for a compactly supported
+    ``X`` the characteristic function is analytic, so the sum's ``phi^n`` is
+    even exactly when ``phi`` is, and no exact check of the sum is needed.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -188,7 +194,7 @@ def normalized_sum_density(base: StandardizedDensity, n: int) -> StandardizedDen
     if n == 1:
         return base
     return _wrap_exact(base.exact.normalized_sum(n),
-                       f"sum:{n}:{base.description}")
+                       f"sum:{n}:{base.description}", base.symmetric)
 
 
 def from_name(name: str) -> StandardizedDensity:

@@ -7,14 +7,22 @@ variable is ``x = c (t - shift)`` with ``c = sqrt(scale_sq)`` and
 evaluation means convolution, moments, and standardization checks are exact,
 which is what makes these objects usable as oracles.
 
-Convolution runs in derivative-jump form, the truncated-power form of a
-spline (de Boor, *A Practical Guide to Splines*):
-``f(t) = sum_i sum_k J[t_i][k] (t - t_i)_+^k / k!``, where ``J[t_i][k]`` is
-the jump of the ``k``-th derivative at knot ``t_i``.  Because
-``(t-a)_+^j/j! * (t-b)_+^k/k! = (t-a-b)_+^(j+k+1)/(j+k+1)!``, the jumps of a
-convolution are products of jumps grouped by origin ``a + b`` and by degree,
-and a normalized sum stays in that form across all its factors.  One running
-sum over the sorted origins turns the jumps back into monomial pieces.
+Every exact query reads the derivative-jump form, the truncated-power form
+of a spline (de Boor, *A Practical Guide to Splines*):
+``f(t) = sum_i sum_j J[t_i][j] (t - t_i)_+^j / j!``, where ``J[t_i][j]`` is
+the jump of the ``j``-th derivative at knot ``t_i``.  In that form
+
+* a convolution multiplies jumps, because
+  ``(t-a)_+^j/j! * (t-b)_+^k/k! = (t-a-b)_+^(j+k+1)/(j+k+1)!``, so the jumps
+  are grouped by origin ``a + b`` and by degree, and a normalized sum stays
+  in that form across all its factors;
+* a moment is a sum over the jumps,
+  ``E[(T-c)^k] = k! sum_i sum_j J[t_i][j] (-1)^(j+1) (t_i-c)^(k+j+1) / (k+j+1)!``;
+* the mirror image about ``s`` has the jumps ``(-1)^(j+1) J[t_i][j]`` at
+  ``2s - t_i``, which is the symmetry test.
+
+The monomial ``pieces`` serve float evaluation; one running sum over the
+sorted origins builds them from the jumps.
 """
 
 from __future__ import annotations
@@ -33,9 +41,9 @@ from .hermite import hermite_coefficients
 __all__ = ["PiecewisePolyDensity"]
 
 Poly = tuple[Fraction, ...]
+Jumps = dict[Fraction, list[Fraction]]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _trim(c: list[Fraction]) -> Poly:
@@ -50,68 +58,13 @@ def _padd(a: Poly, b: Poly) -> Poly:
                   + (b[i] if i < len(b) else _ZERO) for i in range(n)])
 
 
-def _pmul(a: Poly, b: Poly) -> Poly:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _pscale(a: Poly, k: Fraction) -> Poly:
-    return _trim([c * k for c in a])
-
-
-def _pantider(a: Poly) -> Poly:
-    return (_ZERO,) + tuple(c / (i + 1) for i, c in enumerate(a))
-
-
-def _peval(a: Poly, x: Fraction) -> Fraction:
-    acc = _ZERO
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def _pcompose_linear(a: Poly, c0: Fraction, c1: Fraction) -> Poly:
-    """``a(c0 + c1 z)`` as a polynomial in ``z``: a Taylor shift by ``c0``
-    (repeated synthetic division), then ``z`` scaled by ``c1``."""
+def _pshift(a: Poly, c: Fraction) -> Poly:
+    """``a(c + z)`` as a polynomial in ``z`` (repeated synthetic division)."""
     out = list(a)
-    if c0:
-        for i in range(len(out) - 1):
-            for j in range(len(out) - 2, i - 1, -1):
-                out[j] += c0 * out[j + 1]
-    if c1 != 1:
-        out = [c * c1 ** k for k, c in enumerate(out)]
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += c * out[j + 1]
     return _trim(out)
-
-
-def _definite_integral(a: Poly, lo: Fraction, hi: Fraction) -> Fraction:
-    anti = _pantider(a)
-    return _peval(anti, hi) - _peval(anti, lo)
-
-
-Jumps = dict[Fraction, list[Fraction]]
-
-
-def _jumps(knots: tuple[Fraction, ...], pieces: tuple[Poly, ...]) -> Jumps:
-    """Jumps ``J[t][k]`` of the ``k``-th derivative at every knot ``t``.
-
-    ``J[t][k]`` is ``k!`` times the ``k``-th coefficient of the Taylor shift
-    to ``t`` of (right piece - left piece), with zero outside the support.
-    Every knot gets an entry, even one with no jump, so every pairwise knot
-    sum stays a knot and the pieces match the direct overlap integral.
-    """
-    out: Jumps = {}
-    left: Poly = (_ZERO,)
-    for t, right in zip(knots, (*pieces, (_ZERO,))):
-        diff = _padd(right, _pscale(left, Fraction(-1)))
-        taylor = _pcompose_linear(diff, t, _ONE)
-        out[t] = [c * math.factorial(k) for k, c in enumerate(taylor)]
-        left = right
-    return out
 
 
 def _jump_product(f: Jumps, g: Jumps) -> Jumps:
@@ -137,7 +90,7 @@ def _pieces(jumps: Jumps) -> tuple[tuple[Fraction, ...], tuple[Poly, ...]]:
     pieces = []
     for t in knots[:-1]:
         taylor = _trim([c / math.factorial(k) for k, c in enumerate(jumps[t])])
-        acc = _padd(acc, _pcompose_linear(taylor, -t, _ONE))
+        acc = _padd(acc, _pshift(taylor, -t))
         pieces.append(acc)
     return knots, tuple(pieces)
 
@@ -167,35 +120,46 @@ class PiecewisePolyDensity:
 
     # -- exact queries -------------------------------------------------
 
-    def mass(self) -> Fraction:
-        return sum((_definite_integral(p, a, b)
-                    for a, b, p in zip(self.knots, self.knots[1:], self.pieces)),
-                   _ZERO)
+    @cached_property
+    def _jumps(self) -> Jumps:
+        """Jumps ``J[t][j]`` of the ``j``-th derivative at every knot ``t``.
 
-    def moment_t(self, k: int) -> Fraction:
-        """Exact ``E[T^k]`` in the internal coordinate."""
+        ``J[t][j]`` is ``j!`` times the ``j``-th coefficient of the Taylor
+        shift to ``t`` of (right piece - left piece), with zero outside the
+        support.  Every knot gets an entry, even one with no jump, so every
+        pairwise knot sum of a convolution stays a knot.  The cached dict
+        is shared by every query and product, so nothing may mutate it.
+        """
+        out: Jumps = {}
+        left: Poly = (_ZERO,)
+        for t, right in zip(self.knots, (*self.pieces, (_ZERO,))):
+            taylor = _pshift(_padd(right, tuple(-c for c in left)), t)
+            out[t] = [c * math.factorial(j) for j, c in enumerate(taylor)]
+            left = right
+        return out
+
+    def _moment(self, k: int, c: Fraction) -> Fraction:
+        """Exact ``E[(T - c)^k]``, one term per jump."""
         if k < 0:
             raise DomainError("moment order must be >= 0")
         acc = _ZERO
-        for a, b, p in zip(self.knots, self.knots[1:], self.pieces):
-            mono = (_ZERO,) * k + (_ONE,)
-            acc += _definite_integral(_pmul(mono, p), a, b)
-        return acc
+        for t, jt in self._jumps.items():
+            for j, x in enumerate(jt):
+                if x:
+                    term = x * (t - c) ** (k + j + 1) / math.factorial(k + j + 1)
+                    acc += term if j % 2 else -term
+        return acc * math.factorial(k)
+
+    def mass(self) -> Fraction:
+        return self._moment(0, _ZERO)
+
+    def moment_t(self, k: int) -> Fraction:
+        """Exact ``E[T^k]`` in the internal coordinate."""
+        return self._moment(k, _ZERO)
 
     def central_moment(self, k: int) -> Fraction:
         """Exact ``E[(T - shift)^k]``; equals ``E[X^k] / scale^k``."""
-        acc = _ZERO
-        for i in range(k + 1):
-            acc += (math.comb(k, i) * (-self.shift) ** (k - i)
-                    * self.moment_t(i))
-        return acc
-
-    def moment_x(self, k: int) -> float:
-        """``E[X^k]`` as a float (exact up to one square root)."""
-        cm = self.central_moment(k)
-        if k % 2 == 0:
-            return float(self.scale_sq ** (k // 2) * cm)
-        return float(self.scale_sq ** ((k - 1) // 2) * cm) * self.scale
+        return self._moment(k, self.shift)
 
     def hermite_moment(self, m: int) -> float:
         """``E[H_m(X)]`` for the probabilists' Hermite polynomial ``H_m``.
@@ -221,15 +185,12 @@ class PiecewisePolyDensity:
                 and self.scale_sq * self.central_moment(2) == 1)
 
     def is_symmetric(self) -> bool:
-        """Exact mirror symmetry about the shift point."""
-        n = len(self.pieces)
-        for i in range(len(self.knots)):
-            if self.knots[i] + self.knots[-1 - i] != 2 * self.shift:
-                return False
-        for i in range(n):
-            mirrored = _pcompose_linear(self.pieces[n - 1 - i],
-                                        2 * self.shift, Fraction(-1))
-            if _trim(list(self.pieces[i])) != _trim(list(mirrored)):
+        """Exact mirror symmetry about the shift point: the jumps at
+        ``2 shift - t`` are ``(-1)^(j+1)`` times the jumps at ``t``."""
+        jumps = self._jumps
+        for t, jt in jumps.items():
+            mirrored = [x if j % 2 else -x for j, x in enumerate(jt)]
+            if jumps.get(2 * self.shift - t) != mirrored:
                 return False
         return True
 
@@ -271,13 +232,12 @@ class PiecewisePolyDensity:
     def convolve(self, other: "PiecewisePolyDensity") -> "PiecewisePolyDensity":
         """Density of the sum of independent variables, same scale required.
 
-        Both densities go to jump form, the jumps are multiplied, and the
-        product is turned back into pieces.
+        The cached jumps of both densities are multiplied, and the product
+        is turned back into pieces.
         """
         if self.scale_sq != other.scale_sq:
             raise DomainError("convolution requires matching scale_sq")
-        knots, polys = _pieces(_jump_product(_jumps(self.knots, self.pieces),
-                                             _jumps(other.knots, other.pieces)))
+        knots, polys = _pieces(_jump_product(self._jumps, other._jumps))
         return PiecewisePolyDensity(knots, polys, self.scale_sq,
                                     self.shift + other.shift)
 
@@ -297,8 +257,7 @@ class PiecewisePolyDensity:
         """
         if n < 1:
             raise DomainError("n must be >= 1")
-        base = _jumps(self.knots, self.pieces)
-        acc = base
+        acc = base = self._jumps
         for _ in range(n - 1):
             acc = _jump_product(acc, base)
         knots, polys = _pieces(acc)

@@ -2,9 +2,9 @@
 
 Thin control layer over QUADPACK's adaptive Gauss-Kronrod scheme: the interval
 is split at caller-supplied breakpoints (so integrand kinks land on panel
-edges), infinite tails go through the library's variable-change handling or an
-explicit truncation radius, and per-segment results are reduced with ``fsum``
-so the output is reproducible run to run.
+edges), infinite tails go through the library's variable-change handling, and
+per-segment results are reduced with ``fsum`` so the output is reproducible
+run to run.
 """
 
 from __future__ import annotations
@@ -24,35 +24,24 @@ __all__ = ["QuadratureSpec", "DEFAULT_SPEC", "integrate", "integrate_vector"]
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Accuracy targets and limits for :func:`integrate`.
-
-    ``tail_cutoff`` of ``None`` integrates infinite tails through the
-    library's variable change; a finite value truncates them at ``+-cutoff``
-    instead.
-    """
+    """Accuracy targets and limits for :func:`integrate`."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 1 << 16
-    tail_cutoff: float | None = None
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise DomainError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
-        if self.tail_cutoff is not None and self.tail_cutoff <= 0:
-            raise DomainError("tail_cutoff must be positive when given")
 
 
 DEFAULT_SPEC = QuadratureSpec()
 
 
-def _segments(lo: float, hi: float, breakpoints: Iterable[float],
-              cutoff: float | None) -> list[tuple[float, float]]:
-    if cutoff is not None:
-        lo = max(lo, -cutoff)
-        hi = min(hi, cutoff)
+def _segments(lo: float, hi: float,
+              breakpoints: Iterable[float]) -> list[tuple[float, float]]:
     pts = sorted({float(b) for b in breakpoints
                   if math.isfinite(b) and lo < b < hi})
     edges = [lo, *pts, hi]
@@ -71,7 +60,7 @@ def integrate(f: Callable[[float], float], interval: tuple[float, float],
     interval : (float, float)
         Endpoints; either may be infinite.
     spec : QuadratureSpec
-        Tolerances, subdivision limit, and tail policy.
+        Tolerances and subdivision limit.
     breakpoints : iterable of float
         Points where the integrand is allowed to be non-smooth.  Points
         outside the interval are ignored.
@@ -89,7 +78,7 @@ def integrate(f: Callable[[float], float], interval: tuple[float, float],
     values: list[float] = []
     errors: list[float] = []
     failures: list[str] = []
-    for a, b in _segments(lo, hi, breakpoints, spec.tail_cutoff):
+    for a, b in _segments(lo, hi, breakpoints):
         out = _quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
                     limit=spec.max_subdivisions, full_output=1)
         values.append(out[0])
@@ -123,9 +112,6 @@ def integrate_vector(f: Callable[[float], "np.ndarray"],
     lo, hi = float(interval[0]), float(interval[1])
     if math.isnan(lo) or math.isnan(hi) or not lo < hi:
         raise DomainError(f"invalid interval {interval!r}")
-    if spec.tail_cutoff is not None:
-        lo = max(lo, -spec.tail_cutoff)
-        hi = min(hi, spec.tail_cutoff)
     pts = None
     if math.isfinite(lo) and math.isfinite(hi):
         interior = sorted({float(b) for b in breakpoints

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import graphlib
 import io
 import json
 from pathlib import Path
@@ -273,19 +274,58 @@ class TestPlotdata:
         assert json.loads(out)["columns"] == ["x", "g", "g_sym"]
 
 
+# the package modules each module may import; the table has no cycle, so a
+# new import that closes one between layers fails
+LAYER_IMPORTS = {
+    "errors": set(),
+    "constants": {"errors"},
+    "hermite": {"errors"},
+    "quadrature": {"errors"},
+    "config": {"errors", "quadrature"},
+    "piecewise": {"errors", "hermite"},
+    "densities": {"errors", "piecewise", "quadrature"},
+    "distances": {"densities", "errors", "hermite", "quadrature"},
+    "bounds": {"constants", "distances", "errors"},
+    "subgaussian": {"densities", "distances", "errors", "quadrature"},
+    "verify": {"bounds", "config", "constants", "densities", "distances",
+               "errors", "hermite", "subgaussian"},
+    "cli": {"bounds", "config", "constants", "densities", "distances",
+            "errors", "subgaussian", "verify"},
+    "__init__": {"bounds", "config", "constants", "densities", "distances",
+                 "errors", "hermite", "quadrature", "subgaussian", "verify"},
+}
+
+
+def _package_imports(path: Path) -> set[str]:
+    """Package modules that ``path`` imports, relative or absolute."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= ({node.module} if node.module
+                      else {alias.name for alias in node.names})
+            continue
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found |= {name.removeprefix("chi2norm.") for name in names
+                  if name.split(".")[0] == "chi2norm"}
+    return found
+
+
 class TestConfig:
     def test_config_imports_no_upper_layer(self):
         # the package __init__ loads every module, so the import graph is
         # read from the source rather than from sys.modules
-        tree = ast.parse(Path(config.__file__).read_text(encoding="utf-8"))
-        local = {node.module for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and node.level == 1}
-        absolute = {alias.name for node in ast.walk(tree)
-                    if isinstance(node, ast.Import) for alias in node.names}
-        absolute |= {node.module for node in ast.walk(tree)
-                     if isinstance(node, ast.ImportFrom) and node.level == 0}
-        assert local <= {"errors", "quadrature"}
-        assert not any(name.startswith("chi2norm") for name in absolute)
+        graphlib.TopologicalSorter(LAYER_IMPORTS).prepare()
+        paths = sorted(Path(config.__file__).parent.glob("*.py"))
+        assert {path.stem for path in paths} == set(LAYER_IMPORTS)
+        extra = {path.stem: names for path in paths
+                 if (names := sorted(_package_imports(path)
+                                     - LAYER_IMPORTS[path.stem]))}
+        assert extra == {}
 
     def test_file_then_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -10,6 +10,7 @@ import pytest
 
 from chi2norm.densities import (
     MAX_SUM_TERMS,
+    _wrap_exact,
     from_name,
     make_mixture,
     make_normal,
@@ -19,6 +20,18 @@ from chi2norm.densities import (
     verify_standardized,
 )
 from chi2norm.errors import CapacityError, DomainError
+from chi2norm.piecewise import PiecewisePolyDensity
+
+
+def make_lopsided():
+    # density 2t on [0, 1], standardized and not symmetric
+    d = PiecewisePolyDensity(
+        knots=(Fraction(0), Fraction(1)),
+        pieces=((Fraction(0), Fraction(2)),),
+        scale_sq=Fraction(18),
+        shift=Fraction(2, 3),
+    )
+    return _wrap_exact(d, "lopsided")
 
 
 class TestUniform:
@@ -114,6 +127,24 @@ class TestNormalizedSum:
 
     def test_beta_sum_standardized(self):
         verify_standardized(normalized_sum_density(make_scaled_beta(2), 3))
+
+    def test_sum_skips_exact_symmetry_check(self, monkeypatch):
+        # the sum takes the base's flag; the exact check runs on the base only
+        base = make_uniform()
+
+        def refuse(self):
+            raise AssertionError("is_symmetric ran on a normalized sum")
+
+        monkeypatch.setattr(PiecewisePolyDensity, "is_symmetric", refuse)
+        assert normalized_sum_density(base, 6).symmetric
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("make", [make_uniform, lambda: make_scaled_beta(2),
+                                      make_lopsided],
+                             ids=["uniform", "beta:2", "lopsided"])
+    def test_inherited_symmetry_is_exact(self, make, n):
+        d = normalized_sum_density(make(), n)
+        assert d.symmetric == d.exact.is_symmetric()
 
     def test_capacity(self):
         with pytest.raises(CapacityError):

@@ -23,6 +23,16 @@ def unit_box() -> PiecewisePolyDensity:
     )
 
 
+def lopsided() -> PiecewisePolyDensity:
+    # density 2t on [0, 1], standardized
+    return PiecewisePolyDensity(
+        knots=(Fraction(0), Fraction(1)),
+        pieces=((Fraction(0), Fraction(2)),),
+        scale_sq=Fraction(18),
+        shift=Fraction(2, 3),
+    )
+
+
 class TestExactQueries:
     def test_box_is_standardized(self):
         d = unit_box()
@@ -43,24 +53,28 @@ class TestExactQueries:
         assert d.central_moment(3) == 0
         assert d.central_moment(4) == Fraction(1, 80)
 
-    def test_moment_x_even_odd(self):
-        d = unit_box()
-        # X uniform on [-sqrt(3), sqrt(3)]: E[X^2]=1, E[X^4]=9/5
-        assert d.moment_x(2) == pytest.approx(1.0, abs=1e-15)
-        assert d.moment_x(4) == pytest.approx(9.0 / 5.0, abs=1e-14)
-        assert d.moment_x(1) == pytest.approx(0.0, abs=1e-15)
-        assert d.moment_x(3) == pytest.approx(0.0, abs=1e-15)
-
     def test_symmetry_detection(self):
         assert unit_box().is_symmetric()
-        lopsided = PiecewisePolyDensity(
-            knots=(Fraction(0), Fraction(1)),
-            pieces=((Fraction(0), Fraction(2)),),
-            scale_sq=Fraction(18),
-            shift=Fraction(2, 3),
+        assert lopsided().is_standardized()
+        assert not lopsided().is_symmetric()
+
+    def test_symmetry_needs_mirrored_jumps(self):
+        # the knots mirror about the shift, the pieces do not
+        half = Fraction(1, 2)
+        d = PiecewisePolyDensity(
+            knots=(Fraction(0), half, Fraction(1)),
+            pieces=((half,), (Fraction(3, 2),)),
+            scale_sq=Fraction(12),
+            shift=half,
         )
-        assert lopsided.is_standardized()
-        assert not lopsided.is_symmetric()
+        assert d.mass() == 1
+        assert not d.is_symmetric()
+
+    def test_lopsided_moments_match_closed_form(self):
+        # E[T^k] = int_0^1 2 t^(k+1) dt = 2/(k+2)
+        d = lopsided()
+        for k in range(9):
+            assert d.moment_t(k) == Fraction(2, k + 2)
 
     def test_hermite_moments_of_box(self):
         d = unit_box()

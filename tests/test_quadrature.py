@@ -38,11 +38,6 @@ class TestBasics:
         val, _ = integrate(lambda x: x * phi(x), (-9.0, 9.0))
         assert abs(val) <= DEFAULT_SPEC.abs_tol
 
-    def test_tail_cutoff(self):
-        spec = QuadratureSpec(tail_cutoff=8.0)
-        val, _ = integrate(phi, (-math.inf, math.inf), spec)
-        np.testing.assert_allclose(val, 1.0, rtol=1e-9)
-
 
 class TestBreakpoints:
     def test_split_matches_whole(self):
@@ -83,5 +78,3 @@ class TestFailureModes:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(DomainError):
             QuadratureSpec(max_subdivisions=0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(tail_cutoff=-1.0)
