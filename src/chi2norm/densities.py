@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+from scipy.special import roots_hermitenorm, roots_jacobi
+
 from .errors import CapacityError, DomainError
 from .piecewise import PiecewisePolyDensity
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
@@ -44,7 +47,8 @@ class StandardizedDensity:
 
     ``breakpoints`` lists interior points where the density or one of its
     derivatives jumps; quadrature routines split there.  ``exact`` is the
-    rational representation when one exists.
+    rational representation when one exists.  ``gauss_rule(degree)`` gives
+    nodes and weights (density included) exact for polynomials of that degree.
     """
 
     pdf: Callable[[float], float]
@@ -54,6 +58,7 @@ class StandardizedDensity:
     breakpoints: tuple[float, ...] = ()
     exact: PiecewisePolyDensity | None = None
     is_standard_normal: bool = False
+    gauss_rule: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __call__(self, x: float) -> float:
         return self.pdf(x)
@@ -71,6 +76,7 @@ def _wrap_exact(d: PiecewisePolyDensity, description: str,
         description=description,
         breakpoints=inner,
         exact=d,
+        gauss_rule=d.gauss_rule,
     )
 
 
@@ -123,12 +129,23 @@ def make_scaled_beta(shape: float | Fraction) -> StandardizedDensity:
             return 0.0
         return math.exp(log_norm + (af - 1.0) * math.log(t * (1.0 - t))) / c
 
+    def gauss_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
+        # x = half s, density (1 - s²)^(a-1) e^log_norm 4^(1-a) / 2 in s
+        s, w = roots_jacobi(degree // 2 + 1, af - 1.0, af - 1.0)
+        return half * s, w * math.exp(log_norm - (af - 1.0) * math.log(4.0)) / 2
+
     return StandardizedDensity(
         pdf=pdf,
         support=(-half, half),
         symmetric=True,
         description=f"beta:{af:g}",
+        gauss_rule=gauss_rule,
     )
+
+
+def _normal_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = roots_hermitenorm(degree // 2 + 1)
+    return nodes, weights * _INV_SQRT_2PI
 
 
 def make_normal() -> StandardizedDensity:
@@ -138,6 +155,7 @@ def make_normal() -> StandardizedDensity:
         symmetric=True,
         description="normal",
         is_standard_normal=True,
+        gauss_rule=_normal_rule,
     )
 
 

@@ -1,10 +1,11 @@
 """Divergence from a standardized density to the standard normal.
 
 Two independent routes compute the same quantity: a direct integral of
-``p²/φ − 1`` and the orthogonal-series sum of squared normalized Hermite
-moments.  Keeping both alive is the point; their agreement is the main
-internal consistency check, so neither is ever defined in terms of the
-other.
+``p²/φ − 1`` by adaptive quadrature of the float density, and the
+orthogonal-series sum of squared normalized Hermite moments, read off the
+density's exact Gauss rule.  Keeping both alive is the point; their
+agreement is the main internal consistency check, so neither is ever
+defined in terms of the other.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .densities import StandardizedDensity
 from .errors import AccuracyError, DomainError
 from .hermite import MAX_ORDER, hermite_row_normalized
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate, integrate_vector
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 
 __all__ = [
     "HermiteProfile",
@@ -111,7 +112,11 @@ def _tail_from_window(absvals: np.ndarray, order: int,
 def hermite_profile(density: StandardizedDensity, order: int = 40,
                     spec: QuadratureSpec = DEFAULT_SPEC,
                     direct: Chi2Result | None = None) -> HermiteProfile:
-    """Quadrature of ``p · H_j/sqrt(j!)`` for every order up to ``order``.
+    """``E H_j(Y)/sqrt(j!)`` for every order up to ``order``: the Hermite
+    table over the nodes of the density's Gauss rule of degree ``order``,
+    times its weights.  The rule is exact, so the error bound is rounding
+    alone: ``4 order`` units in the last place per term ``w_i h_j(x_i)``
+    (recurrence and weight), plus one per node for the sum.
 
     When a direct-integral result for the same density is passed in, the
     identity ``sum a_j² = chi²`` turns it into an independent tail bound;
@@ -121,21 +126,21 @@ def hermite_profile(density: StandardizedDensity, order: int = 40,
         raise DomainError("order must be >= 2")
     if order > MAX_ORDER:
         raise DomainError(f"order must be <= {MAX_ORDER}")
+    if density.gauss_rule is None:
+        raise DomainError(f"{density.description}: no Gauss rule for the profile")
 
-    pdf = density.pdf
+    nodes, weights = density.gauss_rule(order)
+    table = hermite_row_normalized(order, nodes)
+    values = table @ weights
+    round_err = float(np.finfo(float).eps * (len(nodes) + 4 * order)
+                      * np.max(np.abs(table) @ np.abs(weights)))
 
-    def rows(x: float) -> np.ndarray:
-        return pdf(x) * hermite_row_normalized(order, x)
-
-    values, quad_err = integrate_vector(rows, density.support, spec,
-                                        density.breakpoints)
-
-    noise_floor = max(10.0 * quad_err, 10.0 * spec.abs_tol)
+    noise_floor = max(10.0 * round_err, 10.0 * spec.abs_tol)
     tail = _tail_from_window(np.abs(values), order, noise_floor)
     if direct is not None:
         partial = float(np.sum(values[1:] ** 2))
-        # a_j known to +-quad_err each; linearized effect on the sum
-        series_err = 2.0 * quad_err * float(np.sum(np.abs(values[1:])))
+        # a_j known to +-round_err each; linearized effect on the sum
+        series_err = 2.0 * round_err * float(np.sum(np.abs(values[1:])))
         cross = (max(direct.value - partial, 0.0)
                  + direct.error_estimate + series_err)
         tail = max(tail, cross) if math.isfinite(tail) else cross
@@ -167,8 +172,8 @@ def _raw_density_ratio(pdf, x: float) -> float:
     if px == 0.0:
         return 0.0
     if not px > 0.0:
-        # rounding in the piecewise evaluation can push a tiny density
-        # below zero; no certified value can be built on that
+        # a density that evaluates below zero (a caller-built pdf, or
+        # rounding in one) cannot carry a certified value
         raise AccuracyError(f"density evaluated to {px:.3e} at x = {x:.6g}")
     log_ratio = 2.0 * math.log(px) + 0.5 * x * x + _LOG_SQRT_2PI
     return math.exp(log_ratio) if log_ratio < 700.0 else math.inf

@@ -39,21 +39,19 @@ def _check_order(n: int, limit: int = MAX_ORDER) -> None:
         raise CapacityError(f"order {n} exceeds the supported maximum {limit}")
 
 
-def _row(n: int, x: float) -> list[float]:
-    """``[H_0(x)/sqrt(0!), ..., H_n(x)/sqrt(n!)]`` in one recurrence pass.
+def _row(n: int, x) -> np.ndarray:
+    """``[H_0(x)/sqrt(0!), ..., H_n(x)/sqrt(n!)]`` along a new first axis.
 
-    The rescaled recurrence keeps intermediate values of moderate size for
-    the orders and arguments used by the profile computations.  Plain floats
-    on purpose: the profile integrand calls this once per abscissa.
+    The rescaled recurrence keeps intermediate values of moderate size, and
+    each step is the same float operations at every abscissa of ``x``.
     """
-    x = float(x)
-    row = [1.0]
+    x = np.asarray(x, dtype=float)
+    row = np.empty((n + 1, *x.shape))
+    row[0] = 1.0
     if n >= 1:
-        row.append(x)
-    prev, cur = 1.0, x
+        row[1] = x
     for k in range(1, n):
-        prev, cur = cur, (x * cur - _SQRT[k] * prev) / _SQRT[k + 1]
-        row.append(cur)
+        row[k + 1] = (x * row[k] - _SQRT[k] * row[k - 1]) / _SQRT[k + 1]
     return row
 
 
@@ -85,17 +83,14 @@ def hermite_eval(n: int, x: float) -> float:
     itself overflows double precision.
     """
     _check_order(n)
-    return _row(n, x)[n] * _sqrt_factorial(n)
+    return float(_row(n, x)[n]) * _sqrt_factorial(n)
 
 
-def hermite_row_normalized(n: int, x: float) -> "np.ndarray":
-    """``[H_0(x)/sqrt(0!), ..., H_n(x)/sqrt(n!)]`` in one recurrence pass.
-
-    The profile integrators call this once per abscissa, so it returns an
-    array rather than repeating the recurrence per order.
-    """
+def hermite_row_normalized(n: int, x) -> "np.ndarray":
+    """``[H_0(x)/sqrt(0!), ..., H_n(x)/sqrt(n!)]`` in one recurrence pass;
+    for an array ``x``, the ``(n + 1, len(x))`` table of one row per node."""
     _check_order(n)
-    return np.array(_row(n, x))
+    return _row(n, x)
 
 
 def _check_weights(alpha: float, beta: float) -> None:
@@ -120,8 +115,7 @@ def addition_formula_eval(m: int, x: float, y: float,
     """
     _check_order(m)
     _check_weights(alpha, beta)
-    hx = _row(m, x)
-    hy = _row(m, y)
+    hx, hy = _row(m, (x, y)).T
     terms = [math.sqrt(math.comb(m, k)) * hx[m - k] * hy[k]
              * alpha ** (m - k) * beta ** k for k in range(m + 1)]
     return math.fsum(terms) * _sqrt_factorial(m)

@@ -21,8 +21,9 @@ the jump of the ``j``-th derivative at knot ``t_i``.  In that form
 * the mirror image about ``s`` has the jumps ``(-1)^(j+1) J[t_i][j]`` at
   ``2s - t_i``, which is the symmetry test.
 
-The monomial ``pieces`` serve float evaluation; one running sum over the
-sorted origins builds them from the jumps.
+One running sum over the sorted origins builds the monomial ``pieces`` from
+the jumps.  Float evaluation and the Gauss rule read each piece in Bernstein
+form, converted exactly and rounded once.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainError
 from .hermite import hermite_coefficients
@@ -44,6 +47,9 @@ Poly = tuple[Fraction, ...]
 Jumps = dict[Fraction, list[Fraction]]
 
 _ZERO = Fraction(0)
+
+# Gauss-Legendre nodes and weights on [-1, 1] by node count; never mutated
+_legendre = cache(leggauss)
 
 
 def _trim(c: list[Fraction]) -> Poly:
@@ -201,31 +207,68 @@ class PiecewisePolyDensity:
         return math.sqrt(float(self.scale_sq))
 
     @cached_property
-    def _float_knots(self) -> np.ndarray:
-        return np.array([float(k) for k in self.knots])
+    def _offsets(self) -> list[float]:
+        """``knot - shift`` for every knot, each rounded once."""
+        return [float(k - self.shift) for k in self.knots]
 
     @cached_property
-    def _float_pieces(self) -> list[np.ndarray]:
-        return [np.array([float(c) for c in p]) for p in self.pieces]
+    def _bernstein(self) -> list[tuple[float, tuple[float, ...]]]:
+        """Per piece, its width ``h`` and Bernstein coefficients ``beta_k``,
+        exact and rounded once: ``f(a + h s) = sum_k beta_k s^k (1-s)^(d-k)``
+        with ``beta_k = sum_{j<=k} C(d-j, k-j) q_j`` for ``f(a + h s) =
+        sum_j q_j s^j``.  The basis is the best-conditioned one on an
+        interval (Farouki & Rajan, CAGD 1987); every catalog sum has
+        ``beta_k >= 0``, so evaluating it cancels nothing and is never < 0."""
+        table = []
+        for piece, a, b in zip(self.pieces, self.knots, self.knots[1:]):
+            q = [c * (b - a) ** j for j, c in enumerate(_pshift(piece, a))]
+            beta = [sum(math.comb(len(q) - 1 - j, k - j) * q[j]
+                        for j in range(k + 1)) for k in range(len(q))]
+            table.append((float(b - a), tuple(float(c) for c in beta)))
+        return table
 
     def x_knots(self) -> list[float]:
-        return [self.scale * (float(k) - float(self.shift)) for k in self.knots]
+        return [self.scale * o for o in self._offsets]
 
     def support(self) -> tuple[float, float]:
         xs = self.x_knots()
         return xs[0], xs[-1]
 
     def evaluate(self, x: float) -> float:
-        t = x / self.scale + float(self.shift)
-        kn = self._float_knots
-        if t < kn[0] or t > kn[-1]:
+        u = x / self.scale
+        offs = self._offsets
+        if u < offs[0] or u > offs[-1]:
             return 0.0
-        idx = min(bisect_right(kn, t) - 1, len(self.pieces) - 1)
-        idx = max(idx, 0)
+        idx = min(max(bisect_right(offs, u) - 1, 0), len(self.pieces) - 1)
+        width, beta = self._bernstein[idx]
+        # Horner in the smaller over the larger distance to the two knots,
+        # each distance taken from its own knot
+        s, s1 = u - offs[idx], offs[idx + 1] - u
+        ratio, far, coeffs = ((s / s1, s1, beta[::-1]) if s <= s1
+                              else (s1 / s, s, beta))
         acc = 0.0
-        for c in self._float_pieces[idx][::-1]:
-            acc = acc * t + c
-        return acc / self.scale
+        for c in coeffs:
+            acc = acc * ratio + c
+        return acc * (far / width) ** (len(beta) - 1) / self.scale
+
+    def gauss_rule(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights, the density folded in, that integrate every
+        polynomial of degree ``degree`` exactly up to rounding: enough
+        Gauss-Legendre nodes on each piece for the piece times that
+        polynomial, weighted by :meth:`evaluate`'s Bernstein form."""
+        nodes, weights = [], []
+        for (width, beta), off in zip(self._bernstein, self._offsets):
+            if not any(beta):
+                continue
+            xi, w = _legendre((len(beta) - 1 + degree) // 2 + 1)
+            s, s1 = (1.0 + xi) / 2.0, (1.0 - xi) / 2.0
+            far = np.maximum(s, s1)
+            ratio = np.minimum(s, s1) / far
+            pdf = far ** (len(beta) - 1) * np.where(
+                s <= s1, polyval(ratio, beta), polyval(ratio, beta[::-1]))
+            nodes.append(self.scale * (off + width * s))
+            weights.append(width / 2.0 * w * pdf)
+        return np.concatenate(nodes), np.concatenate(weights)
 
     # -- constructions -------------------------------------------------
 
@@ -240,14 +283,6 @@ class PiecewisePolyDensity:
         knots, polys = _pieces(_jump_product(self._jumps, other._jumps))
         return PiecewisePolyDensity(knots, polys, self.scale_sq,
                                     self.shift + other.shift)
-
-    def scaled(self, ratio_sq: Fraction) -> "PiecewisePolyDensity":
-        """Density of ``X * sqrt(ratio_sq)``."""
-        ratio_sq = Fraction(ratio_sq)
-        if ratio_sq <= 0:
-            raise DomainError("ratio_sq must be positive")
-        return PiecewisePolyDensity(self.knots, self.pieces,
-                                    self.scale_sq * ratio_sq, self.shift)
 
     def normalized_sum(self, n: int) -> "PiecewisePolyDensity":
         """Density of ``(X_1 + ... + X_n) / sqrt(n)`` for iid copies.

@@ -4,7 +4,8 @@ Thin control layer over QUADPACK's adaptive Gauss-Kronrod scheme: the interval
 is split at caller-supplied breakpoints (so integrand kinks land on panel
 edges), infinite tails go through the library's variable-change handling, and
 per-segment results are reduced with ``fsum`` so the output is reproducible
-run to run.
+run to run.  It serves the direct divergence route and the diagnostics;
+Hermite profiles use the densities' exact Gauss rules instead.
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-import numpy as np
 from scipy.integrate import quad as _quad
-from scipy.integrate import quad_vec as _quad_vec
 
 from .errors import AccuracyError, DomainError
 
-__all__ = ["QuadratureSpec", "DEFAULT_SPEC", "integrate", "integrate_vector"]
+__all__ = ["QuadratureSpec", "DEFAULT_SPEC", "integrate"]
 
 
 @dataclass(frozen=True)
@@ -93,35 +92,3 @@ def integrate(f: Callable[[float], float], interval: tuple[float, float],
             "quadrature did not converge on " + "; ".join(failures),
             value=value, error_estimate=error)
     return value, error
-
-
-def integrate_vector(f: Callable[[float], "np.ndarray"],
-                     interval: tuple[float, float],
-                     spec: QuadratureSpec = DEFAULT_SPEC,
-                     breakpoints: Iterable[float] = (),
-                     ) -> tuple["np.ndarray", float]:
-    """Integrate an array-valued ``f`` componentwise over ``interval``.
-
-    One adaptive pass serves every component, so an integrand that returns
-    all Hermite orders at once costs a single subdivision tree.  The error
-    estimate is a max-norm bound shared by all components.
-
-    Breakpoints are honored on finite intervals only; the sole catalog
-    integrand with infinite support is smooth everywhere.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if math.isnan(lo) or math.isnan(hi) or not lo < hi:
-        raise DomainError(f"invalid interval {interval!r}")
-    pts = None
-    if math.isfinite(lo) and math.isfinite(hi):
-        interior = sorted({float(b) for b in breakpoints
-                           if math.isfinite(b) and lo < b < hi})
-        pts = interior or None
-    value, error, info = _quad_vec(
-        f, lo, hi, epsabs=spec.abs_tol, epsrel=spec.rel_tol, norm="max",
-        limit=spec.max_subdivisions, points=pts, full_output=True)
-    if not info.success:
-        raise AccuracyError(
-            f"vector quadrature did not converge on [{lo}, {hi}]",
-            value=value, error_estimate=float(error))
-    return np.asarray(value, dtype=float), float(error)

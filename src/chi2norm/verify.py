@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermitenorm
 
 from .bounds import (
     VarianceProfile,
@@ -37,7 +36,7 @@ from .constants import (
     sandwich_upper_basic,
     sandwich_upper_sym,
 )
-from .densities import from_name, make_uniform, normalized_sum_density
+from .densities import from_name, make_normal, make_uniform, normalized_sum_density
 from .distances import chi2_both, chi2_direct, hermite_profile
 from .errors import AccuracyError, DomainError
 from .hermite import addition_formula_eval, hermite_eval, hermite_row_normalized
@@ -111,11 +110,10 @@ def _check_hermite_addition() -> tuple[bool, str]:
 
 
 def _check_orthonormality() -> tuple[bool, str]:
-    # Gauss nodes for the weight exp(-x^2/2); exact through degree 119
-    nodes, weights = roots_hermitenorm(60)
-    weights = weights / math.sqrt(2.0 * math.pi)
-    rows = np.array([hermite_row_normalized(12, float(x)) for x in nodes])
-    gram = rows.T @ (weights[:, None] * rows)
+    # the normal's Gauss rule, 60 nodes: exact through degree 119
+    nodes, weights = make_normal().gauss_rule(119)
+    table = hermite_row_normalized(12, nodes)
+    gram = table @ (weights[:, None] * table.T)
     worst = float(np.max(np.abs(gram - np.eye(13))))
     return worst < 1e-10, f"max Gram defect {worst:.3e}"
 

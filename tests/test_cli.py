@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from chi2norm import config
+from chi2norm import cli, config
 from chi2norm.cli import EXIT_ACCURACY, EXIT_OK, EXIT_USAGE, run
 from chi2norm.config import RunConfig, load_config, read_config_file
 from chi2norm.constants import g, g_sym
+from chi2norm.densities import StandardizedDensity
 from chi2norm.errors import DomainError
 
 
@@ -53,11 +54,15 @@ class TestExitCodes:
         assert record["error"]["kind"] == "accuracy"
         assert record["error"]["type"] == "CapacityError"
 
-    def test_negative_density_is_accuracy(self, capsys):
-        # the n = 10 uniform sum's pdf rounds below zero near its support
-        # ends; the direct route refuses instead of raising a raw traceback
-        code, out, err = invoke(capsys, "chi2", "--dist", "uniform",
-                                "--n", "10", "--method", "direct")
+    def test_negative_density_is_accuracy(self, capsys, monkeypatch):
+        # a density whose pdf goes negative near its support ends: the
+        # direct route refuses instead of raising a raw traceback
+        bad = StandardizedDensity(pdf=lambda x: 0.5 - 0.6 * x * x,
+                                  support=(-1.0, 1.0), symmetric=True,
+                                  description="negative-tails")
+        monkeypatch.setattr(cli, "from_name", lambda name: bad)
+        code, out, err = invoke(capsys, "chi2", "--dist", "negative-tails",
+                                "--method", "direct")
         assert code == EXIT_ACCURACY
         assert out == ""
         assert err.count("\n") == 1
@@ -70,6 +75,15 @@ class TestExitCodes:
             "direct integral failed even on the shrunk domain: "
             "density evaluated to -")
         assert " at x = " in message
+
+    def test_uniform_sum_direct_certifies(self, capsys):
+        # the n = 10 uniform sum's pdf stays positive up to its support
+        # ends, so the direct route certifies
+        code, out, err = invoke(capsys, "chi2", "--dist", "uniform",
+                                "--n", "10", "--method", "direct")
+        assert code == EXIT_OK
+        assert err == ""
+        assert "0.000611588172863" in out
 
     def test_bound_needs_values(self, capsys):
         code, _, err = invoke(capsys, "bound", "--n", "3")

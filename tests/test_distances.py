@@ -8,6 +8,9 @@ from fractions import Fraction
 import pytest
 
 from chi2norm.densities import (
+    StandardizedDensity,
+    _wrap_exact,
+    from_name,
     make_mixture,
     make_normal,
     make_scaled_beta,
@@ -23,10 +26,42 @@ from chi2norm.distances import (
     profile_until_converged,
 )
 from chi2norm.errors import DomainError
+from chi2norm.hermite import hermite_coefficients
+from chi2norm.piecewise import PiecewisePolyDensity
 from chi2norm.verify import _CHI2_UNIFORM as CHI2_UNIFORM
 
 # mean of H_4 under the uniform law: (E X^4 - 6 E X^2 + 3)/sqrt(24)
 A4_UNIFORM = -math.sqrt(6.0) / 10.0
+
+# sum of squared exact Hermite coefficients to order 256, from the jumps
+CHI2_UNIFORM_SUM = {8: 0.000965595004459, 11: 0.000503817190453}
+
+SUMS_24 = ([("uniform", n) for n in range(1, 13)]
+           + [(name, n) for name in ("beta:2", "mixture:1:1,1:2")
+              for n in range(1, 7)])
+
+
+def lopsided() -> StandardizedDensity:
+    # density 2t on [0, 1], standardized: the asymmetric case
+    d = PiecewisePolyDensity(
+        knots=(Fraction(0), Fraction(1)),
+        pieces=((Fraction(0), Fraction(2)),),
+        scale_sq=Fraction(18),
+        shift=Fraction(2, 3),
+    )
+    return _wrap_exact(d, "lopsided")
+
+
+def beta_even_moment(shape: Fraction, k: int) -> Fraction:
+    # E[X^(2k)] for X = sqrt(2a+1) U, U = 2T - 1, T ~ Beta(a, a):
+    # E[U^(2k)] = prod_{i<k} (2i+1)/(2a+2i+1), odd moments vanish
+    return math.prod((Fraction(2 * i + 1, 2 * shape + 2 * i + 1) * (2 * shape + 1)
+                      for i in range(k)), start=Fraction(1))
+
+
+def exact_profile(d: PiecewisePolyDensity, order: int) -> list[float]:
+    return [d.hermite_moment(m) / math.sqrt(math.factorial(m))
+            for m in range(order + 1)]
 
 
 class TestProfile:
@@ -78,11 +113,88 @@ class TestProfile:
             HermiteProfile((1.0, 0.0, 0.0), 2, -1.0)
 
 
+class TestGaussRules:
+    """Profiles from the densities' Gauss rules against exact moments."""
+
+    @pytest.mark.parametrize("name,n", SUMS_24)
+    def test_piecewise_matches_exact_moments(self, name, n):
+        d = normalized_sum_density(from_name(name), n)
+        got = hermite_profile(d, 40).values
+        want = exact_profile(d.exact, 40)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13
+
+    def test_asymmetric_matches_exact_moments(self):
+        d = lopsided()
+        got = hermite_profile(d, 40).values
+        want = exact_profile(d.exact, 40)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13
+        assert abs(got[3]) > 0.1
+
+    @pytest.mark.parametrize("shape", [Fraction(3, 4), Fraction(7, 5)])
+    def test_jacobi_matches_rational_moments(self, shape):
+        got = hermite_profile(make_scaled_beta(shape), 40).values
+        for m, value in enumerate(got):
+            coeffs = hermite_coefficients(m)
+            exact = sum((c * beta_even_moment(shape, k // 2)
+                         for k, c in enumerate(coeffs) if k % 2 == 0),
+                        Fraction(0))
+            want = float(exact) / math.sqrt(math.factorial(m))
+            assert abs(value - want) <= 1e-13, m
+
+    @pytest.mark.parametrize("degree", [2, 5, 8, 9])
+    def test_rules_integrate_monomials_exactly(self, degree):
+        # E X^k for k <= degree, odd k included: exact moments of the
+        # piecewise densities and the beta, (k-1)!! for the normal; a rule
+        # one node short misses by up to 5e-2
+        def even_only(moment):
+            return lambda k: moment(k) if k % 2 == 0 else 0
+
+        shape = Fraction(3, 4)
+        cases = [
+            (make_normal(), even_only(lambda k: math.prod(range(k - 1, 0, -2)))),
+            (make_scaled_beta(shape),
+             even_only(lambda k: beta_even_moment(shape, k // 2))),
+        ]
+        for d in (make_uniform(), normalized_sum_density(from_name("beta:2"), 2),
+                  normalized_sum_density(from_name("mixture:1:1,1:2"), 3),
+                  lopsided()):
+            cases.append((d, lambda k, e=d.exact:
+                          e.scale ** k * float(e.central_moment(k))))
+        for density, moment in cases:
+            nodes, weights = density.gauss_rule(degree)
+            for k in range(degree + 1):
+                want = float(moment(k))
+                got = float(weights @ nodes ** k)
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (
+                    density.description, k)
+
+    @pytest.mark.parametrize("order", [16, 256])
+    def test_normal_profile_is_unit_vector(self, order):
+        values = hermite_profile(make_normal(), order).values
+        assert abs(values[0] - 1.0) <= 1e-15
+        assert max(abs(v) for v in values[1:]) <= 1e-15
+
+    def test_density_without_rule_is_refused(self):
+        phi = make_normal().pdf
+        bare = StandardizedDensity(pdf=phi, support=(-math.inf, math.inf),
+                                   symmetric=True, description="bare")
+        with pytest.raises(DomainError, match="no Gauss rule"):
+            hermite_profile(bare, 8)
+
+
 class TestChi2Direct:
     def test_uniform_value(self):
         res = chi2_direct(make_uniform())
         assert res.value == pytest.approx(CHI2_UNIFORM, rel=1e-12)
         assert res.method == "direct-integral"
+
+    @pytest.mark.parametrize("n", sorted(CHI2_UNIFORM_SUM))
+    def test_uniform_sum_matches_exact_profile(self, n):
+        # the direct route must reach the exact sum, not merely come
+        # within its own stated error of some other value
+        res = chi2_direct(normalized_sum_density(make_uniform(), n))
+        assert abs(res.value - CHI2_UNIFORM_SUM[n]) <= 1e-15
+        assert res.error_estimate < 1e-12
 
     def test_normal_is_exactly_zero(self):
         res = chi2_direct(make_normal())
@@ -119,11 +231,12 @@ class TestChi2Series:
             1e-6 + direct.error_estimate + series.error_estimate)
         assert series.method == "parseval-series"
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 8, 11])
     def test_sum_cross_method(self, n):
         direct, series = chi2_both(normalized_sum_density(make_uniform(), n))
         assert abs(direct.value - series.value) <= (
             1e-6 + direct.error_estimate + series.error_estimate)
+        assert abs(direct.value - series.value) <= series.error_estimate
 
     def test_partial_sums_nondecreasing(self):
         u = make_uniform()

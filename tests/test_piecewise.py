@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,11 @@ def unit_box() -> PiecewisePolyDensity:
     )
 
 
+def rescaled(d: PiecewisePolyDensity, scale_sq: Fraction) -> PiecewisePolyDensity:
+    # the same pieces read at another scale
+    return PiecewisePolyDensity(d.knots, d.pieces, scale_sq, d.shift)
+
+
 def lopsided() -> PiecewisePolyDensity:
     # density 2t on [0, 1], standardized
     return PiecewisePolyDensity(
@@ -31,6 +37,23 @@ def lopsided() -> PiecewisePolyDensity:
         scale_sq=Fraction(18),
         shift=Fraction(2, 3),
     )
+
+
+# every sum the divergence benchmark builds, and more: 34 in all
+SUMS_34 = ([("uniform", n) for n in range(2, 13)]
+           + [(name, n) for name in ("beta:2", "beta:3", "mixture:1:1,1:2",
+                                     "mixture:1:1,1:1/2")
+              for n in range(2, 7)]
+           + [("mixture:1:1,3:1/2,1:3/2", n) for n in range(2, 5)])
+
+
+def exact_value(d: PiecewisePolyDensity, t: Fraction) -> Fraction:
+    """``f(t)`` in the internal coordinate, in exact arithmetic."""
+    idx = min(max(bisect_right(d.knots, t) - 1, 0), len(d.pieces) - 1)
+    acc = Fraction(0)
+    for c in reversed(d.pieces[idx]):
+        acc = acc * t + c
+    return acc
 
 
 class TestExactQueries:
@@ -96,6 +119,24 @@ class TestEvaluation:
         assert d.evaluate(1.8) == 0.0
         assert d.evaluate(-5.0) == 0.0
 
+    @pytest.mark.parametrize("name,n", SUMS_34)
+    def test_matches_exact_evaluation(self, name, n):
+        # 500 grid points plus approaches to both support ends; the exact
+        # reference is taken at the t the float x stands for, x / scale
+        d = from_name(name).exact.normalized_sum(n)
+        lo, hi = d.support()
+        xs = [*np.linspace(lo, hi, 502)[1:-1],
+              *(end * (1.0 - 10.0 ** -k) for end in (lo, hi)
+                for k in range(1, 13))]
+        worst = 0.0
+        for x in map(float, xs):
+            got = d.evaluate(x)
+            want = float(exact_value(d, d.shift + Fraction(x / d.scale))
+                         / Fraction(d.scale))
+            assert got >= 0.0, x
+            worst = max(worst, abs(got - want) / want)
+        assert worst <= 1e-10
+
     def test_support_endpoints(self):
         lo, hi = unit_box().support()
         assert lo == pytest.approx(-math.sqrt(3.0), rel=1e-15)
@@ -114,11 +155,6 @@ class TestConvolution:
         # pieces are t and 2 - t
         assert d.pieces[0] == (Fraction(0), Fraction(1))
         assert d.pieces[1] == (Fraction(2), Fraction(-1))
-
-    def test_scaled_restores_unit_variance(self):
-        d = unit_box().convolve(unit_box()).scaled(Fraction(1, 2))
-        assert d.is_standardized()
-        assert d.is_symmetric()
 
     def test_normalized_sum_matches_irwin_hall(self):
         # closed form for the standardized sum of n unit boxes
@@ -140,7 +176,7 @@ class TestConvolution:
         # building S_4 directly must agree with (S_2 + S_2) rescaled
         direct = unit_box().normalized_sum(4)
         half = unit_box().convolve(unit_box())
-        other = half.convolve(half).scaled(Fraction(1, 4))
+        other = rescaled(half.convolve(half), Fraction(3))
         xs = np.linspace(-3.4, 3.4, 113)
         for x in xs:
             assert direct.evaluate(float(x)) == pytest.approx(
@@ -148,7 +184,7 @@ class TestConvolution:
 
     def test_convolution_requires_matching_scale(self):
         with pytest.raises(DomainError):
-            unit_box().convolve(unit_box().scaled(Fraction(1, 2)))
+            unit_box().convolve(rescaled(unit_box(), Fraction(6)))
 
 
 class TestExactConvolution:
@@ -172,12 +208,13 @@ class TestExactConvolution:
     def test_commutative_and_associative(self):
         beta = from_name("beta:2").exact
         mix = from_name("mixture:1:1,1:2").exact
-        mix = mix.scaled(beta.scale_sq / mix.scale_sq)
+        mix = rescaled(mix, beta.scale_sq)
         assert beta.convolve(mix) == mix.convolve(beta)
         for f in (beta, mix):
             ff = f.convolve(f)
             assert ff.convolve(f) == f.convolve(ff)
-            assert f.normalized_sum(3) == ff.convolve(f).scaled(Fraction(1, 3))
+            assert f.normalized_sum(3) == rescaled(ff.convolve(f),
+                                                   f.scale_sq / 3)
 
     def test_gapped_support_mass_and_moments(self):
         # mass 1/2 on [0, 1] and on [2, 3], nothing in between
@@ -190,7 +227,7 @@ class TestExactConvolution:
         )
         assert f.is_standardized()
         assert f.normalized_sum(1) == f
-        box = unit_box().scaled(f.scale_sq / unit_box().scale_sq)
+        box = rescaled(unit_box(), f.scale_sq)
         for g in (f, box):
             h = f.convolve(g)
             assert h.mass() == 1
@@ -245,5 +282,3 @@ class TestValidation:
         with pytest.raises(DomainError):
             PiecewisePolyDensity((Fraction(0), Fraction(1)),
                                  ((Fraction(1),),), Fraction(0), Fraction(0))
-        with pytest.raises(DomainError):
-            unit_box().scaled(Fraction(-1, 4))
