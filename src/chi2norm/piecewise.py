@@ -24,6 +24,18 @@ the jump of the ``j``-th derivative at knot ``t_i``.  In that form
 One running sum over the sorted origins builds the monomial ``pieces`` from
 the jumps.  Float evaluation and the Gauss rule read each piece in Bernstein
 form, converted exactly and rounded once.
+
+The exact kernels (Taylor shifts, jump products, the running sum, moments
+and the Bernstein conversion) run on Python ``int`` numerators over one
+common denominator, which needs no gcd and no allocation per operation.
+The jump table holds the knots as integers over one knot denominator and
+the jumps as integers over one jump denominator.  ``Fraction`` objects are
+built only at the public boundary: the ``knots`` and ``pieces`` of a new
+density and the results of :meth:`~PiecewisePolyDensity.mass`,
+:meth:`~PiecewisePolyDensity.moment_t` and
+:meth:`~PiecewisePolyDensity.central_moment`, each reduced once.  Every
+Bernstein coefficient is one int/int true division, which Python rounds
+correctly, so it equals ``float`` of the exact rational.
 """
 
 from __future__ import annotations
@@ -33,6 +45,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import zip_longest
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -44,7 +58,6 @@ from .hermite import hermite_coefficients
 __all__ = ["PiecewisePolyDensity"]
 
 Poly = tuple[Fraction, ...]
-Jumps = dict[Fraction, list[Fraction]]
 
 _ZERO = Fraction(0)
 
@@ -52,35 +65,52 @@ _ZERO = Fraction(0)
 _legendre = cache(leggauss)
 
 
-def _trim(c: list[Fraction]) -> Poly:
+class Jumps(NamedTuple):
+    """Derivative jumps in integers: ``J[o / knot_den][j]`` is
+    ``table[o][j] / jump_den``.  In a density's own table each list is
+    trimmed of trailing zeros but keeps at least one entry, so every knot
+    has a key."""
+
+    knot_den: int
+    jump_den: int
+    table: dict[int, list[int]]
+
+
+def _over_common(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """One common denominator of ``values`` and their numerators over it."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _trim(c: list[int]) -> list[int]:
     while len(c) > 1 and c[-1] == 0:
         c.pop()
-    return tuple(c)
+    return c
 
 
-def _padd(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else _ZERO)
-                  + (b[i] if i < len(b) else _ZERO) for i in range(n)])
+def _pshift(a: list[int], p: int, q: int) -> list[int]:
+    """``q^d a(p/q + z)`` for ``a`` of degree ``d``, that is
+    ``sum_j a_j q^(d-j) (p + q z)^j``: a Taylor shift by ``p`` (repeated
+    synthetic division) of the ``a_j q^(d-j)``, then ``z`` scaled by ``q``,
+    all in integers (von zur Gathen & Gerhard, ISSAC 1997)."""
+    d = len(a) - 1
+    out = [c * q ** (d - j) for j, c in enumerate(a)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            out[j] += p * out[j + 1]
+    return [c * q ** i for i, c in enumerate(out)]
 
 
-def _pshift(a: Poly, c: Fraction) -> Poly:
-    """``a(c + z)`` as a polynomial in ``z`` (repeated synthetic division)."""
-    out = list(a)
-    for i in range(len(out) - 1):
-        for j in range(len(out) - 2, i - 1, -1):
-            out[j] += c * out[j + 1]
-    return _trim(out)
-
-
-def _jump_product(f: Jumps, g: Jumps) -> Jumps:
-    """Jumps of the convolution of ``f`` and ``g``: ``J[a][j] J[b][k]`` lands
+def _jump_product(f: dict[int, list[int]],
+                  g: dict[int, list[int]]) -> dict[int, list[int]]:
+    """Jump numerators of the convolution of ``f`` and ``g`` (same knot
+    denominator; the jump denominators multiply): ``J[a][j] J[b][k]`` lands
     on origin ``a + b`` and derivative ``j + k + 1``."""
-    out: Jumps = {}
+    out: dict[int, list[int]] = {}
     for a, fa in f.items():
         for b, gb in g.items():
             acc = out.setdefault(a + b, [])
-            acc.extend([_ZERO] * (len(fa) + len(gb) - len(acc)))
+            acc.extend([0] * (len(fa) + len(gb) - len(acc)))
             for j, x in enumerate(fa):
                 if x:
                     for k, y in enumerate(gb):
@@ -90,15 +120,26 @@ def _jump_product(f: Jumps, g: Jumps) -> Jumps:
 
 def _pieces(jumps: Jumps) -> tuple[tuple[Fraction, ...], tuple[Poly, ...]]:
     """Knots and monomial pieces: the piece after knot ``t`` is the running
-    sum of ``sum_k J[s][k] (t - s)^k / k!`` over the knots ``s <= t``."""
-    knots = tuple(sorted(jumps))
-    acc: Poly = (_ZERO,)
+    sum of ``sum_k J[s][k] (t - s)^k / k!`` over the knots ``s <= t``.
+
+    With ``K`` the knot and ``D`` the jump denominator, and ``d`` the top
+    degree, the sum runs over the common denominator ``D K^d d!``: the term
+    of origin ``o`` is ``sum_k J_k (d!/k!) K^(d-k) (K t - o)^k``."""
+    kden, jden, table = jumps
+    origins = sorted(table)
+    deg = max(map(len, table.values())) - 1
+    facts = [math.factorial(k) for k in range(deg + 1)]
+    den = jden * kden ** deg * facts[deg]
+    acc = [0] * (deg + 1)
     pieces = []
-    for t in knots[:-1]:
-        taylor = _trim([c / math.factorial(k) for k, c in enumerate(jumps[t])])
-        acc = _padd(acc, _pshift(taylor, -t))
-        pieces.append(acc)
-    return knots, tuple(pieces)
+    for o in origins[:-1]:
+        jo = table[o]
+        lift = kden ** (deg + 1 - len(jo)) * facts[deg]
+        taylor = [x * lift // facts[k] for k, x in enumerate(jo)]
+        for i, c in enumerate(_pshift(taylor, -o, kden)):
+            acc[i] += c
+        pieces.append(tuple(Fraction(c, den) for c in _trim(acc[:])))
+    return tuple(Fraction(o, kden) for o in origins), tuple(pieces)
 
 
 @dataclass(frozen=True)
@@ -133,39 +174,86 @@ class PiecewisePolyDensity:
         ``J[t][j]`` is ``j!`` times the ``j``-th coefficient of the Taylor
         shift to ``t`` of (right piece - left piece), with zero outside the
         support.  Every knot gets an entry, even one with no jump, so every
-        pairwise knot sum of a convolution stays a knot.  The cached dict
-        is shared by every query and product, so nothing may mutate it.
+        pairwise knot sum of a convolution stays a knot.  The pieces share
+        one denominator ``P`` and the knots one ``K``; with ``d`` the top
+        degree the jumps are over ``P K^d``, then reduced by their common
+        gcd.  The cached table is shared by every query and product, so
+        nothing may mutate it.
         """
-        out: Jumps = {}
-        left: Poly = (_ZERO,)
-        for t, right in zip(self.knots, (*self.pieces, (_ZERO,))):
-            taylor = _pshift(_padd(right, tuple(-c for c in left)), t)
-            out[t] = [c * math.factorial(j) for j, c in enumerate(taylor)]
+        kden, origins = _over_common(self.knots)
+        pden, flat = _over_common([c for p in self.pieces for c in p])
+        deg = max(map(len, self.pieces)) - 1
+        table: dict[int, list[int]] = {}
+        left: list[int] = []
+        for o, size in zip(origins, (*map(len, self.pieces), 0)):
+            right, flat = flat[:size], flat[size:]
+            diff = _trim([r - l for r, l in zip_longest(right, left,
+                                                        fillvalue=0)])
+            lift = kden ** (deg + 1 - len(diff))
+            table[o] = [c * lift * math.factorial(j)
+                        for j, c in enumerate(_pshift(diff, o, kden))]
             left = right
-        return out
+        jden = pden * kden ** deg
+        g = math.gcd(jden, *(x for jo in table.values() for x in jo))
+        return Jumps(kden, jden // g,
+                     {o: [x // g for x in jo] for o, jo in table.items()})
 
-    def _moment(self, k: int, c: Fraction) -> Fraction:
-        """Exact ``E[(T - c)^k]``, one term per jump."""
-        if k < 0:
+    def _moments(self, m: int, c: Fraction) -> list[Fraction]:
+        """Exact ``E[(T - c)^k]`` for ``k = 0..m`` in one pass over the jumps.
+
+        With ``t - c = e / L`` for ``L = K * den(c)`` and ``d`` the top jump
+        degree, order ``k`` sums over the denominator
+        ``D L^(k+d+1) (k+d+1)!`` the terms
+        ``J_j (-1)^(j+1) e^(k+j+1) L^(d-j) (k+d+1)! / (k+j+1)!``.
+        """
+        if m < 0:
             raise DomainError("moment order must be >= 0")
-        acc = _ZERO
-        for t, jt in self._jumps.items():
-            for j, x in enumerate(jt):
+        kden, jden, table = self._jumps
+        deg = max(map(len, table.values())) - 1
+        lden = kden * c.denominator
+        facts = [math.factorial(i) for i in range(m + deg + 2)]
+        acc = [0] * (m + 1)
+        for o, jo in table.items():
+            e = o * c.denominator - c.numerator * kden
+            powers = [1]
+            for _ in range(m + deg + 1):
+                powers.append(powers[-1] * e)
+            for j, x in enumerate(jo):
                 if x:
-                    term = x * (t - c) ** (k + j + 1) / math.factorial(k + j + 1)
-                    acc += term if j % 2 else -term
-        return acc * math.factorial(k)
+                    w = (x if j % 2 else -x) * lden ** (deg - j)
+                    for k in range(m + 1):
+                        acc[k] += (w * powers[k + j + 1] * facts[k + deg + 1]
+                                   // facts[k + j + 1])
+        return [Fraction(a * facts[k],
+                         jden * lden ** (k + deg + 1) * facts[k + deg + 1])
+                for k, a in enumerate(acc)]
+
+    @cached_property
+    def _central_moments(self) -> list[Fraction]:
+        """``E[(T - shift)^k]`` for ``k < len``; :meth:`_central` grows it."""
+        return []
+
+    def _central(self, m: int) -> list[Fraction]:
+        """The cached central moments, at least up to order ``m``; a miss
+        recomputes them to twice the cached length, so a run of increasing
+        orders costs a few passes."""
+        cached = self._central_moments
+        if len(cached) <= m:
+            cached[:] = self._moments(max(m, 2 * len(cached)), self.shift)
+        return cached
 
     def mass(self) -> Fraction:
-        return self._moment(0, _ZERO)
+        return self._moments(0, _ZERO)[0]
 
     def moment_t(self, k: int) -> Fraction:
         """Exact ``E[T^k]`` in the internal coordinate."""
-        return self._moment(k, _ZERO)
+        return self._moments(k, _ZERO)[k]
 
     def central_moment(self, k: int) -> Fraction:
         """Exact ``E[(T - shift)^k]``; equals ``E[X^k] / scale^k``."""
-        return self._moment(k, self.shift)
+        if k < 0:
+            raise DomainError("moment order must be >= 0")
+        return self._central(k)[k]
 
     def hermite_moment(self, m: int) -> float:
         """``E[H_m(X)]`` for the probabilists' Hermite polynomial ``H_m``.
@@ -174,16 +262,16 @@ class PiecewisePolyDensity:
         the only rounding is the final square root and one multiply-add.
         """
         coeffs = hermite_coefficients(m)
+        central = self._central(m)
         even = _ZERO
         odd = _ZERO
         for k, c in enumerate(coeffs):
             if c == 0:
                 continue
-            cm = self.central_moment(k)
             if k % 2 == 0:
-                even += c * self.scale_sq ** (k // 2) * cm
+                even += c * self.scale_sq ** (k // 2) * central[k]
             else:
-                odd += c * self.scale_sq ** ((k - 1) // 2) * cm
+                odd += c * self.scale_sq ** ((k - 1) // 2) * central[k]
         return float(even) + self.scale * float(odd)
 
     def is_standardized(self) -> bool:
@@ -193,10 +281,13 @@ class PiecewisePolyDensity:
     def is_symmetric(self) -> bool:
         """Exact mirror symmetry about the shift point: the jumps at
         ``2 shift - t`` are ``(-1)^(j+1)`` times the jumps at ``t``."""
-        jumps = self._jumps
-        for t, jt in jumps.items():
-            mirrored = [x if j % 2 else -x for j, x in enumerate(jt)]
-            if jumps.get(2 * self.shift - t) != mirrored:
+        kden, _, table = self._jumps
+        mirror = 2 * self.shift * kden
+        if mirror.denominator != 1:
+            return False  # no knot o / K mirrors to a knot
+        for o, jo in table.items():
+            flipped = [x if j % 2 else -x for j, x in enumerate(jo)]
+            if table.get(mirror.numerator - o) != flipped:
                 return False
         return True
 
@@ -218,13 +309,22 @@ class PiecewisePolyDensity:
         with ``beta_k = sum_{j<=k} C(d-j, k-j) q_j`` for ``f(a + h s) =
         sum_j q_j s^j``.  The basis is the best-conditioned one on an
         interval (Farouki & Rajan, CAGD 1987); every catalog sum has
-        ``beta_k >= 0``, so evaluating it cancels nothing and is never < 0."""
+        ``beta_k >= 0``, so evaluating it cancels nothing and is never < 0.
+
+        With the knots ``o / K`` and a piece's coefficients over ``P``, the
+        ``q_j`` are integers over ``P K^(2d)``: the shift to ``a`` brings
+        ``K^d`` and each ``h^j = (b - a)^j / K^j`` is lifted to ``K^d``."""
+        kden, origins = _over_common(self.knots)
         table = []
-        for piece, a, b in zip(self.pieces, self.knots, self.knots[1:]):
-            q = [c * (b - a) ** j for j, c in enumerate(_pshift(piece, a))]
-            beta = [sum(math.comb(len(q) - 1 - j, k - j) * q[j]
-                        for j in range(k + 1)) for k in range(len(q))]
-            table.append((float(b - a), tuple(float(c) for c in beta)))
+        for piece, a, b in zip(self.pieces, origins, origins[1:]):
+            pden, nums = _over_common(piece)
+            d = len(nums) - 1
+            q = [c * (b - a) ** j * kden ** (d - j)
+                 for j, c in enumerate(_pshift(nums, a, kden))]
+            den = pden * kden ** (2 * d)
+            beta = [sum(math.comb(d - j, k - j) * q[j] for j in range(k + 1))
+                    / den for k in range(d + 1)]
+            table.append(((b - a) / kden, tuple(beta)))
         return table
 
     def x_knots(self) -> list[float]:
@@ -275,12 +375,17 @@ class PiecewisePolyDensity:
     def convolve(self, other: "PiecewisePolyDensity") -> "PiecewisePolyDensity":
         """Density of the sum of independent variables, same scale required.
 
-        The cached jumps of both densities are multiplied, and the product
-        is turned back into pieces.
+        The cached jumps of both densities are brought to one knot
+        denominator, their lcm, and multiplied; the product is turned back
+        into pieces.
         """
         if self.scale_sq != other.scale_sq:
             raise DomainError("convolution requires matching scale_sq")
-        knots, polys = _pieces(_jump_product(self._jumps, other._jumps))
+        (kf, df, f), (kg, dg, g) = self._jumps, other._jumps
+        kden = math.lcm(kf, kg)
+        f = {o * (kden // kf): jo for o, jo in f.items()}
+        g = {o * (kden // kg): jo for o, jo in g.items()}
+        knots, polys = _pieces(Jumps(kden, df * dg, _jump_product(f, g)))
         return PiecewisePolyDensity(knots, polys, self.scale_sq,
                                     self.shift + other.shift)
 
@@ -292,9 +397,10 @@ class PiecewisePolyDensity:
         """
         if n < 1:
             raise DomainError("n must be >= 1")
-        acc = base = self._jumps
+        kden, jden, base = self._jumps
+        acc = base
         for _ in range(n - 1):
             acc = _jump_product(acc, base)
-        knots, polys = _pieces(acc)
+        knots, polys = _pieces(Jumps(kden, jden ** n, acc))
         return PiecewisePolyDensity(knots, polys, self.scale_sq / n,
                                     self.shift * n)

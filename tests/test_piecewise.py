@@ -56,6 +56,101 @@ def exact_value(d: PiecewisePolyDensity, t: Fraction) -> Fraction:
     return acc
 
 
+# Fraction reference: the exact kernels as they ran on Fraction objects
+# before the integer tables.  The package must agree Fraction for Fraction.
+
+def ref_trim(c: list[Fraction]) -> tuple[Fraction, ...]:
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def ref_padd(a, b):
+    n = max(len(a), len(b))
+    return ref_trim([(a[i] if i < len(a) else Fraction(0))
+                     + (b[i] if i < len(b) else Fraction(0)) for i in range(n)])
+
+
+def ref_pshift(a, c: Fraction):
+    """``a(c + z)`` as a polynomial in ``z`` (repeated synthetic division)."""
+    out = list(a)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += c * out[j + 1]
+    return ref_trim(out)
+
+
+def ref_jump_product(f, g):
+    """Jumps of the convolution of ``f`` and ``g``: ``J[a][j] J[b][k]`` lands
+    on origin ``a + b`` and derivative ``j + k + 1``."""
+    out = {}
+    for a, fa in f.items():
+        for b, gb in g.items():
+            acc = out.setdefault(a + b, [])
+            acc.extend([Fraction(0)] * (len(fa) + len(gb) - len(acc)))
+            for j, x in enumerate(fa):
+                if x:
+                    for k, y in enumerate(gb):
+                        acc[j + k + 1] += x * y
+    return out
+
+
+def ref_jumps(d: PiecewisePolyDensity) -> dict[Fraction, list[Fraction]]:
+    out = {}
+    left = (Fraction(0),)
+    for t, right in zip(d.knots, (*d.pieces, (Fraction(0),))):
+        taylor = ref_pshift(ref_padd(right, tuple(-c for c in left)), t)
+        out[t] = [c * math.factorial(j) for j, c in enumerate(taylor)]
+        left = right
+    return out
+
+
+def ref_pieces(jumps):
+    knots = tuple(sorted(jumps))
+    acc = (Fraction(0),)
+    pieces = []
+    for t in knots[:-1]:
+        taylor = ref_trim([c / math.factorial(k)
+                           for k, c in enumerate(jumps[t])])
+        acc = ref_padd(acc, ref_pshift(taylor, -t))
+        pieces.append(acc)
+    return knots, tuple(pieces)
+
+
+def ref_moment(jumps, k: int, c: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for t, jt in jumps.items():
+        for j, x in enumerate(jt):
+            if x:
+                term = x * (t - c) ** (k + j + 1) / math.factorial(k + j + 1)
+                acc += term if j % 2 else -term
+    return acc * math.factorial(k)
+
+
+def jumps_as_fractions(d: PiecewisePolyDensity) -> dict[Fraction, list[Fraction]]:
+    kden, jden, table = d._jumps
+    return {Fraction(o, kden): [Fraction(x, jden) for x in jo]
+            for o, jo in table.items()}
+
+
+def assert_matches_reference(d: PiecewisePolyDensity, product) -> None:
+    """``d`` against the Fraction kernels: its knots and pieces against the
+    pieces of the reference jump ``product``, its jumps and its moments of
+    order <= 8 against the reference read of its own pieces."""
+    assert (d.knots, d.pieces) == ref_pieces(product)
+    assert all(type(c) is Fraction
+               for c in (*d.knots, *(c for p in d.pieces for c in p)))
+    jumps = ref_jumps(d)
+    assert jumps_as_fractions(d) == jumps
+    exact = [d.mass(), *(d.moment_t(k) for k in range(9)),
+             *(d.central_moment(k) for k in range(9))]
+    want = [ref_moment(jumps, 0, Fraction(0)),
+            *(ref_moment(jumps, k, Fraction(0)) for k in range(9)),
+            *(ref_moment(jumps, k, d.shift) for k in range(9))]
+    assert exact == want
+    assert all(type(v) is Fraction for v in exact)
+
+
 class TestExactQueries:
     def test_box_is_standardized(self):
         d = unit_box()
@@ -264,6 +359,60 @@ class TestExactConvolution:
         d = from_name(name).exact.normalized_sum(n)
         text = repr((d.knots, d.pieces)).encode()
         assert hashlib.sha256(text).hexdigest() == digest
+
+
+    @pytest.mark.parametrize("name,n,digest", [
+        ("uniform", 12,
+         "4ee90a06370d47522758869e6eee240521059d4b4c57c182f9dce65eb1e7f7a7"),
+        ("beta:2", 6,
+         "e587b147a6060621859433332c7b278a0615780ae56440dc35d2b72c55bc7287"),
+        ("mixture:1:1,1:2", 6,
+         "0a9f65b54e1e7e8b54a8bde72ca7814d9a2d45f1415507445a05945a9404b9f0"),
+    ])
+    def test_pinned_bernstein_tables(self, name, n, digest):
+        # digests recorded from the Fraction conversion: every width and
+        # coefficient is the exact rational rounded once
+        d = from_name(name).exact.normalized_sum(n)
+        text = " ".join(x.hex() for width, beta in d._bernstein
+                        for x in (width, *beta))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+class TestFractionReference:
+    """The integer kernels agree with the Fraction ones, Fraction for
+    Fraction."""
+
+    @staticmethod
+    def check_sum(base: PiecewisePolyDensity, n: int) -> None:
+        product = acc = ref_jumps(base)
+        for _ in range(n - 1):
+            product = ref_jump_product(product, acc)
+        assert_matches_reference(base.normalized_sum(n), product)
+
+    @pytest.mark.parametrize("name,n", SUMS_34)
+    def test_sums(self, name, n):
+        self.check_sum(from_name(name).exact, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_lopsided_sums(self, n):
+        self.check_sum(lopsided(), n)
+
+    def test_knot_denominators_brought_to_lcm(self):
+        f = from_name("mixture:1:1,1:2").exact
+        g = from_name("mixture:2:1/2,3:2").exact
+        assert f.scale_sq == g.scale_sq == Fraction(6, 5)
+        assert f._jumps.knot_den != g._jumps.knot_den
+        for a, b in ((f, g), (g, f)):
+            assert_matches_reference(
+                a.convolve(b), ref_jump_product(ref_jumps(a), ref_jumps(b)))
+
+    def test_moment_cache_is_order_independent(self):
+        # the central moments are cached and grown on demand
+        d = from_name("beta:2").exact.normalized_sum(4)
+        jumps = ref_jumps(d)
+        for k in (7, 0, 30, 3, 31, 64):
+            assert d.central_moment(k) == ref_moment(jumps, k, d.shift), k
+        assert d.hermite_moment(12) == from_name(
+            "beta:2").exact.normalized_sum(4).hermite_moment(12)
 
 
 class TestValidation:
