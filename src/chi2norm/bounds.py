@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .constants import BASIC_SET, SYMMETRIC_SET, C_of_p, IndexSet
+from .constants import BASIC_SET, SYMMETRIC_SET, C_of_p
 from .distances import HermiteProfile
 from .errors import AccuracyError, CapacityError, DomainError
 
@@ -109,16 +109,6 @@ def stein_recurrence_rhs(profiles: list[HermiteProfile],
     return math.fsum(pieces) / m
 
 
-_C_CACHE: dict[tuple[str, float], float] = {}
-
-
-def _cached_C(index_set: IndexSet, p: float) -> float:
-    key = (index_set.kind, p)
-    if key not in _C_CACHE:
-        _C_CACHE[key] = C_of_p(index_set, p).value
-    return _C_CACHE[key]
-
-
 def unroll_recurrence(singleton_values: list[float],
                       constants: list[float]) -> float:
     """Closed form of the subset recursion after Maclaurin collapsing.
@@ -176,27 +166,33 @@ def maclaurin_check(values: list[float], k: int) -> bool:
     return lhs <= rhs + 1e-12
 
 
+# the per-level constants of each index set for levels 2, 3, ..., as far
+# as any call has needed them; step_constants extends them on demand
+_LEVEL_CONSTANTS: dict[str, list[float]] = {"basic": [], "symmetric": []}
+
+
 def step_constants(n: int, symmetric: bool) -> list[float]:
-    """Per-level constants for levels 2..n.
+    """Per-level constants for levels 2..n, as a new list.
 
     Level 2 uses ``C(1/2)`` directly (times 3 in the symmetric case);
     higher levels multiply ``C(1/k)`` by the boundary factor coming from
-    the change of level-k to level-(k-1) normalization.
+    the change of level-k to level-(k-1) normalization.  Each level's
+    ``C(1/k)`` is computed once per process.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise DomainError("n must be an integer >= 2")
     if n > MAX_BOUND_N:
         raise CapacityError(f"n={n} exceeds the supported maximum {MAX_BOUND_N}")
     index_set = SYMMETRIC_SET if symmetric else BASIC_SET
-    out: list[float] = []
-    for k in range(2, n + 1):
-        c = _cached_C(index_set, 1.0 / k)
+    levels = _LEVEL_CONSTANTS[index_set.kind]
+    for k in range(len(levels) + 2, n + 1):
+        c = C_of_p(index_set, 1.0 / k).value
         if symmetric:
-            out.append(3.0 * c if k == 2
-                       else c * (k * k - 1.0) / ((k - 1.0) ** 2 - 1.0))
+            levels.append(3.0 * c if k == 2
+                          else c * (k * k - 1.0) / ((k - 1.0) ** 2 - 1.0))
         else:
-            out.append(c if k == 2 else c * (k - 1.0) / (k - 2.0))
-    return out
+            levels.append(c if k == 2 else c * (k - 1.0) / (k - 2.0))
+    return levels[:n - 1]
 
 
 @dataclass(frozen=True)

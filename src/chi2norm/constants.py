@@ -273,29 +273,35 @@ def h_series(index_set: IndexSet, s: int, p: float) -> float:
     both as the fallback when the closed form degrades and as the
     independent oracle the closed form is tested against.  Accepts much
     larger ``s`` than the closed form (cost grows with the series mode).
+
+    The first block of terms ends at ``_scan_block_kmax``, the scan's
+    truncation edge past the mean of the negative-binomial weights; each
+    further block doubles, up to 4096 terms, until the geometric tail
+    certificate closes.
     """
     _check_sp(s, p, max_s=1_000_000)
     k0, step = _series_start(index_set)
     log_w = float(_log_start_weight(k0, float(s), p))
     total = 0.0
     k = k0
-    block = 4096
+    block = min((_scan_block_kmax(index_set, s, p) - k0) // step + 1, 4096)
     for _ in range(20_000):
         ks = k + step * np.arange(block, dtype=float)
         # cumulative log-ratio w_{k+step}/w_k within the block
         inc = _log_ratios(ks, float(s), p, step)
         log_ws = log_w + np.concatenate(([0.0], np.cumsum(inc[:-1])))
-        terms = np.exp(log_ws) * (ks / (p * (ks + s))) ** 2
-        total += float(np.sum(terms))
-        k_next = k + step * block
+        weights = np.exp(log_ws)
+        total += float(np.sum(weights * (ks / (p * (ks + s))) ** 2))
         log_w = log_ws[-1] + inc[-1]
-        # geometric tail certificate once the weight ratio is contracting
+        # the weight ratio falls with k and each term is below weight/p^2,
+        # so once the ratio contracts the tail is under a geometric sum
         r = math.exp(inc[-1])
         if r < 1.0:
-            last = float(terms[-1])
-            if last * r / (1.0 - r) <= 1e-16 * total + 1e-300:
+            tail = float(weights[-1]) * r / ((1.0 - r) * p * p)
+            if tail <= 1e-16 * total + 1e-300:
                 return total
-        k = k_next
+        k += step * block
+        block = min(2 * block, 4096)
     raise AccuracyError(f"series for h({index_set}, {s}, {p}) did not "
                         "converge within the term budget")
 
@@ -303,15 +309,16 @@ def h_series(index_set: IndexSet, s: int, p: float) -> float:
 def h_exact(index_set: IndexSet, s: int, p: float) -> float:
     """Exact ``h_J(s, p)``: closed form when trustworthy, series otherwise."""
     _check_sp(s, p)
-    if index_set.kind == "basic":
-        value = _h12_closed(s, p)
-        return value if value is not None else h_series(index_set, s, p)
     pos = _h12_closed(s, p)
+    if pos is None:
+        return h_series(index_set, s, p)
+    if index_set.kind == "basic":
+        return pos
     neg = _h12_closed(s, -p)
-    if pos is not None and neg is not None:
-        ratio_s = math.exp(s * (math.log1p(-p) - math.log1p(p)))
-        return 0.5 * (pos + ratio_s * neg)
-    return h_series(index_set, s, p)
+    if neg is None:
+        return h_series(index_set, s, p)
+    ratio_s = math.exp(s * (math.log1p(-p) - math.log1p(p)))
+    return 0.5 * (pos + ratio_s * neg)
 
 
 # -- the maximization over s --------------------------------------------
@@ -326,9 +333,12 @@ class ConstantEstimate:
 
 
 def _scan_block_kmax(index_set: IndexSet, s_hi: int, p: float) -> int:
+    """Last series order of the rows ``s <= s_hi``: 12 standard deviations
+    and 30 orders past the mean of the negative-binomial weights at
+    ``s_hi``, even for the symmetric set."""
     mean = (s_hi + 1.0) * p / (1.0 - p)
     sd = math.sqrt((s_hi + 1.0) * p) / (1.0 - p)
-    kmax = int(mean + 25.0 * sd + 60.0)
+    kmax = int(mean + 12.0 * sd + 30.0)
     if index_set.kind == "symmetric" and kmax % 2 == 1:
         kmax += 1
     return kmax
@@ -338,25 +348,37 @@ def _scan_rows(index_set: IndexSet, p: float, s_lo: int,
                s_hi: int) -> tuple[float, int]:
     """Largest series row ``h(s, p)`` over ``s = s_lo..s_hi`` and its ``s``.
 
-    Rows are evaluated as an (s, k) grid, chunked so the grid stays within
-    a fixed element budget; each row carries its own geometric tail
-    certificate at the truncation edge.  Ties go to the smallest ``s``.
+    Rows are evaluated as an (s, k) grid up to ``_scan_block_kmax``,
+    chunked so the grid stays within a fixed element budget; each row
+    carries its own geometric tail certificate at the truncation edge.
+    While the weights of a row do not contract there, or its certified
+    tail exceeds 1e-13 of the row, the chunk is summed again with twice
+    the columns, at most three times.  Ties go to the smallest ``s``.
     """
     k0, step = _series_start(index_set)
-    kmax_probe = _scan_block_kmax(index_set, s_hi, p)
-    chunk = max(1, int(4e6 / ((kmax_probe - k0) / step + 1)))
+    widenings = 0
+
+    def columns(s: int) -> int:
+        return ((_scan_block_kmax(index_set, s, p) - k0) // step
+                + 1) << widenings
+
     best, best_s = -math.inf, 0
     while s_lo <= s_hi:
-        c_hi = min(s_hi, s_lo + chunk - 1)
-        kmax = _scan_block_kmax(index_set, c_hi, p)
-        ks = np.arange(k0, kmax + 1, step, dtype=float)
+        c_hi = min(s_hi, s_lo + max(1, int(4e6 / columns(s_hi))) - 1)
+        cols = columns(c_hi)
+        ks = k0 + step * np.arange(cols, dtype=float)
         svec = np.arange(s_lo, c_hi + 1, dtype=float)[:, None]
-        inc = _log_ratios(ks[:-1], svec, p, step)
-        lw = (_log_start_weight(k0, svec, p)
-              + np.concatenate((np.zeros_like(svec), np.cumsum(inc, axis=1)),
-                               axis=1))
-        terms = np.exp(lw) * (ks / (p * (ks + svec))) ** 2
-        vals = terms.sum(axis=1)
+        # log weights, then weights, in one grid: row start plus the
+        # running sum of the log-ratios
+        grid = np.empty((len(svec), cols))
+        grid[:, 0] = 0.0
+        grid[:, 1:] = _log_ratios(ks[:-1], svec, p, step)
+        np.cumsum(grid, axis=1, out=grid)
+        grid += _log_start_weight(k0, svec, p)
+        np.exp(grid, out=grid)
+        edge_w = grid[:, -1].copy()
+        grid *= (ks / (p * (ks + svec))) ** 2
+        vals = grid.sum(axis=1)
 
         k_edge = float(ks[-1])
         if step == 1:
@@ -365,11 +387,16 @@ def _scan_rows(index_set: IndexSet, p: float, s_lo: int,
             r = (p * p * (svec[:, 0] + k_edge + 1.0)
                  * (svec[:, 0] + k_edge + 2.0)
                  / ((k_edge + 1.0) * (k_edge + 2.0)))
-        if float(np.max(r)) >= 1.0:
-            raise AccuracyError("scan truncation edge is not contracting")
-        tails = terms[:, -1] * r / (1.0 - r)
-        if float(np.max(tails - 1e-13 * vals)) > 0.0:
-            raise AccuracyError("scan truncation tail above tolerance")
+        # the weight ratio falls with k and each term is below weight/p^2,
+        # so past a contracting edge the tail is under a geometric sum
+        if (float(np.max(r)) >= 1.0
+                or float(np.max(edge_w * r / ((1.0 - r) * p * p)
+                                - 1e-13 * vals)) > 0.0):
+            if widenings == 3:
+                raise AccuracyError("scan truncation tail above tolerance "
+                                    "after three widenings")
+            widenings += 1
+            continue
 
         i = int(np.argmax(vals))
         if float(vals[i]) > best:
@@ -420,7 +447,10 @@ def C_of_p(index_set: IndexSet, p: float,
     ``_dominated_beyond`` must fall below the maximum found; the cutoff,
     first ``20/p``, doubles a few times if it does not.  The winner is
     re-verified against the scalar ``h_exact`` route (``h_series`` past
-    ``MAX_EXPLICIT_S``).
+    ``MAX_EXPLICIT_S``).  Both the scan rows and ``h_series`` stop their
+    series a dozen standard deviations past the mean of their weights
+    and sum further only where their geometric tail certificates ask for
+    it.
     """
     if not (0.0 < p < 1.0):
         raise DomainError("p must lie in (0, 1)")

@@ -9,6 +9,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from chi2norm import bounds
 from chi2norm.bounds import (
     BoundReport,
     VarianceProfile,
@@ -204,6 +205,22 @@ class TestStepConstants:
         assert ell[0] < 3.2
         assert max(ell[1:]) < 2.18
         assert min(ell) > 0.0
+
+    def test_memo_order_and_copies(self, monkeypatch):
+        # an empty memo filled out of order serves the same lists as one
+        # filled by a single call, and callers cannot write into it
+        for symmetric in (False, True):
+            monkeypatch.setattr(bounds, "_LEVEL_CONSTANTS",
+                                {"basic": [], "symmetric": []})
+            full = step_constants(12, symmetric)
+            monkeypatch.setattr(bounds, "_LEVEL_CONSTANTS",
+                                {"basic": [], "symmetric": []})
+            for n in (7, 3, 12, 2, 9):
+                out = step_constants(n, symmetric)
+                assert out == full[:n - 1]
+                out[0] = -1.0
+                out.append(0.0)
+            assert step_constants(12, symmetric) == full
 
     def test_validation(self):
         with pytest.raises(DomainError):

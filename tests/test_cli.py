@@ -7,6 +7,7 @@ import csv
 import graphlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -310,6 +311,27 @@ LAYER_IMPORTS = {
 }
 
 
+# module-level imports from outside the standard library, per module; a
+# new one adds to the start-up time of every command, so it must be named
+# here (imports inside a function body run only when it is called)
+THIRD_PARTY_IMPORTS = {
+    "errors": set(),
+    "constants": {"numpy"},
+    "hermite": {"numpy"},
+    "quadrature": {"scipy.integrate"},
+    "config": set(),
+    "piecewise": {"numpy", "numpy.polynomial.legendre",
+                  "numpy.polynomial.polynomial"},
+    "densities": {"numpy", "scipy.special"},
+    "distances": {"numpy"},
+    "bounds": {"numpy", "scipy.special"},
+    "subgaussian": {"numpy"},
+    "verify": {"numpy"},
+    "cli": set(),
+    "__init__": set(),
+}
+
+
 def _package_imports(path: Path) -> set[str]:
     """Package modules that ``path`` imports, relative or absolute."""
     found: set[str] = set()
@@ -329,6 +351,28 @@ def _package_imports(path: Path) -> set[str]:
     return found
 
 
+def _third_party_imports(path: Path) -> set[str]:
+    """Modules from outside the standard library and the package that
+    ``path`` imports outside any function body."""
+    found: set[str] = set()
+    nodes = list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            nodes.extend(ast.iter_child_nodes(node))
+            continue
+        found |= {name for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names
+                  and name.split(".")[0] != "chi2norm"}
+    return found
+
+
 class TestConfig:
     def test_config_imports_no_upper_layer(self):
         # the package __init__ loads every module, so the import graph is
@@ -340,6 +384,11 @@ class TestConfig:
                  if (names := sorted(_package_imports(path)
                                      - LAYER_IMPORTS[path.stem]))}
         assert extra == {}
+
+    def test_module_level_third_party_imports(self):
+        paths = sorted(Path(config.__file__).parent.glob("*.py"))
+        found = {path.stem: _third_party_imports(path) for path in paths}
+        assert found == THIRD_PARTY_IMPORTS
 
     def test_file_then_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from chi2norm import constants
 from chi2norm.constants import (
     BASIC_SET,
     CLOSED_FORM_UPPER,
@@ -35,7 +36,7 @@ from chi2norm.constants import (
     _h12_closed,
     _scan_rows,
 )
-from chi2norm.errors import CapacityError, DomainError
+from chi2norm.errors import AccuracyError, CapacityError, DomainError
 from chi2norm.verify import _C12_SMALL_P as C12_SMALL_P
 from chi2norm.verify import _CSYM_SMALL_P as CSYM_SMALL_P
 from chi2norm.verify import _G_MAX as G_MAX
@@ -48,6 +49,19 @@ G_SYM_MAX_AT = 4.2971491262212127
 
 TABLE_BASIC_S = [6, 9, 12, 16, 19, 22, 26, 29, 32]
 TABLE_SYM_S = [7, 11, 16, 20, 25, 29, 33, 38, 42]
+
+# C(p) and its argmax above p = 1/2; from about p = 0.63 on, the scan rows
+# need a widened truncation edge
+LARGE_P = [
+    (BASIC_SET, 0.6, 2.6188066241445163, 4),
+    (SYMMETRIC_SET, 0.6, 1.3006172289683282, 5),
+    (BASIC_SET, 0.9, 10.061997863344185, 2),
+    (SYMMETRIC_SET, 0.9, 5.0253940612648575, 2),
+    (BASIC_SET, 0.99, 100.01887447256965, 1),
+    (SYMMETRIC_SET, 0.99, 50.005002888992884, 1),
+    (BASIC_SET, 0.999, 1000.00409268322, 1),
+    (SYMMETRIC_SET, 0.999, 500.0016014133676, 1),
+]
 
 
 class TestAuxiliaryFunctions:
@@ -153,6 +167,18 @@ class TestExactH:
 
     def test_overflow_falls_back(self):
         assert h_exact(BASIC_SET, 5000, 0.9) == h_series(BASIC_SET, 5000, 0.9)
+
+    @pytest.mark.parametrize("s, p", [(5, 0.9), (3, 0.95), (1, 0.99),
+                                      (1, 0.999), (2, 0.999)])
+    def test_series_grows_past_first_block(self, s, p):
+        # the series ends two to four times as far out as its first block,
+        # which stops a dozen standard deviations past the weights' mean;
+        # the closed form engages at these points
+        closed = _h12_closed(s, p)
+        assert closed is not None
+        assert abs(h_series(BASIC_SET, s, p) - closed) <= 1e-13 * closed
+        sym = h_exact(SYMMETRIC_SET, s, p)
+        assert abs(h_series(SYMMETRIC_SET, s, p) - sym) <= 1e-13 * sym
 
     def test_series_accepts_large_s(self):
         v = h_series(BASIC_SET, 50_000, 1e-4)
@@ -314,6 +340,21 @@ class TestCertifiedMaxima:
             est = C_of_p(index_set, p)
             full = _scan_rows(index_set, p, 1, math.ceil(20.0 / p))
             assert (est.value, est.argmax_s) == full
+
+    @pytest.mark.parametrize("index_set, p, value, s_star", LARGE_P)
+    def test_large_p_values(self, index_set, p, value, s_star):
+        est = C_of_p(index_set, p)
+        assert abs(est.value - value) <= 1e-15 * value
+        assert est.argmax_s == s_star
+
+    def test_scan_refuses_after_three_widenings(self, monkeypatch):
+        # an edge at order 4 leaves at most 16 columns after three
+        # doublings, far short of the weights' mass at p = 0.9
+        monkeypatch.setattr(constants, "_scan_block_kmax",
+                            lambda index_set, s_hi, p: 4)
+        for index_set in (BASIC_SET, SYMMETRIC_SET):
+            with pytest.raises(AccuracyError, match="tail above tolerance"):
+                _scan_rows(index_set, 0.9, 1, 3)
 
     def test_method_metadata(self):
         est = C_of_p(BASIC_SET, 0.25, CLOSED_FORM_UPPER)
