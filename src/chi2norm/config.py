@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .errors import DomainError
+from .hermite import MAX_ORDER
 from .quadrature import QuadratureSpec
 
 __all__ = [
@@ -51,6 +52,8 @@ class RunConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 2:
                 raise DomainError(f"{name} must be an integer >= 2")
+        if self.series_max_order > MAX_ORDER:
+            raise DomainError(f"series_max_order must be <= {MAX_ORDER}")
         if self.series_start_order > self.series_max_order:
             raise DomainError("series_start_order exceeds series_max_order")
         if self.format not in FORMATS:

@@ -416,7 +416,7 @@ def _scan_max(index_set: IndexSet, p: float, s_cap: int) -> tuple[float, int]:
     survives, a window of width ``O(1/sqrt(p))``, so no unimodality is
     assumed.
     """
-    env = _h0_rows(index_set, np.arange(1, s_cap + 1), p)
+    env = _h0_rows(index_set, np.arange(1, s_cap + 1, dtype=float), p)
     s_peak = int(np.argmax(env)) + 1
     floor, _ = _scan_rows(index_set, p, s_peak, s_peak)
     if floor > env[s_peak - 1]:

@@ -1,11 +1,11 @@
 """Divergence from a standardized density to the standard normal.
 
 Two independent routes compute the same quantity: a direct integral of
-``p²/φ − 1`` by adaptive quadrature of the float density, and the
-orthogonal-series sum of squared normalized Hermite moments, read off the
-density's exact Gauss rule.  Keeping both alive is the point; their
-agreement is the main internal consistency check, so neither is ever
-defined in terms of the other.
+``p²/φ − 1`` by adaptive quadrature of the float density, and the Parseval
+sum of squared normalized Hermite moments, every truncation order of one
+ladder read off one exact Gauss rule and one Hermite table at its top.
+Keeping both alive is the point; their agreement is the main internal
+consistency check, so neither is ever defined in terms of the other.
 """
 
 from __future__ import annotations
@@ -109,42 +109,48 @@ def _tail_from_window(absvals: np.ndarray, order: int,
     return 4.0 * second * second * r2 / (1.0 - r2)
 
 
-def hermite_profile(density: StandardizedDensity, order: int = 40,
-                    spec: QuadratureSpec = DEFAULT_SPEC,
-                    direct: Chi2Result | None = None) -> HermiteProfile:
-    """``E H_j(Y)/sqrt(j!)`` for every order up to ``order``: the Hermite
-    table over the nodes of the density's Gauss rule of degree ``order``,
-    times its weights.  The rule is exact, so the error bound is rounding
-    alone: ``4 order`` units in the last place per term ``w_i h_j(x_i)``
-    (recurrence and weight), plus one per node for the sum.
-
-    When a direct-integral result for the same density is passed in, the
-    identity ``sum a_j² = chi²`` turns it into an independent tail bound;
-    the reported bound is never smaller than that cross-check.
-    """
-    if order < 2:
+def _profile(density: StandardizedDensity, start: int, top: int,
+             spec: QuadratureSpec, tail_tol: float,
+             direct: Chi2Result | None) -> HermiteProfile:
+    """Profile at the first rung ``N`` of ``start, 2 start, ..., top`` with a
+    tail bound below ``tail_tol``, else at ``top``, from one exact Gauss rule
+    of degree ``top`` and one Hermite table; the only error is rounding,
+    ``4 N`` ulps per term ``w_i h_j(x_i)`` and one per node of the rule."""
+    if start < 2:
         raise DomainError("order must be >= 2")
-    if order > MAX_ORDER:
+    if top > MAX_ORDER:
         raise DomainError(f"order must be <= {MAX_ORDER}")
     if density.gauss_rule is None:
         raise DomainError(f"{density.description}: no Gauss rule for the profile")
-
-    nodes, weights = density.gauss_rule(order)
-    table = hermite_row_normalized(order, nodes)
+    nodes, weights = density.gauss_rule(top)
+    table = hermite_row_normalized(top, nodes)
     values = table @ weights
-    round_err = float(np.finfo(float).eps * (len(nodes) + 4 * order)
-                      * np.max(np.abs(table) @ np.abs(weights)))
+    absvals, absw = np.abs(values), np.abs(weights)
+    order, done, magnitude = start, 0, 0.0
+    while True:
+        # max_j sum_i |w_i h_j(x_i)|, over the rows this rung adds too
+        magnitude = max(magnitude, np.max(np.abs(table[done:order + 1]) @ absw))
+        round_err = float(np.finfo(float).eps * (len(nodes) + 4 * order) * magnitude)
+        noise_floor = max(10.0 * round_err, 10.0 * spec.abs_tol)
+        tail = _tail_from_window(absvals[:order + 1], order, noise_floor)
+        if direct is not None:
+            partial = float(np.sum(values[1:order + 1] ** 2))
+            # a_j known to +-round_err each; linearized effect on the sum
+            series_err = 2.0 * round_err * float(np.sum(absvals[1:order + 1]))
+            cross = (max(direct.value - partial, 0.0)
+                     + direct.error_estimate + series_err)
+            tail = max(tail, cross) if math.isfinite(tail) else cross
+        if tail < tail_tol or order >= top:
+            return HermiteProfile(tuple(values[:order + 1].tolist()), order, tail)
+        order, done = min(2 * order, top), order + 1
 
-    noise_floor = max(10.0 * round_err, 10.0 * spec.abs_tol)
-    tail = _tail_from_window(np.abs(values), order, noise_floor)
-    if direct is not None:
-        partial = float(np.sum(values[1:] ** 2))
-        # a_j known to +-round_err each; linearized effect on the sum
-        series_err = 2.0 * round_err * float(np.sum(np.abs(values[1:])))
-        cross = (max(direct.value - partial, 0.0)
-                 + direct.error_estimate + series_err)
-        tail = max(tail, cross) if math.isfinite(tail) else cross
-    return HermiteProfile(tuple(float(v) for v in values), order, tail)
+
+def hermite_profile(density: StandardizedDensity, order: int = 40,
+                    spec: QuadratureSpec = DEFAULT_SPEC,
+                    direct: Chi2Result | None = None) -> HermiteProfile:
+    """``E H_j(Y)/sqrt(j!)`` for ``j <= order``; given a direct result for the
+    same density, the tail bound also covers its gap ``chi² - sum a_j²``."""
+    return _profile(density, order, order, spec, 0.0, direct)
 
 
 def profile_until_converged(density: StandardizedDensity,
@@ -153,18 +159,12 @@ def profile_until_converged(density: StandardizedDensity,
                             max_order: int = MAX_ORDER,
                             tail_tol: float = 1e-8,
                             direct: Chi2Result | None = None) -> HermiteProfile:
-    """Double the truncation order until the tail bound is small.
-
-    Smooth-density profiles collapse quickly; rough ones (the uniform
-    itself) may exhaust ``max_order`` and come back with an honest large
-    tail instead.
-    """
-    order = min(start, max_order)
-    while True:
-        profile = hermite_profile(density, order, spec, direct)
-        if profile.tail_bound < tail_tol or order >= max_order:
-            return profile
-        order = min(2 * order, max_order)
+    """Double the order from ``start`` until the tail bound is below
+    ``tail_tol``, every rung read off one rule and table of degree
+    ``max_order``.  Rough densities (the uniform itself) may exhaust
+    ``max_order`` and come back with an honest large tail instead."""
+    return _profile(density, min(start, max_order), max_order, spec,
+                    tail_tol, direct)
 
 
 def _raw_density_ratio(pdf, x: float) -> float:

@@ -14,7 +14,8 @@ import pytest
 
 from chi2norm import cli, config
 from chi2norm.cli import EXIT_ACCURACY, EXIT_OK, EXIT_USAGE, run
-from chi2norm.config import RunConfig, load_config, read_config_file
+from chi2norm.config import (CONFIG_ENV_VAR, RunConfig, load_config,
+                             read_config_file)
 from chi2norm.constants import g, g_sym
 from chi2norm.densities import StandardizedDensity
 from chi2norm.errors import DomainError
@@ -100,6 +101,23 @@ class TestExitCodes:
         code, _, _ = invoke(capsys, "bound", "--n", "3", "--avg-chi2",
                             "0.1", "--format", "csv")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ("chi2", "--dist", "uniform", "--method", "series"),
+        ("chi2", "--dist", "beta:2", "--n", "12", "--method", "both"),
+    ])
+    def test_series_max_order_above_hermite_limit(self, capsys, monkeypatch,
+                                                  tmp_path, argv):
+        # refused when the config is read, before any density or route runs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("series_max_order=300\n", encoding="utf-8")
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+        monkeypatch.setattr(cli, "_build_density", None)
+        code, out, err = invoke(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert (json.loads(err)["error"]["message"]
+                == "series_max_order must be <= 256")
 
 
 class TestDeterminism:
@@ -296,7 +314,7 @@ LAYER_IMPORTS = {
     "constants": {"errors"},
     "hermite": {"errors"},
     "quadrature": {"errors"},
-    "config": {"errors", "quadrature"},
+    "config": {"errors", "hermite", "quadrature"},
     "piecewise": {"errors", "hermite"},
     "densities": {"errors", "piecewise", "quadrature"},
     "distances": {"densities", "errors", "hermite", "quadrature"},
@@ -451,6 +469,9 @@ class TestConfig:
             RunConfig(tiers=(2, 1))
         with pytest.raises(DomainError):
             RunConfig(series_start_order=100, series_max_order=50)
+        RunConfig(series_max_order=256)
+        with pytest.raises(DomainError, match="series_max_order"):
+            RunConfig(series_max_order=257)
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chi2norm.densities import (
@@ -19,6 +22,7 @@ from chi2norm.densities import (
 )
 from chi2norm.distances import (
     HermiteProfile,
+    _tail_from_window,
     chi2_both,
     chi2_direct,
     chi2_series,
@@ -26,8 +30,9 @@ from chi2norm.distances import (
     profile_until_converged,
 )
 from chi2norm.errors import DomainError
-from chi2norm.hermite import hermite_coefficients
+from chi2norm.hermite import MAX_ORDER, hermite_coefficients, hermite_row_normalized
 from chi2norm.piecewise import PiecewisePolyDensity
+from chi2norm.quadrature import DEFAULT_SPEC
 from chi2norm.verify import _CHI2_UNIFORM as CHI2_UNIFORM
 
 # mean of H_4 under the uniform law: (E X^4 - 6 E X^2 + 3)/sqrt(24)
@@ -39,6 +44,18 @@ CHI2_UNIFORM_SUM = {8: 0.000965595004459, 11: 0.000503817190453}
 SUMS_24 = ([("uniform", n) for n in range(1, 13)]
            + [(name, n) for name in ("beta:2", "mixture:1:1,1:2")
               for n in range(1, 7)])
+
+
+# the sums of tests/test_piecewise.py: every sum the divergence benchmark
+# builds, and more
+SUMS_34 = ([("uniform", n) for n in range(2, 13)]
+           + [(name, n) for name in ("beta:2", "beta:3", "mixture:1:1,1:2",
+                                     "mixture:1:1,1:1/2")
+              for n in range(2, 7)]
+           + [("mixture:1:1,3:1/2,1:3/2", n) for n in range(2, 5)])
+
+CATALOG = ("uniform", "normal", "beta:2", "beta:3", "beta:3/4",
+           "mixture:1:1,1:2", "mixture:1:1,1:1/2", "mixture:1:1,3:1/2,1:3/2")
 
 
 def lopsided() -> StandardizedDensity:
@@ -62,6 +79,60 @@ def beta_even_moment(shape: Fraction, k: int) -> Fraction:
 def exact_profile(d: PiecewisePolyDensity, order: int) -> list[float]:
     return [d.hermite_moment(m) / math.sqrt(math.factorial(m))
             for m in range(order + 1)]
+
+
+def rounding_bound(density: StandardizedDensity, degree: int,
+                   order: int) -> float:
+    # the stated rounding bound on every a_j, j <= order, read off the Gauss
+    # rule of degree ``degree``
+    nodes, weights = density.gauss_rule(degree)
+    table = hermite_row_normalized(order, nodes)
+    return float(np.finfo(float).eps * (len(nodes) + 4 * order)
+                 * np.max(np.abs(table) @ np.abs(weights)))
+
+
+def ref_profile(density, order, spec=DEFAULT_SPEC, direct=None):
+    # the one-rung profile as it stood before the ladders shared one table
+    nodes, weights = density.gauss_rule(order)
+    table = hermite_row_normalized(order, nodes)
+    values = table @ weights
+    round_err = float(np.finfo(float).eps * (len(nodes) + 4 * order)
+                      * np.max(np.abs(table) @ np.abs(weights)))
+    noise_floor = max(10.0 * round_err, 10.0 * spec.abs_tol)
+    tail = _tail_from_window(np.abs(values), order, noise_floor)
+    if direct is not None:
+        partial = float(np.sum(values[1:] ** 2))
+        series_err = 2.0 * round_err * float(np.sum(np.abs(values[1:])))
+        cross = (max(direct.value - partial, 0.0)
+                 + direct.error_estimate + series_err)
+        tail = max(tail, cross) if math.isfinite(tail) else cross
+    return HermiteProfile(tuple(float(v) for v in values), order, tail)
+
+
+def ref_ladder(density, spec=DEFAULT_SPEC, start=40, max_order=MAX_ORDER,
+               tail_tol=1e-8, direct=None):
+    # the per-rung ladder: a fresh Gauss rule and table at every order
+    order = min(start, max_order)
+    while True:
+        profile = ref_profile(density, order, spec, direct)
+        if profile.tail_bound < tail_tol or order >= max_order:
+            return profile
+        order = min(2 * order, max_order)
+
+
+def profile_digest(profile: HermiteProfile) -> str:
+    text = "".join(float.hex(v) for v in profile.values + (profile.tail_bound,))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def ladder_cases() -> list[tuple[str, int]]:
+    return ([(name, 1) for name in CATALOG] + SUMS_34
+            + [("lopsided", n) for n in (1, 2, 3, 5)])
+
+
+def build(name: str, n: int) -> StandardizedDensity:
+    base = lopsided() if name == "lopsided" else from_name(name)
+    return base if n == 1 else normalized_sum_density(base, n)
 
 
 class TestProfile:
@@ -111,6 +182,85 @@ class TestProfile:
             HermiteProfile((1.0, 0.0), 2, 0.0)
         with pytest.raises(DomainError):
             HermiteProfile((1.0, 0.0, 0.0), 2, -1.0)
+
+
+class TestLadder:
+    """One Gauss rule and one table per ladder, against the per-rung one."""
+
+    @pytest.mark.parametrize("with_direct", [False, True])
+    @pytest.mark.parametrize("name,n", ladder_cases())
+    def test_matches_per_rung_ladder(self, name, n, with_direct):
+        d = build(name, n)
+        hint = None
+        if with_direct:
+            direct = chi2_direct(d)
+            hint = direct if math.isfinite(direct.value) else None
+        got = profile_until_converged(d, direct=hint)
+        want = ref_ladder(d, direct=hint)
+        order = want.truncation_order
+        assert got.truncation_order == order
+        # each side is within its own rounding bound of the exact moments
+        bound = (rounding_bound(d, MAX_ORDER, order)
+                 + rounding_bound(d, order, order))
+        assert max(abs(a - b) for a, b in zip(got.values, want.values)) <= bound
+
+    @pytest.mark.parametrize("name,n", [("uniform", n) for n in (1, 2, 3, 4)]
+                             + [("beta:2", 3), ("lopsided", 2)])
+    def test_short_ladder_matches_per_rung_ladder(self, name, n):
+        # a top that is not a doubling of the start
+        d = build(name, n)
+        got = profile_until_converged(d, start=6, max_order=100, tail_tol=1e-6)
+        want = ref_ladder(d, start=6, max_order=100, tail_tol=1e-6)
+        assert got.truncation_order == want.truncation_order
+        bound = (rounding_bound(d, 100, want.truncation_order)
+                 + rounding_bound(d, want.truncation_order,
+                                  want.truncation_order))
+        assert max(abs(a - b) for a, b in zip(got.values, want.values)) <= bound
+
+    @pytest.mark.parametrize("with_direct", [False, True])
+    @pytest.mark.parametrize("name,n", [("uniform", 1), ("uniform", 3),
+                                        ("beta:2", 3), ("beta:2", 6),
+                                        ("normal", 1)])
+    def test_one_gauss_rule_per_ladder(self, name, n, with_direct):
+        d = build(name, n)
+        degrees = []
+
+        def counted(degree):
+            degrees.append(degree)
+            return d.gauss_rule(degree)
+
+        wrapped = dataclasses.replace(d, gauss_rule=counted)
+        direct = chi2_direct(d) if with_direct else None
+        profile_until_converged(wrapped, direct=direct)
+        assert degrees == [MAX_ORDER]
+        hermite_profile(wrapped, 30, direct=direct)
+        assert degrees == [MAX_ORDER, 30]
+
+    def test_top_above_hermite_limit_is_refused(self):
+        with pytest.raises(DomainError, match="order must be <= 256"):
+            profile_until_converged(make_normal(), max_order=MAX_ORDER + 1)
+
+    @pytest.mark.parametrize("name,n,order,digest", [
+        ("uniform", 1, 8,
+         "fe38aa7ccc7b39fc38529d19a91fed5ce7dc345af3b36c97eea603dd4e168043"),
+        ("uniform", 1, 40,
+         "5697493d8b0f588a421517d5ef8facc669bc0c832b9138a216947ff151249ec2"),
+        # the three profiles of `verify stein --dist uniform --n 3`
+        ("uniform", 1, 30,
+         "64d27766b4b457d70291c9bf9a8beb39c36de9dd8424e0231ff16c10e4fbf46d"),
+        ("uniform", 2, 30,
+         "6f8be67e45bbb247e4541f6a7e7050097ad0e4e66b94e4b9e5a6f0e132ce455d"),
+        ("uniform", 3, 30,
+         "122b3294f900c4c17c636e0632c4a1bc583e71fb09f748e11141c91b56535895"),
+        ("beta:2", 6, 30,
+         "7f360b5f1d215f06cde7900983eae06c0d363b5e9c3f2cbc2a18d7112279ebc2"),
+    ])
+    def test_pinned_fixed_order_profiles(self, name, n, order, digest):
+        # digests recorded from the per-rung profile: a fixed-order profile
+        # reads the same rule and table as before, bit for bit
+        prof = hermite_profile(build(name, n), order)
+        assert profile_digest(prof) == digest
+        assert profile_digest(ref_profile(build(name, n), order)) == digest
 
 
 class TestGaussRules:
