@@ -22,8 +22,8 @@ from .config import (
     CONFIG_ENV_VAR,
     FORMATS,
     RunConfig,
-    _parse_tiers,
     load_config,
+    parse_tiers,
     read_config_file,
 )
 from .constants import (
@@ -281,7 +281,7 @@ def _cmd_check(args: argparse.Namespace,
 
 def _cmd_verify_suite(args: argparse.Namespace,
                       cfg: RunConfig) -> tuple[Report, int]:
-    tiers = cfg.tiers if args.tiers is None else _parse_tiers(args.tiers)
+    tiers = cfg.tiers if args.tiers is None else parse_tiers(args.tiers)
     suite = run_suite(tiers)
     rows = tuple((c.tier, c.name, c.passed, c.detail) for c in suite.checks)
     footer = (("passed", suite.n_passed), ("failed", suite.n_failed))

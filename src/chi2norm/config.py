@@ -23,6 +23,7 @@ __all__ = [
     "TIERS",
     "read_config_file",
     "load_config",
+    "parse_tiers",
 ]
 
 CONFIG_ENV_VAR = "CHI2NORM_CONFIG"
@@ -88,7 +89,8 @@ def _parse_int(raw: str) -> int:
         raise DomainError(f"not an integer: {raw!r}") from None
 
 
-def _parse_tiers(raw: str) -> tuple[int, ...]:
+def parse_tiers(raw: str) -> tuple[int, ...]:
+    """Comma-separated tier numbers, deduplicated and sorted."""
     parts = [tok.strip() for tok in raw.split(",") if tok.strip()]
     if not parts:
         raise DomainError("tiers must not be empty")
@@ -103,7 +105,7 @@ _PARSERS = {
     "series_tail_tol": _parse_float,
     "format": str,
     "output": str,
-    "tiers": _parse_tiers,
+    "tiers": parse_tiers,
 }
 
 assert set(_PARSERS) == {f.name for f in fields(RunConfig)}

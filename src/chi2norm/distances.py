@@ -3,7 +3,9 @@
 Two independent routes compute the same quantity: a direct integral of
 ``p²/φ − 1`` by adaptive quadrature of the float density, and the Parseval
 sum of squared normalized Hermite moments, every truncation order of one
-ladder read off one exact Gauss rule and one Hermite table at its top.
+ladder read off one exact Gauss rule at its top.  The Hermite table over the
+rule's nodes is filled rung by rung, so a ladder that stops early computes
+no row above its stopping order.
 Keeping both alive is the point; their agreement is the main internal
 consistency check, so neither is ever defined in terms of the other.
 """
@@ -114,8 +116,9 @@ def _profile(density: StandardizedDensity, start: int, top: int,
              direct: Chi2Result | None) -> HermiteProfile:
     """Profile at the first rung ``N`` of ``start, 2 start, ..., top`` with a
     tail bound below ``tail_tol``, else at ``top``, from one exact Gauss rule
-    of degree ``top`` and one Hermite table; the only error is rounding,
-    ``4 N`` ulps per term ``w_i h_j(x_i)`` and one per node of the rule."""
+    of degree ``top``; the only error is rounding, ``4 N`` ulps per term
+    ``w_i h_j(x_i)`` and one per node of the rule.  Each rung fills and
+    reads only the Hermite rows it adds to the table."""
     if start < 2:
         raise DomainError("order must be >= 2")
     if top > MAX_ORDER:
@@ -123,16 +126,19 @@ def _profile(density: StandardizedDensity, start: int, top: int,
     if density.gauss_rule is None:
         raise DomainError(f"{density.description}: no Gauss rule for the profile")
     nodes, weights = density.gauss_rule(top)
-    table = hermite_row_normalized(top, nodes)
-    values = table @ weights
-    absvals, absw = np.abs(values), np.abs(weights)
+    table, values = np.empty((top + 1, len(nodes))), np.empty(top + 1)
+    absw = np.abs(weights)
     order, done, magnitude = start, 0, 0.0
     while True:
+        # rows done..order only: a ladder that stops early never reads more
+        block = hermite_row_normalized(order, nodes, table, done)[done:order + 1]
+        values[done:order + 1] = block @ weights
         # max_j sum_i |w_i h_j(x_i)|, over the rows this rung adds too
-        magnitude = max(magnitude, np.max(np.abs(table[done:order + 1]) @ absw))
+        magnitude = max(magnitude, np.max(np.abs(block) @ absw))
         round_err = float(np.finfo(float).eps * (len(nodes) + 4 * order) * magnitude)
         noise_floor = max(10.0 * round_err, 10.0 * spec.abs_tol)
-        tail = _tail_from_window(absvals[:order + 1], order, noise_floor)
+        absvals = np.abs(values[:order + 1])
+        tail = _tail_from_window(absvals, order, noise_floor)
         if direct is not None:
             partial = float(np.sum(values[1:order + 1] ** 2))
             # a_j known to +-round_err each; linearized effect on the sum

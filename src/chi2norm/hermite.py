@@ -3,6 +3,11 @@
 Evaluation by the three-term recurrence in normalized form, exact integer
 coefficients for small orders, and the additive-splitting identity used when
 a standardized variable is decomposed into two independent components.
+
+The recurrence lives in one place, behind :func:`hermite_row_normalized`.
+It writes each row into a table that the caller may own, so a caller that
+needs more rows later resumes from the last two it has, with the same bits
+as one pass from order 0.
 """
 
 from __future__ import annotations
@@ -39,20 +44,25 @@ def _check_order(n: int, limit: int = MAX_ORDER) -> None:
         raise CapacityError(f"order {n} exceeds the supported maximum {limit}")
 
 
-def _row(n: int, x) -> np.ndarray:
+def _row(n: int, x, table: np.ndarray | None = None, lo: int = 0) -> np.ndarray:
     """``[H_0(x)/sqrt(0!), ..., H_n(x)/sqrt(n!)]`` along a new first axis.
 
     The rescaled recurrence keeps intermediate values of moderate size, and
     each step is the same float operations at every abscissa of ``x``.
+    Rows ``lo..n`` are written into ``table`` (a new one when it is
+    ``None``) from the rows ``lo - 2`` and ``lo - 1`` already stored there,
+    so resuming at any ``lo`` gives the same bits as one pass from 0.
     """
     x = np.asarray(x, dtype=float)
-    row = np.empty((n + 1, *x.shape))
-    row[0] = 1.0
-    if n >= 1:
-        row[1] = x
-    for k in range(1, n):
-        row[k + 1] = (x * row[k] - _SQRT[k] * row[k - 1]) / _SQRT[k + 1]
-    return row
+    if table is None:
+        table = np.empty((n + 1, *x.shape))
+    if lo == 0:
+        table[0] = 1.0
+    if lo <= 1 and n >= 1:
+        table[1] = x
+    for k in range(max(lo, 2) - 1, n):
+        table[k + 1] = (x * table[k] - _SQRT[k] * table[k - 1]) / _SQRT[k + 1]
+    return table
 
 
 def _sqrt_factorial(n: int) -> float:
@@ -86,11 +96,27 @@ def hermite_eval(n: int, x: float) -> float:
     return float(_row(n, x)[n]) * _sqrt_factorial(n)
 
 
-def hermite_row_normalized(n: int, x) -> "np.ndarray":
+def hermite_row_normalized(n: int, x, table: np.ndarray | None = None,
+                           lo: int = 0) -> np.ndarray:
     """``[H_0(x)/sqrt(0!), ..., H_n(x)/sqrt(n!)]`` in one recurrence pass;
-    for an array ``x``, the ``(n + 1, len(x))`` table of one row per node."""
+    for an array ``x``, the ``(n + 1, len(x))`` table of one row per node.
+
+    Given a caller-owned float ``table`` of shape ``(top + 1, *x.shape)``
+    with ``top >= n``, the pass fills its rows ``lo..n`` in place, reading
+    rows ``lo - 2`` and ``lo - 1`` from an earlier call on the same ``x``,
+    and returns ``table``.  Rows outside ``lo..n`` are not touched.  Every
+    row has the same bits whichever ``lo`` the pass resumed from.
+    """
     _check_order(n)
-    return _row(n, x)
+    if table is None and lo != 0:
+        raise DomainError("a pass from lo > 0 needs the caller's table")
+    if table is not None and (table.dtype != float or table.ndim == 0
+                              or len(table) <= n
+                              or table.shape[1:] != np.shape(x)):
+        raise DomainError(f"table must be float, (> {n}) x {np.shape(x)}")
+    if isinstance(lo, bool) or not isinstance(lo, int) or not 0 <= lo <= n:
+        raise DomainError(f"lo must be an integer in 0..{n}, got {lo!r}")
+    return _row(n, x, table, lo)
 
 
 def _check_weights(alpha: float, beta: float) -> None:

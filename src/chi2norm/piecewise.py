@@ -45,7 +45,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import zip_longest
+from itertools import groupby, zip_longest
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -355,20 +356,28 @@ class PiecewisePolyDensity:
         """Nodes and weights, the density folded in, that integrate every
         polynomial of degree ``degree`` exactly up to rounding: enough
         Gauss-Legendre nodes on each piece for the piece times that
-        polynomial, weighted by :meth:`evaluate`'s Bernstein form."""
+        polynomial, weighted by :meth:`evaluate`'s Bernstein form.
+
+        Consecutive nonzero pieces of one degree share their Legendre nodes,
+        so each run of them is one broadcast pass, ``(pieces, nodes)``, with
+        every value the same float operations as on its piece alone; pieces
+        that are zero are skipped and the rest keep their order."""
+        kept = [(len(beta) - 1, width, off, beta)
+                for (width, beta), off in zip(self._bernstein, self._offsets)
+                if any(beta)]
         nodes, weights = [], []
-        for (width, beta), off in zip(self._bernstein, self._offsets):
-            if not any(beta):
-                continue
-            xi, w = _legendre((len(beta) - 1 + degree) // 2 + 1)
+        for d, run in groupby(kept, key=itemgetter(0)):
+            _, width, off, beta = (np.array(c) for c in zip(*run))
+            xi, w = _legendre((d + degree) // 2 + 1)
             s, s1 = (1.0 + xi) / 2.0, (1.0 - xi) / 2.0
             far = np.maximum(s, s1)
             ratio = np.minimum(s, s1) / far
-            pdf = far ** (len(beta) - 1) * np.where(
-                s <= s1, polyval(ratio, beta), polyval(ratio, beta[::-1]))
-            nodes.append(self.scale * (off + width * s))
-            weights.append(width / 2.0 * w * pdf)
-        return np.concatenate(nodes), np.concatenate(weights)
+            # polyval reads the coefficients down the first axis: (d+1, run)
+            pdf = far ** d * np.where(s <= s1, polyval(ratio, beta.T),
+                                      polyval(ratio, beta.T[::-1]))
+            nodes.append(self.scale * (off[:, None] + width[:, None] * s))
+            weights.append((width / 2.0)[:, None] * w * pdf)
+        return np.concatenate(nodes, None), np.concatenate(weights, None)
 
     # -- constructions -------------------------------------------------
 

@@ -493,7 +493,49 @@ def _unused_imports(path: Path) -> list[str]:
     return sorted(bound - read)
 
 
+def _private_imports(path: Path) -> list[str]:
+    """Underscore names that ``path`` takes from a package module, imported
+    by name or read as an attribute of an imported package module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found: list[str] = []
+    modules: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "chi2norm"):
+            if node.level and node.module is None:
+                modules |= {a.asname or a.name for a in node.names}
+            found += [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names
+                        if a.asname and a.name.split(".")[0] == "chi2norm"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.append(f"{node.value.id}.{node.attr}")
+    return sorted(found)
+
+
 class TestImportHygiene:
+    def test_no_private_names_across_package_modules(self):
+        # each module reaches another only through its public names, so the
+        # Hermite recurrence stays behind hermite_row_normalized
+        paths = sorted(Path(config.__file__).parent.glob("*.py"))
+        found = {path.name: names for path in paths
+                 if (names := _private_imports(path))}
+        assert found == {}
+
+    def test_private_import_scan(self, tmp_path):
+        path = tmp_path / "mod.py"
+        path.write_text("from .hermite import _row, hermite_eval\n"
+                        "from . import distances as dist\n"
+                        "import chi2norm.piecewise as pw\n"
+                        "from numpy import _globals\n"
+                        "dist._profile, pw._legendre, dist.chi2_both\n",
+                        encoding="utf-8")
+        assert _private_imports(path) == ["_row", "dist._profile",
+                                          "pw._legendre"]
+
     def test_no_unused_imports(self):
         # no linter is installed, so the check is an ast scan of the
         # package and of the tests

@@ -20,7 +20,10 @@ from chi2norm.densities import (
     make_uniform,
     normalized_sum_density,
 )
+from chi2norm import distances
 from chi2norm.distances import (
+    DIRECT_METHOD,
+    Chi2Result,
     HermiteProfile,
     _tail_from_window,
     chi2_both,
@@ -91,9 +94,10 @@ def rounding_bound(density: StandardizedDensity, degree: int,
                  * np.max(np.abs(table) @ np.abs(weights)))
 
 
-def ref_profile(density, order, spec=DEFAULT_SPEC, direct=None):
-    # the one-rung profile as it stood before the ladders shared one table
-    nodes, weights = density.gauss_rule(order)
+def ref_profile(density, order, spec=DEFAULT_SPEC, direct=None, degree=None):
+    # the one-rung profile as it stood before the ladders shared one table;
+    # with ``degree``, read off the rows <= order of that rule instead
+    nodes, weights = density.gauss_rule(order if degree is None else degree)
     table = hermite_row_normalized(order, nodes)
     values = table @ weights
     round_err = float(np.finfo(float).eps * (len(nodes) + 4 * order)
@@ -235,6 +239,50 @@ class TestLadder:
         assert degrees == [MAX_ORDER]
         hermite_profile(wrapped, 30, direct=direct)
         assert degrees == [MAX_ORDER, 30]
+
+    @pytest.mark.parametrize("name,n,stop,stop_with_direct", [
+        ("normal", 1, 40, 40), ("uniform", 7, 80, 40), ("uniform", 6, 80, 80),
+        ("mixture:1:1,1:2", 6, 40, 40), ("uniform", 1, 256, 256)])
+    def test_rows_computed_once_up_to_the_stop(self, name, n, stop,
+                                               stop_with_direct, monkeypatch):
+        d = build(name, n)
+        passes = []
+
+        def spy(order, x, table=None, lo=0):
+            passes.append((lo, order))
+            return hermite_row_normalized(order, x, table, lo)
+
+        monkeypatch.setattr(distances, "hermite_row_normalized", spy)
+        for direct, want in ((None, stop), (chi2_direct(d), stop_with_direct)):
+            passes.clear()
+            got = profile_until_converged(d, direct=direct)
+            assert got.truncation_order == want
+            rows = [j for lo, hi in passes for j in range(lo, hi + 1)]
+            # each row once, in order, and none above the stopping rung
+            assert rows == list(range(want + 1))
+        passes.clear()
+        hermite_profile(d, 30)
+        assert passes == [(0, 30)]
+
+    @pytest.mark.parametrize("name,start,top", [("normal", 40, MAX_ORDER),
+                                                ("mixture:19:1,1:4", 4, 64)])
+    def test_rounding_bound_reads_rows_up_to_the_stop(self, name, start, top):
+        # a direct value just under the partial sum leaves the rounding term
+        # as the whole stated tail.  It counts 4 ulps per rung order and the
+        # largest row sum among rows <= the stop, both recomputed here from
+        # the same rule; the mixture's largest row sum is at order 7, above
+        # the stop at 4, and 4 * top ulps would inflate both tails
+        d = from_name(name)
+        first = ref_profile(d, start, degree=top)
+        partial = math.fsum(a * a for a in first.values[1:])
+        hint = Chi2Result(partial * (1.0 - 1e-12), DIRECT_METHOD, None, 0.0)
+        got = profile_until_converged(d, start=start, max_order=top,
+                                      direct=hint)
+        want = ref_profile(d, start, direct=hint, degree=top)
+        assert got.truncation_order == start
+        # the normal's a_j are rounding noise, and a gemv of another shape
+        # moves their sum by 0.1%; either fault moves the tail 1.9x or more
+        assert got.tail_bound == pytest.approx(want.tail_bound, rel=1e-2, abs=0)
 
     def test_top_above_hermite_limit_is_refused(self):
         with pytest.raises(DomainError, match="order must be <= 256"):

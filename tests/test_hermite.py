@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -79,6 +80,67 @@ class TestEvaluation:
     def test_zero_is_a_root_of_odd_orders(self):
         for n in (1, 3, 9, 21):
             assert hermite_eval(n, 0.0) == 0.0
+
+
+# orders and points of the pinned scalar evaluations
+PIN_ORDERS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 256)
+PIN_POINTS = (-9.5, -2.25, -1.0, 0.0, 0.3, 1.7, 4.0, 7.125)
+PIN_WEIGHTS = ((1.0, 0.0), (0.6, 0.8), (math.cos(0.3), math.sin(0.3)))
+
+# 0-d, tuple, empty and 1-d abscissas
+RESUME_INPUTS = [np.float64(0.7), (1.5, -2.0), np.empty(0),
+                 np.linspace(-9.0, 9.0, 37)]
+
+
+def float_digest(values) -> str:
+    text = " ".join(float.hex(float(v)) for v in values)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestResume:
+    """Rows ``lo..n`` filled in place from the two rows stored above them."""
+
+    @pytest.mark.parametrize("x", RESUME_INPUTS, ids=["0d", "tuple", "empty", "1d"])
+    def test_every_split_is_bitwise_one_shot(self, x):
+        want = hermite_row_normalized(MAX_ORDER, x)
+        assert want.shape == (MAX_ORDER + 1, *np.shape(x))
+        for lo in range(2, MAX_ORDER + 1):
+            table = np.empty_like(want)
+            assert hermite_row_normalized(lo - 1, x, table) is table
+            assert hermite_row_normalized(MAX_ORDER, x, table, lo) is table
+            assert table.tobytes() == want.tobytes(), lo
+
+    def test_rows_outside_the_pass_are_untouched(self):
+        x = np.linspace(-3.0, 3.0, 7)
+        want = hermite_row_normalized(60, x)
+        table = np.full((81, 7), np.nan)
+        table[38:40] = want[38:40]
+        hermite_row_normalized(60, x, table, 40)
+        assert table[38:61].tobytes() == want[38:61].tobytes()
+        assert np.isnan(table[:38]).all() and np.isnan(table[61:]).all()
+
+    def test_resume_validation(self):
+        x = np.zeros(3)
+        with pytest.raises(DomainError):
+            hermite_row_normalized(8, x, lo=4)
+        for table in (np.empty((8, 3)), np.empty((9, 4)), np.empty(()),
+                      np.empty((9, 3), dtype=np.float32)):
+            with pytest.raises(DomainError):
+                hermite_row_normalized(8, x, table)
+        for lo in (-1, 9, 2.0, True):
+            with pytest.raises(DomainError):
+                hermite_row_normalized(8, x, np.empty((9, 3)), lo)
+
+    def test_pinned_scalar_evaluations(self):
+        # digests recorded before the recurrence could resume
+        assert float_digest(hermite_eval(n, x) for n in PIN_ORDERS
+                            for x in PIN_POINTS) == (
+            "2f53dfa276cc5e2c8aa48e336756e9f68d2565e738778d5985d82854bf37a7ae")
+        assert float_digest(
+            addition_formula_eval(m, x, y, a, b) for m in PIN_ORDERS
+            for x in PIN_POINTS[::2] for y in PIN_POINTS[1::2]
+            for a, b in PIN_WEIGHTS) == (
+            "49b057fef5040e920527d89631ad0853d95c8e970f92d1035ac49335f13582a4")
 
 
 class TestOrthogonality:

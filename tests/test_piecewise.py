@@ -377,6 +377,49 @@ class TestExactConvolution:
                         for x in (width, *beta))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+def mixed_degrees() -> PiecewisePolyDensity:
+    # pieces of degree 0, 1 and 2, one of them zero: two runs of one degree
+    # around the zero piece, and the zero piece itself gets no nodes
+    return PiecewisePolyDensity(
+        knots=tuple(Fraction(k) for k in range(7)),
+        pieces=((Fraction(1, 4),), (Fraction(0),), (Fraction(1, 8),),
+                (Fraction(1, 8), Fraction(1, 16)),
+                (Fraction(1, 16), Fraction(1, 32)),
+                (Fraction(1, 4), Fraction(0), Fraction(-1, 64))),
+        scale_sq=Fraction(3, 2),
+        shift=Fraction(5, 2),
+    )
+
+
+class TestGaussRule:
+    @pytest.mark.parametrize("name,n,digest", [
+        ("uniform", 12,
+         "33b2218be77c205ae8116193ce1ce67fd496aa7bce28a5684311fcfefa8ae27b"),
+        ("beta:2", 6,
+         "672a871e5ad1e168be3bb5c92522ae75d298bc3887705435bcdb5574cffa2200"),
+        ("mixture:1:1,1:2", 6,
+         "216b31f7199e6cbcb2e0a54e0a76bc8f08fdebaa1339e860ed47e175d4f24216"),
+        ("mixed-degrees", 1,
+         "3c555ab913c2c5ebdb934b413f87af0e128fdb5cbba6ee48d2ccd2b502367bfc"),
+    ])
+    def test_pinned_rules(self, name, n, digest):
+        # digests recorded when each piece had its own pass
+        d = (mixed_degrees() if name == "mixed-degrees"
+             else from_name(name).exact.normalized_sum(n))
+        nodes, weights = d.gauss_rule(256)
+        text = " ".join(float.hex(float(v)) for v in (*nodes, *weights))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_nodes_in_piece_order_and_none_on_zero_piece(self):
+        d = mixed_degrees()
+        nodes, weights = d.gauss_rule(8)
+        # (degree + 8) // 2 + 1 Legendre nodes on each nonzero piece
+        assert len(nodes) == len(weights) == 5 + 5 + 5 + 5 + 6
+        assert np.all(np.diff(nodes) > 0)
+        lo, hi = d.x_knots()[1:3]
+        assert not np.any((nodes > lo) & (nodes < hi))
+
+
 class TestFractionReference:
     """The integer kernels agree with the Fraction ones, Fraction for
     Fraction."""
