@@ -41,7 +41,6 @@ from .densities import (
     make_scaled_beta,
     make_uniform,
     normalized_sum_density,
-    verify_standardized,
 )
 from .distances import (
     Chi2Result,
@@ -55,7 +54,6 @@ from .distances import (
 from .errors import AccuracyError, CapacityError, Chi2NormError, DomainError
 from .hermite import (
     addition_formula_eval,
-    hermite_coefficients,
     hermite_eval,
 )
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
@@ -105,7 +103,6 @@ __all__ = [
     "from_name",
     "g",
     "g_sym",
-    "hermite_coefficients",
     "hermite_eval",
     "hermite_mgf_identity_check",
     "hermite_profile",
@@ -129,5 +126,4 @@ __all__ = [
     "theorem_bound",
     "threshold",
     "unroll_recurrence",
-    "verify_standardized",
 ]

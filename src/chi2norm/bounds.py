@@ -109,6 +109,20 @@ def stein_recurrence_rhs(profiles: list[HermiteProfile],
     return math.fsum(pieces) / m
 
 
+def _mean_chi2(values: list[float]) -> float:
+    """Mean of the per-summand divergences, which must be >= 0 with a finite
+    sum: an infinite or nan value makes the sum inf or nan, and a sum past
+    the float range raises in ``fsum``."""
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):
+        total = math.nan
+    if not (min(values) >= 0.0 and total < math.inf):
+        raise DomainError("chi-square values must be nonnegative, with a "
+                          "sum inside the float range")
+    return total / len(values)
+
+
 def unroll_recurrence(singleton_values: list[float],
                       constants: list[float]) -> float:
     """Closed form of the subset recursion after Maclaurin collapsing.
@@ -122,13 +136,10 @@ def unroll_recurrence(singleton_values: list[float],
         raise DomainError("need at least two singleton values")
     if len(constants) != n - 1:
         raise DomainError("need one constant per level 2..n")
-    for v in singleton_values:
-        if not (v >= 0.0) or math.isnan(v):
-            raise DomainError("singleton values must be nonnegative")
+    mean = _mean_chi2(singleton_values)
     for c in constants:
         if not c > 0.0:
             raise DomainError("level constants must be positive")
-    mean = math.fsum(singleton_values) / n
     total = mean
     prod = 1.0
     power = mean
@@ -136,6 +147,9 @@ def unroll_recurrence(singleton_values: list[float],
         prod *= constants[n - k]  # constants[i] is the level-(i+2) value
         power *= mean
         total += prod * power
+    if not math.isfinite(total):
+        raise DomainError("chi-square values too large: the unrolled bound "
+                          "overflows the float range")
     return total
 
 
@@ -228,9 +242,9 @@ def theorem_bound(n: int, chi2s: list[float], symmetric: bool,
         raise DomainError("n must be an integer >= 2")
     if len(chi2s) != n:
         raise DomainError("need one chi-square value per summand")
+    mean = _mean_chi2(chi2s)
     constants = step_constants(n, symmetric)
     unrolled = unroll_recurrence(list(chi2s), constants)
-    mean = math.fsum(chi2s) / n
     denom = (n * n - 1.0) if symmetric else (n - 1.0)
     return BoundReport(
         n=n,

@@ -37,7 +37,8 @@ from .constants import (
     g_sym,
 )
 from .densities import from_name, normalized_sum_density
-from .distances import chi2_both, chi2_direct, chi2_series, profile_until_converged
+from .distances import (chi2_both, chi2_direct, chi2_series,
+                         profile_until_converged, routes_agree)
 from .errors import AccuracyError, CapacityError, DomainError
 from .subgaussian import mgf_check, threshold
 from .verify import run_suite, stein_check
@@ -175,8 +176,7 @@ def _cmd_chi2(args: argparse.Namespace,
     else:
         direct, series = chi2_both(density, spec, cfg.series_start_order,
                                    cfg.series_max_order, cfg.series_tail_tol)
-        agree = (abs(direct.value - series.value)
-                 <= series.error_estimate + 1e-6)
+        agree = routes_agree(direct, series)
         rows.append(("direct", direct.value, direct.error_estimate,
                      None, agree))
         rows.append(("series", series.value, series.error_estimate,
@@ -314,24 +314,16 @@ def _cmd_plotdata(args: argparse.Namespace,
                   tuple(rows), ()), EXIT_OK
 
 
-def _common_options(parser: argparse.ArgumentParser,
-                    prefix: str = "") -> None:
-    # subparsers clobber same-name parent values with their own defaults,
-    # so the top level stores under distinct dests and _opt merges
-    parser.add_argument("--config", dest=prefix + "config", default=None,
+def _common_options(parser: argparse.ArgumentParser) -> None:
+    # a subparser copies every value it holds over its parent's, so only a
+    # flag that was given may land in the namespace: the innermost one wins
+    parser.add_argument("--config", default=argparse.SUPPRESS,
                         help="path to a key=value config file")
-    parser.add_argument("--format", dest=prefix + "format", choices=FORMATS,
-                        default=None,
+    parser.add_argument("--format", choices=FORMATS,
+                        default=argparse.SUPPRESS,
                         help="output format (default from config)")
-    parser.add_argument("--output", dest=prefix + "output", default=None,
+    parser.add_argument("--output", default=argparse.SUPPRESS,
                         help="write the report to this path instead of stdout")
-
-
-def _opt(args: argparse.Namespace, name: str) -> str | None:
-    value = getattr(args, name, None)
-    if value is None:
-        value = getattr(args, "root_" + name, None)
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -339,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="chi2norm",
         description="Divergence-from-normal computations: divergences, "
                     "certified constants, convergence bounds, diagnostics.")
-    _common_options(parser, prefix="root_")
+    _common_options(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chi2", help="divergence of a catalog density")
@@ -428,18 +420,14 @@ def run(argv: list[str]) -> int:
         if exc.code is None:
             return EXIT_OK
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    fmt_flag = _opt(args, "format")
-    out_flag = _opt(args, "output")
-    overrides: dict[str, object] = {}
-    if fmt_flag is not None:
-        overrides["format"] = fmt_flag
-    if out_flag is not None:
-        overrides["output"] = out_flag
+    overrides = {key: getattr(args, key) for key in ("format", "output")
+                  if hasattr(args, key)}
     try:
-        path = _opt(args, "config") or os.environ.get(CONFIG_ENV_VAR) or None
+        path = (getattr(args, "config", None)
+                or os.environ.get(CONFIG_ENV_VAR) or None)
         file_keys = set(read_config_file(path)) if path else set()
         cfg = load_config(path, overrides)
-        if (args.command == "plotdata" and fmt_flag is None
+        if (args.command == "plotdata" and "format" not in overrides
                 and "format" not in file_keys):
             # figure-data consumers want CSV unless told otherwise
             cfg = replace(cfg, format="csv")

@@ -9,6 +9,7 @@ normalized sums and rational moments without accumulating float error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -18,7 +19,6 @@ from scipy.special import roots_hermitenorm, roots_jacobi
 
 from .errors import CapacityError, DomainError
 from .piecewise import PiecewisePolyDensity
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 
 __all__ = [
     "StandardizedDensity",
@@ -28,13 +28,17 @@ __all__ = [
     "make_mixture",
     "normalized_sum_density",
     "from_name",
-    "verify_standardized",
     "MAX_SUM_TERMS",
 ]
 
 MAX_SUM_TERMS = 12
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# positive normal floats; a scale or normalizing constant outside them
+# cannot be evaluated, so the density is refused before it is built
+_FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
+_LOG_FLOAT_MIN, _LOG_FLOAT_MAX = math.log(_FLOAT_MIN), math.log(_FLOAT_MAX)
 
 
 def _phi(x: float) -> float:
@@ -97,11 +101,18 @@ def make_scaled_beta(shape: float | Fraction) -> StandardizedDensity:
     Integer shapes get the exact polynomial representation.  The squared
     density is integrable only for ``shape > 1/2``, so the divergence to
     the normal is infinite at and below that point; the construction still
-    succeeds there because the density itself is fine.
+    succeeds there because the density itself is fine.  A shape whose
+    normalizing constant ``1/B(a, a)`` leaves the float range is refused,
+    read from ``lgamma`` before any factorial is built.
     """
     a = Fraction(shape)
     if a <= 0:
         raise DomainError("shape must be positive")
+    af = float(a) if _FLOAT_MIN <= a <= _FLOAT_MAX else math.nan
+    log_norm = math.lgamma(2 * af) - 2.0 * math.lgamma(af)
+    if not _LOG_FLOAT_MIN < log_norm < _LOG_FLOAT_MAX:
+        raise DomainError("beta shape out of range: its normalizing "
+                          "constant 1/B(a, a) leaves the float range")
     scale_sq = 4 * (2 * a + 1)
     if a.denominator == 1:
         ai = int(a)
@@ -118,8 +129,6 @@ def make_scaled_beta(shape: float | Fraction) -> StandardizedDensity:
         )
         return _wrap_exact(d, f"beta:{ai}")
 
-    af = float(a)
-    log_norm = math.lgamma(2 * af) - 2.0 * math.lgamma(af)
     c = math.sqrt(float(scale_sq))
     half = c / 2.0
 
@@ -165,6 +174,8 @@ def make_mixture(components: Sequence[tuple[Fraction | float, Fraction | float]]
 
     Each component is a ``(weight, half_width)`` pair; weights are
     normalized to sum to one.  Rational inputs keep the whole object exact.
+    Components whose scale or density levels leave the float range are
+    refused.
     """
     if not components:
         raise DomainError("mixture needs at least one component")
@@ -182,6 +193,10 @@ def make_mixture(components: Sequence[tuple[Fraction | float, Fraction | float]]
                     Fraction(0))
         pieces.append((level,))
     variance = sum((w * h * h / 3 for w, h in pairs), Fraction(0))
+    if not all(_FLOAT_MIN <= v <= _FLOAT_MAX
+               for v in (1 / variance, *(level for level, in pieces))):
+        raise DomainError("mixture out of range: its scale or a density "
+                          "level leaves the float range")
     d = PiecewisePolyDensity(
         knots=tuple(knots),
         pieces=tuple(pieces),
@@ -246,27 +261,3 @@ def from_name(name: str) -> StandardizedDensity:
                 raise DomainError(f"bad mixture component {chunk!r}") from exc
         return make_mixture(comps)
     raise DomainError(f"unknown density {name!r}")
-
-
-def verify_standardized(density: StandardizedDensity,
-                        tol: float = 1e-8,
-                        spec: QuadratureSpec = DEFAULT_SPEC) -> dict[str, float]:
-    """Check mass, mean, and variance numerically; raise on violation.
-
-    For densities with an exact representation the rational identities are
-    checked as well, which catches construction bugs that quadrature at
-    tolerance ``tol`` would miss.
-    """
-    if density.exact is not None and not density.exact.is_standardized():
-        raise DomainError(f"{density.description}: exact standardization failed")
-    pdf = density.pdf
-    mass, _ = integrate(pdf, density.support, spec, density.breakpoints)
-    mean, _ = integrate(lambda x: x * pdf(x), density.support, spec,
-                        density.breakpoints)
-    second, _ = integrate(lambda x: x * x * pdf(x), density.support, spec,
-                          density.breakpoints)
-    report = {"mass": mass, "mean": mean, "second_moment": second}
-    if (abs(mass - 1.0) > tol or abs(mean) > tol or abs(second - 1.0) > tol):
-        raise DomainError(
-            f"{density.description}: not standardized within {tol:g}: {report}")
-    return report

@@ -13,7 +13,6 @@ consistency check, so neither is ever defined in terms of the other.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,7 @@ __all__ = [
     "chi2_direct",
     "chi2_series",
     "chi2_both",
+    "routes_agree",
 ]
 
 DIRECT_METHOD = "direct-integral"
@@ -76,12 +76,17 @@ class Chi2Result:
     error_estimate: float
 
 
-def _clamp_nonnegative(value: float, context: str) -> float:
-    if value >= 0.0:
-        return value
-    if value < -1e-12:
-        warnings.warn(f"{context}: clamped {value:.3e} to 0", stacklevel=3)
-    return 0.0
+def _direct_result(total: float, err: float) -> Chi2Result:
+    """``total - 1`` for ``total = ∫ p²/φ``, which is at least
+    ``(∫ p)² = 1`` for every density (Cauchy-Schwarz): a total below 1 by
+    more than its error estimate means the integral missed mass, and a
+    shortfall within the estimate is clamped to 0."""
+    if total < 1.0 - err:
+        raise AccuracyError(
+            f"direct integral {total:.6g} +- {err:.3g} is below 1, the "
+            "least value of the integral of p^2/phi for any density",
+            value=total - 1.0, error_estimate=err)
+    return Chi2Result(max(total - 1.0, 0.0), DIRECT_METHOD, None, err)
 
 
 def _tail_from_window(absvals: np.ndarray, order: int,
@@ -226,10 +231,10 @@ def chi2_direct(density: StandardizedDensity,
     finite = math.isfinite(lo) and math.isfinite(hi)
     try:
         total, err = integrate(q, density.support, spec, density.breakpoints)
-        value = _clamp_nonnegative(total - 1.0, "chi2_direct")
-        return Chi2Result(value, DIRECT_METHOD, None, err)
     except AccuracyError:
         pass
+    else:
+        return _direct_result(total, err)
 
     # widen (or un-shrink) the domain stepwise and watch the increments
     totals: list[float] = []
@@ -255,9 +260,7 @@ def chi2_direct(density: StandardizedDensity,
 
     verdict = _ladder_verdict(totals)
     if verdict is not None:
-        limit, err = verdict
-        value = _clamp_nonnegative(limit - 1.0, "chi2_direct")
-        return Chi2Result(value, DIRECT_METHOD, None, err)
+        return _direct_result(*verdict)
     return Chi2Result(math.inf, DIRECT_METHOD, None, math.inf)
 
 
@@ -280,3 +283,8 @@ def chi2_both(density: StandardizedDensity,
                                       tail_tol, hint)
     return direct, chi2_series(profile)
 
+
+def routes_agree(direct: Chi2Result, series: Chi2Result) -> bool:
+    """The ``both`` agreement rule: the direct value lies within the series
+    result's error estimate, plus an absolute slack of 1e-6."""
+    return abs(direct.value - series.value) <= series.error_estimate + 1e-6

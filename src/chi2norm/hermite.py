@@ -1,10 +1,11 @@
 """Probabilists' Hermite polynomials.
 
-Evaluation by the three-term recurrence in normalized form, exact integer
-coefficients for small orders, and the additive-splitting identity used when
-a standardized variable is decomposed into two independent components.
+Evaluation by the three-term recurrence in normalized form and the
+additive-splitting identity used when a standardized variable is decomposed
+into two independent components.
 
-The recurrence lives in one place, behind :func:`hermite_row_normalized`.
+The recurrence lives in one place, ``_row``, behind
+:func:`hermite_row_normalized`.
 It writes each row into a table that the caller may own, so a caller that
 needs more rows later resumes from the last two it has, with the same bits
 as one pass from order 0.
@@ -23,7 +24,6 @@ __all__ = [
     "hermite_eval",
     "hermite_row_normalized",
     "addition_formula_eval",
-    "hermite_coefficients",
 ]
 
 MAX_ORDER = 256
@@ -145,23 +145,3 @@ def addition_formula_eval(m: int, x: float, y: float,
     terms = [math.sqrt(math.comb(m, k)) * hx[m - k] * hy[k]
              * alpha ** (m - k) * beta ** k for k in range(m + 1)]
     return math.fsum(terms) * _sqrt_factorial(m)
-
-
-_COEFF_CACHE: dict[int, tuple[int, ...]] = {0: (1,), 1: (0, 1)}
-
-
-def hermite_coefficients(n: int) -> tuple[int, ...]:
-    """Exact integer monomial coefficients of ``H_n``, constant term first."""
-    _check_order(n)
-    if n in _COEFF_CACHE:
-        return _COEFF_CACHE[n]
-    top = max(_COEFF_CACHE)
-    prev = _COEFF_CACHE[top - 1]
-    cur = _COEFF_CACHE[top]
-    for k in range(top, n):
-        shifted = (0,) + cur                      # x * H_k
-        damped = tuple(-k * c for c in prev) + (0, 0)
-        nxt = tuple(a + b for a, b in zip(shifted, damped[:len(shifted)]))
-        _COEFF_CACHE[k + 1] = nxt
-        prev, cur = cur, nxt
-    return _COEFF_CACHE[n]

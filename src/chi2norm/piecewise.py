@@ -16,8 +16,8 @@ the jump of the ``j``-th derivative at knot ``t_i``.  In that form
   ``(t-a)_+^j/j! * (t-b)_+^k/k! = (t-a-b)_+^(j+k+1)/(j+k+1)!``, so the jumps
   are grouped by origin ``a + b`` and by degree, and a normalized sum stays
   in that form across all its factors;
-* a moment is a sum over the jumps,
-  ``E[(T-c)^k] = k! sum_i sum_j J[t_i][j] (-1)^(j+1) (t_i-c)^(k+j+1) / (k+j+1)!``;
+* a central moment is a sum over the jumps, with ``s`` the shift,
+  ``E[(T-s)^k] = k! sum_i sum_j J[t_i][j] (-1)^(j+1) (t_i-s)^(k+j+1) / (k+j+1)!``;
 * the mirror image about ``s`` has the jumps ``(-1)^(j+1) J[t_i][j]`` at
   ``2s - t_i``, which is the symmetry test.
 
@@ -31,11 +31,13 @@ common denominator, which needs no gcd and no allocation per operation.
 The jump table holds the knots as integers over one knot denominator and
 the jumps as integers over one jump denominator.  ``Fraction`` objects are
 built only at the public boundary: the ``knots`` and ``pieces`` of a new
-density and the results of :meth:`~PiecewisePolyDensity.mass`,
-:meth:`~PiecewisePolyDensity.moment_t` and
-:meth:`~PiecewisePolyDensity.central_moment`, each reduced once.  Every
-Bernstein coefficient is one int/int true division, which Python rounds
-correctly, so it equals ``float`` of the exact rational.
+density and the central moments, each reduced once.  Every Bernstein
+coefficient is one int/int true division, which Python rounds correctly,
+so it equals ``float`` of the exact rational.
+
+:meth:`~PiecewisePolyDensity.central_moment` is the one exact moment
+query; raw moments and Hermite moments follow from it by a binomial shift
+and by the integer Hermite coefficients.
 """
 
 from __future__ import annotations
@@ -54,13 +56,10 @@ from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainError
-from .hermite import hermite_coefficients
 
 __all__ = ["PiecewisePolyDensity"]
 
 Poly = tuple[Fraction, ...]
-
-_ZERO = Fraction(0)
 
 # Gauss-Legendre nodes and weights on [-1, 1] by node count; never mutated
 _legendre = cache(leggauss)
@@ -199,16 +198,16 @@ class PiecewisePolyDensity:
         return Jumps(kden, jden // g,
                      {o: [x // g for x in jo] for o, jo in table.items()})
 
-    def _moments(self, m: int, c: Fraction) -> list[Fraction]:
-        """Exact ``E[(T - c)^k]`` for ``k = 0..m`` in one pass over the jumps.
+    def _moments(self, m: int) -> list[Fraction]:
+        """Exact ``E[(T - shift)^k]`` for ``k = 0..m`` in one pass over the
+        jumps.
 
-        With ``t - c = e / L`` for ``L = K * den(c)`` and ``d`` the top jump
-        degree, order ``k`` sums over the denominator
+        With ``t - shift = e / L`` for ``L = K * den(shift)`` and ``d`` the
+        top jump degree, order ``k`` sums over the denominator
         ``D L^(k+d+1) (k+d+1)!`` the terms
         ``J_j (-1)^(j+1) e^(k+j+1) L^(d-j) (k+d+1)! / (k+j+1)!``.
         """
-        if m < 0:
-            raise DomainError("moment order must be >= 0")
+        c = self.shift
         kden, jden, table = self._jumps
         deg = max(map(len, table.values())) - 1
         lden = kden * c.denominator
@@ -231,52 +230,25 @@ class PiecewisePolyDensity:
 
     @cached_property
     def _central_moments(self) -> list[Fraction]:
-        """``E[(T - shift)^k]`` for ``k < len``; :meth:`_central` grows it."""
+        """``E[(T - shift)^k]`` for ``k < len``; :meth:`central_moment`
+        grows it."""
         return []
 
-    def _central(self, m: int) -> list[Fraction]:
-        """The cached central moments, at least up to order ``m``; a miss
-        recomputes them to twice the cached length, so a run of increasing
-        orders costs a few passes."""
-        cached = self._central_moments
-        if len(cached) <= m:
-            cached[:] = self._moments(max(m, 2 * len(cached)), self.shift)
-        return cached
-
-    def mass(self) -> Fraction:
-        return self._moments(0, _ZERO)[0]
-
-    def moment_t(self, k: int) -> Fraction:
-        """Exact ``E[T^k]`` in the internal coordinate."""
-        return self._moments(k, _ZERO)[k]
-
     def central_moment(self, k: int) -> Fraction:
-        """Exact ``E[(T - shift)^k]``; equals ``E[X^k] / scale^k``."""
+        """Exact ``E[(T - shift)^k]``; equals ``E[X^k] / scale^k``.
+
+        The moments are cached; a miss recomputes them to twice the cached
+        length, so a run of increasing orders costs a few passes."""
         if k < 0:
             raise DomainError("moment order must be >= 0")
-        return self._central(k)[k]
-
-    def hermite_moment(self, m: int) -> float:
-        """``E[H_m(X)]`` for the probabilists' Hermite polynomial ``H_m``.
-
-        Even and odd powers are accumulated as separate exact rationals so
-        the only rounding is the final square root and one multiply-add.
-        """
-        coeffs = hermite_coefficients(m)
-        central = self._central(m)
-        even = _ZERO
-        odd = _ZERO
-        for k, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            if k % 2 == 0:
-                even += c * self.scale_sq ** (k // 2) * central[k]
-            else:
-                odd += c * self.scale_sq ** ((k - 1) // 2) * central[k]
-        return float(even) + self.scale * float(odd)
+        cached = self._central_moments
+        if len(cached) <= k:
+            cached[:] = self._moments(max(k, 2 * len(cached)))
+        return cached[k]
 
     def is_standardized(self) -> bool:
-        return (self.mass() == 1 and self.moment_t(1) == self.shift
+        """Exact mass 1, mean ``shift`` and variance ``1 / scale_sq``."""
+        return (self.central_moment(0) == 1 and self.central_moment(1) == 0
                 and self.scale_sq * self.central_moment(2) == 1)
 
     def is_symmetric(self) -> bool:

@@ -37,7 +37,7 @@ from .constants import (
     sandwich_upper_sym,
 )
 from .densities import from_name, make_normal, make_uniform, normalized_sum_density
-from .distances import chi2_both, chi2_direct, hermite_profile
+from .distances import chi2_both, chi2_direct, hermite_profile, routes_agree
 from .errors import AccuracyError, DomainError
 from .hermite import addition_formula_eval, hermite_eval, hermite_row_normalized
 from .subgaussian import hermite_mgf_identity_check, threshold
@@ -126,7 +126,7 @@ def _check_chi2_dual_route() -> tuple[bool, str]:
     uni = make_uniform()
     direct, series = chi2_both(uni)
     gap = abs(direct.value - series.value)
-    consistent = gap <= series.error_estimate + 1e-6
+    consistent = routes_agree(direct, series)
     # independent anchors: pinned direct value and the exact fourth
     # coefficient; the partial sum must sit below the full divergence
     dev = abs(direct.value - _CHI2_UNIFORM)

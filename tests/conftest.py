@@ -1,0 +1,76 @@
+"""Exact references and pinned values shared by the test modules.
+
+The package keeps one float Hermite recurrence and one exact query,
+:meth:`~chi2norm.piecewise.PiecewisePolyDensity.central_moment`.  The
+references here are built from those by other formulas, so a test that
+compares against them checks the package by a second route.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from chi2norm.densities import StandardizedDensity
+from chi2norm.errors import DomainError
+from chi2norm.piecewise import PiecewisePolyDensity
+from chi2norm.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+
+# C(1/2) of the basic set, attained at s = 6
+C_BASIC_HALF = 2.1326596308470269
+
+# chi² of the standardized sum of two uniforms
+CHI2_UNIFORM_SUM_2 = 0.032032844541205434
+
+
+def hermite_coeffs(n: int) -> tuple[int, ...]:
+    """Integer monomial coefficients of ``H_n``, constant term first, from the
+    explicit sum ``n! sum_i (-1)^i x^(n-2i) / (i! (n-2i)! 2^i)``."""
+    out = [0] * (n + 1)
+    for i in range(n // 2 + 1):
+        out[n - 2 * i] = (-1) ** i * (
+            math.factorial(n)
+            // (math.factorial(i) * math.factorial(n - 2 * i) * 2 ** i))
+    return tuple(out)
+
+
+def hermite_moment(d: PiecewisePolyDensity, m: int) -> float:
+    """``E[H_m(X)]`` from the exact central moments.
+
+    Even and odd powers are summed as separate exact rationals, so the only
+    rounding is the square root of ``scale_sq`` and one multiply-add."""
+    even = odd = Fraction(0)
+    for k, c in enumerate(hermite_coeffs(m)):
+        term = c * d.scale_sq ** (k // 2) * d.central_moment(k)
+        if k % 2 == 0:
+            even += term
+        else:
+            odd += term
+    return float(even) + d.scale * float(odd)
+
+
+def moment_t(d: PiecewisePolyDensity, k: int) -> Fraction:
+    """Exact ``E[T^k]`` in the internal coordinate: the binomial shift
+    ``sum_i C(k, i) E[(T - shift)^i] shift^(k-i)`` of the central moments."""
+    return sum((math.comb(k, i) * d.central_moment(i) * d.shift ** (k - i)
+                for i in range(k + 1)), Fraction(0))
+
+
+def check_standardized(density: StandardizedDensity, tol: float = 1e-8,
+                       spec: QuadratureSpec = DEFAULT_SPEC) -> None:
+    """Mass 1, mean 0 and second moment 1 of the float density, each by
+    quadrature within ``tol``; a density with an exact form must also pass
+    the exact test, which catches construction bugs below ``tol``."""
+    if density.exact is not None and not density.exact.is_standardized():
+        raise DomainError(
+            f"{density.description}: exact standardization failed")
+    report = {}
+    for name, k in (("mass", 0), ("mean", 1), ("second_moment", 2)):
+        report[name], _ = integrate(lambda x: x ** k * density.pdf(x),
+                                    density.support, spec,
+                                    density.breakpoints)
+    if (abs(report["mass"] - 1.0) > tol or abs(report["mean"]) > tol
+            or abs(report["second_moment"] - 1.0) > tol):
+        raise DomainError(
+            f"{density.description}: not standardized within {tol:g}: "
+            f"{report}")

@@ -25,8 +25,9 @@ from chi2norm.distances import hermite_profile
 from chi2norm.errors import AccuracyError, CapacityError, DomainError
 from chi2norm.verify import _CHI2_UNIFORM as CHI2_UNIFORM
 from chi2norm.verify import _TABLE_BASIC, _TABLE_SYM
+from conftest import C_BASIC_HALF, CHI2_UNIFORM_SUM_2
 
-SUM_ORACLES = {2: 0.032032844541205434, 3: 0.0089166858130765271,
+SUM_ORACLES = {2: CHI2_UNIFORM_SUM_2, 3: 0.0089166858130765271,
                4: 0.0042779356146716544, 5: 0.0025922504452250574,
                6: 0.0017562119480415742}
 
@@ -154,6 +155,23 @@ class TestUnrollRecurrence:
         with pytest.raises(DomainError):
             unroll_recurrence([0.1, 0.2], [0.0])
 
+    @pytest.mark.parametrize("values", [
+        [0.1, math.inf], [math.nan, 0.1], [1e308, 1e308], [1e200, 1e200]])
+    def test_non_finite_or_overflowing_values(self, values):
+        # an infinite or nan input, a sum that overflows, and powers of the
+        # mean that overflow: each a refusal, never inf or nan
+        with pytest.raises(DomainError):
+            unroll_recurrence(values, [2.0])
+
+    def test_theorem_bound_refuses_before_constants(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("step_constants ran")
+
+        monkeypatch.setattr(bounds, "step_constants", refuse)
+        for chi2s in ([1e308] * 4, [math.inf] * 4, [0.1, math.inf, 0.2, 0.1]):
+            with pytest.raises(DomainError):
+                theorem_bound(4, chi2s, symmetric=False)
+
 
 class TestMaclaurin:
     def test_equality_for_equal_values(self):
@@ -193,7 +211,7 @@ class TestMaclaurin:
 class TestStepConstants:
     def test_frozen_level_values(self):
         d = step_constants(4, False)
-        assert abs(d[0] - 2.1326596308470269) < 1e-11
+        assert abs(d[0] - C_BASIC_HALF) < 1e-11
         assert abs(d[1] - 2.0 * _TABLE_BASIC[1]) < 1e-8
         assert abs(d[2] - 1.5 * _TABLE_BASIC[2]) < 1e-8
         ell = step_constants(3, True)

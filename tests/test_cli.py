@@ -7,18 +7,20 @@ import csv
 import graphlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from chi2norm import cli, config
+from chi2norm import bounds, cli, config
 from chi2norm.cli import EXIT_ACCURACY, EXIT_OK, EXIT_USAGE, run
 from chi2norm.config import (CONFIG_ENV_VAR, RunConfig, load_config,
                              read_config_file)
 from chi2norm.constants import g, g_sym
 from chi2norm.densities import StandardizedDensity
 from chi2norm.errors import DomainError
+from conftest import CHI2_UNIFORM_SUM_2
 
 
 def invoke(capsys, *argv):
@@ -86,6 +88,39 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert err == ""
         assert "0.000611588172863" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--n", "4", "--avg-chi2", "1e308"),
+        ("bound", "--n", "4", "--avg-chi2", "inf"),
+        ("bound", "--n", "3", "--per-var", "0.1,inf,0.2"),
+        ("chi2", "--dist", "beta:1e-400"),
+        ("chi2", "--dist", "beta:1e400"),
+        ("chi2", "--dist", "mixture:1:1e-400"),
+        ("chi2", "--dist", "mixture:1:1e400"),
+        ("chi2", "--dist", "beta:1000"),
+        ("chi2", "--dist", "beta:1e10"),
+    ])
+    def test_out_of_range_input_is_usage(self, capsys, monkeypatch, argv):
+        # refused before any large computation: no factorial is built and
+        # no step constant computed
+        def refuse(*args):
+            raise AssertionError("a large computation started")
+
+        monkeypatch.setattr(math, "factorial", refuse)
+        monkeypatch.setattr(bounds, "step_constants", refuse)
+        code, out, err = invoke(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "DomainError"
+
+    @pytest.mark.parametrize("method", ["direct", "both"])
+    def test_missed_edge_mass_is_accuracy(self, capsys, method):
+        # the quadrature converges near 0 where the divergence is infinite
+        code, out, err = invoke(capsys, "chi2", "--dist", "beta:1e-10",
+                                "--method", method)
+        assert code == EXIT_ACCURACY
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "AccuracyError"
 
     def test_bound_needs_values(self, capsys):
         code, _, err = invoke(capsys, "bound", "--n", "3")
@@ -213,7 +248,7 @@ class TestChi2Command:
         assert code == EXIT_OK
         payload = json.loads(out)
         # divergence shrinks under convolution; value pinned elsewhere
-        assert payload["rows"][0][1] == pytest.approx(0.032032844541205434,
+        assert payload["rows"][0][1] == pytest.approx(CHI2_UNIFORM_SUM_2,
                                                       abs=1e-9)
 
 
@@ -279,6 +314,22 @@ class TestVerifyCommand:
         row = json.loads(out)["rows"][0]
         assert row[3] is True
 
+    def test_flags_before_the_stein_target(self, capsys, tmp_path):
+        # a flag given at the verify level is kept; given at both levels,
+        # the inner one wins
+        stein = ("stein", "--n", "2", "--max-order", "5")
+        code, out, _ = invoke(capsys, "verify", "--format", "json", *stein)
+        assert code == EXIT_OK
+        assert json.loads(out)["rows"][0][3] is True
+        _, out, _ = invoke(capsys, "verify", "--format", "json", *stein,
+                           "--format", "csv")
+        assert out.splitlines()[0] == "dist,n,max_order,passed,detail"
+        path = tmp_path / "stein.json"
+        _, out, _ = invoke(capsys, "verify", "--output", str(path),
+                           "--format", "json", *stein)
+        assert out == ""
+        assert json.loads(path.read_text(encoding="utf-8"))["rows"][0][3]
+
     def test_bad_tier(self, capsys):
         code, _, _ = invoke(capsys, "verify", "--tiers", "9")
         assert code == EXIT_USAGE
@@ -315,8 +366,8 @@ LAYER_IMPORTS = {
     "hermite": {"errors"},
     "quadrature": {"errors"},
     "config": {"errors", "hermite", "quadrature"},
-    "piecewise": {"errors", "hermite"},
-    "densities": {"errors", "piecewise", "quadrature"},
+    "piecewise": {"errors"},
+    "densities": {"errors", "piecewise"},
     "distances": {"densities", "errors", "hermite", "quadrature"},
     "bounds": {"constants", "distances", "errors"},
     "subgaussian": {"densities", "distances", "errors", "quadrature"},
@@ -516,6 +567,49 @@ def _private_imports(path: Path) -> list[str]:
     return sorted(found)
 
 
+def _unread_public_api(package: Path) -> list[str]:
+    """Functions and classes in a module's ``__all__``, and the public methods
+    of those classes, that no module of ``package`` reads by name.  A
+    definition is not a read, and the package ``__init__`` is not scanned,
+    so its re-exports do not count either."""
+    wanted: dict[str, str] = {}
+    read: set[str] = set()
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exported = {e.value for node in tree.body
+                    if isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)
+                    for e in node.value.elts}
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name in exported):
+                wanted[node.name] = node.name
+                wanted |= {f"{node.name}.{m.name}": m.name for m in node.body
+                           if isinstance(m, ast.FunctionDef)
+                           and not m.name.startswith("_")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    return sorted(q for q, name in wanted.items() if name not in read)
+
+
+# public names that no package module reads, each kept for a reader outside
+# the package; any other such name is test-only API
+UNREAD_PUBLIC_API = {
+    "PiecewisePolyDensity.is_standardized":
+        "the benchmark's normalized-sum check reads it",
+    "PiecewisePolyDensity.convolve":
+        "sums of non-identical summands (ROADMAP direction 2) will call it",
+    "maclaurin_check": "the acceptance tests import it",
+}
+
+
 class TestImportHygiene:
     def test_no_private_names_across_package_modules(self):
         # each module reaches another only through its public names, so the
@@ -535,6 +629,28 @@ class TestImportHygiene:
                         encoding="utf-8")
         assert _private_imports(path) == ["_row", "dist._profile",
                                           "pw._legendre"]
+
+    def test_public_api_has_package_readers(self):
+        # a public function that only its own tests call goes, or moves
+        # into the tests as a reference
+        found = _unread_public_api(Path(config.__file__).parent)
+        assert found == sorted(UNREAD_PUBLIC_API)
+
+    def test_unread_public_api_scan(self, tmp_path):
+        (tmp_path / "__init__.py").write_text(
+            "from .a import Box, helper, used\n", encoding="utf-8")
+        (tmp_path / "a.py").write_text(
+            '__all__ = ["Box", "helper", "used", "LIMIT"]\n'
+            "LIMIT = 3\n"
+            "def used(): return 1\n"
+            "def helper(): return used()\n"
+            "class Box:\n"
+            "    def read(self): return self._hidden()\n"
+            "    def spare(self): return 0\n"
+            "    def _hidden(self): return 1\n", encoding="utf-8")
+        (tmp_path / "b.py").write_text(
+            "from .a import Box\nBox().read()\n", encoding="utf-8")
+        assert _unread_public_api(tmp_path) == ["Box.spare", "helper"]
 
     def test_no_unused_imports(self):
         # no linter is installed, so the check is an ast scan of the

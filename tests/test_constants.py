@@ -43,6 +43,7 @@ from chi2norm.verify import _G_MAX as G_MAX
 from chi2norm.verify import _G_SYM_MAX as G_SYM_MAX
 from chi2norm.verify import _TABLE_BASIC as TABLE_BASIC
 from chi2norm.verify import _TABLE_SYM as TABLE_SYM
+from conftest import C_BASIC_HALF
 
 G_MAX_AT = 3.2135635202169792
 G_SYM_MAX_AT = 4.2971491262212127
@@ -257,7 +258,7 @@ class TestIndexSets:
 class TestCertifiedMaxima:
     def test_frozen_half(self):
         est = C_of_p(BASIC_SET, 0.5)
-        assert abs(est.value - 2.1326596308470269) < 1e-11
+        assert abs(est.value - C_BASIC_HALF) < 1e-11
         assert est.argmax_s == 6
         sym = C_of_p(SYMMETRIC_SET, 0.5)
         assert abs(sym.value - 1.0569133003079638) < 1e-9

@@ -17,10 +17,10 @@ from chi2norm.densities import (
     make_scaled_beta,
     make_uniform,
     normalized_sum_density,
-    verify_standardized,
 )
 from chi2norm.errors import CapacityError, DomainError
 from chi2norm.piecewise import PiecewisePolyDensity
+from conftest import check_standardized
 
 
 def make_lopsided():
@@ -36,7 +36,7 @@ def make_lopsided():
 
 class TestUniform:
     def test_standardized(self):
-        verify_standardized(make_uniform())
+        check_standardized(make_uniform())
 
     def test_height_and_support(self):
         d = make_uniform()
@@ -53,7 +53,7 @@ class TestBeta:
     def test_integer_shapes_standardized(self, shape):
         d = make_scaled_beta(shape)
         assert d.exact is not None
-        verify_standardized(d)
+        check_standardized(d)
 
     def test_shape_one_is_uniform(self):
         u = make_uniform()
@@ -65,12 +65,31 @@ class TestBeta:
     def test_noninteger_shape_standardized(self):
         d = make_scaled_beta(Fraction(3, 2))
         assert d.exact is None
-        verify_standardized(d, tol=1e-7)
+        check_standardized(d, tol=1e-7)
 
     def test_peak_value_shape_two(self):
         # standardized Beta(2,2): peak (3/2) / sqrt(20) at the origin
         d = make_scaled_beta(2)
         assert d(0.0) == pytest.approx(1.5 / math.sqrt(20.0), rel=1e-14)
+
+    @pytest.mark.parametrize("shape", [
+        Fraction(1, 10 ** 400), 10 ** 400, 1000, 10 ** 10, Fraction(10 ** 9, 7),
+        Fraction(1, 10 ** 308)],
+        ids=["1e-400", "1e400", "1000", "1e10", "1e9/7", "1e-308"])
+    def test_shape_outside_float_range(self, shape, monkeypatch):
+        # 1/B(a, a) leaves the float range; refused from lgamma, before the
+        # factorials of an integer shape are built
+        def refuse(*args):
+            raise AssertionError("a factorial was built")
+
+        monkeypatch.setattr(math, "factorial", refuse)
+        with pytest.raises(DomainError, match="float range"):
+            make_scaled_beta(shape)
+
+    def test_largest_shapes_in_range(self):
+        # 1/B(510, 510) ~ 4^510 still fits a float, as does a near 1e-307
+        assert make_scaled_beta(510).exact is not None
+        assert make_scaled_beta(Fraction(1, 10 ** 307)).exact is None
 
     def test_bad_shape(self):
         with pytest.raises(DomainError):
@@ -88,7 +107,7 @@ class TestMixture:
 
     def test_two_component_standardized(self):
         m = make_mixture([(Fraction(1, 2), 1), (Fraction(1, 2), 3)])
-        verify_standardized(m)
+        check_standardized(m)
         assert m.symmetric
 
     def test_weights_normalized(self):
@@ -96,6 +115,15 @@ class TestMixture:
         b = make_mixture([(Fraction(1, 4), 1), (Fraction(3, 4), 2)])
         for x in np.linspace(-2.0, 2.0, 23):
             assert a(float(x)) == pytest.approx(b(float(x)), rel=1e-14)
+
+    @pytest.mark.parametrize("components", [
+        [(1, Fraction(1, 10 ** 400))], [(1, 10 ** 400)],
+        [(1, 1), (1, Fraction(1, 10 ** 400))],
+        [(1, 1), (Fraction(1, 10 ** 400), 1 + Fraction(1, 10 ** 9))]])
+    def test_components_outside_float_range(self, components):
+        # the scale 1/variance or a density level leaves the float range
+        with pytest.raises(DomainError, match="float range"):
+            make_mixture(components)
 
     def test_invalid_components(self):
         with pytest.raises(DomainError):
@@ -112,7 +140,7 @@ class TestNormalizedSum:
         d = normalized_sum_density(make_uniform(), 2)
         assert d(0.0) == pytest.approx(0.40824829046386302, rel=1e-14)
         assert d.symmetric
-        verify_standardized(d)
+        check_standardized(d)
 
     def test_support_grows_like_sqrt_n(self):
         for n in (2, 3, 5):
@@ -126,7 +154,7 @@ class TestNormalizedSum:
         assert normalized_sum_density(d, 1) is d
 
     def test_beta_sum_standardized(self):
-        verify_standardized(normalized_sum_density(make_scaled_beta(2), 3))
+        check_standardized(normalized_sum_density(make_scaled_beta(2), 3))
 
     def test_sum_skips_exact_symmetry_check(self, monkeypatch):
         # the sum takes the base's flag; the exact check runs on the base only
@@ -161,7 +189,7 @@ class TestNormalizedSum:
 
 class TestNormal:
     def test_standardized(self):
-        verify_standardized(make_normal())
+        check_standardized(make_normal())
 
     def test_flag(self):
         d = make_normal()
@@ -177,7 +205,7 @@ class TestFromName:
         assert from_name("beta:3/2").exact is None
         m = from_name("mixture:1/2:1,1/2:2")
         assert m.exact is not None
-        verify_standardized(m)
+        check_standardized(m)
 
     def test_whitespace_tolerated(self):
         assert from_name("  uniform ").description == "uniform"

@@ -31,15 +31,15 @@ from chi2norm.distances import (
     chi2_series,
     hermite_profile,
     profile_until_converged,
+    routes_agree,
 )
-from chi2norm.errors import DomainError
-from chi2norm.hermite import MAX_ORDER, hermite_coefficients, hermite_row_normalized
+from chi2norm.errors import AccuracyError, DomainError
+from chi2norm.hermite import MAX_ORDER, hermite_row_normalized
 from chi2norm.piecewise import PiecewisePolyDensity
 from chi2norm.quadrature import DEFAULT_SPEC
+from chi2norm.verify import _A4_UNIFORM as A4_UNIFORM
 from chi2norm.verify import _CHI2_UNIFORM as CHI2_UNIFORM
-
-# mean of H_4 under the uniform law: (E X^4 - 6 E X^2 + 3)/sqrt(24)
-A4_UNIFORM = -math.sqrt(6.0) / 10.0
+from conftest import hermite_coeffs, hermite_moment
 
 # sum of squared exact Hermite coefficients to order 256, from the jumps
 CHI2_UNIFORM_SUM = {8: 0.000965595004459, 11: 0.000503817190453}
@@ -80,7 +80,7 @@ def beta_even_moment(shape: Fraction, k: int) -> Fraction:
 
 
 def exact_profile(d: PiecewisePolyDensity, order: int) -> list[float]:
-    return [d.hermite_moment(m) / math.sqrt(math.factorial(m))
+    return [hermite_moment(d, m) / math.sqrt(math.factorial(m))
             for m in range(order + 1)]
 
 
@@ -332,7 +332,7 @@ class TestGaussRules:
     def test_jacobi_matches_rational_moments(self, shape):
         got = hermite_profile(make_scaled_beta(shape), 40).values
         for m, value in enumerate(got):
-            coeffs = hermite_coefficients(m)
+            coeffs = hermite_coeffs(m)
             exact = sum((c * beta_even_moment(shape, k // 2)
                          for k, c in enumerate(coeffs) if k % 2 == 0),
                         Fraction(0))
@@ -411,18 +411,45 @@ class TestChi2Direct:
         assert math.isinf(res.value)
         assert math.isinf(res.error_estimate)
 
-    def test_mass_deficit_is_clamped_with_warning(self):
-        from chi2norm.densities import StandardizedDensity
+    def test_mass_deficit_is_refused(self):
+        # the integral of p²/φ is at least 1 for a density, so a total of
+        # 0.81 can only be a failed integral: refused, not clamped to 0
         phi = make_normal().pdf
         defective = StandardizedDensity(
             pdf=lambda x: 0.9 * phi(x), support=(-math.inf, math.inf),
             symmetric=True, description="defective")
-        with pytest.warns(UserWarning):
-            res = chi2_direct(defective)
+        with pytest.raises(AccuracyError, match="below 1") as info:
+            chi2_direct(defective)
+        assert info.value.value == pytest.approx(0.81 - 1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("shape", [Fraction(1, 10 ** 10),
+                                       Fraction(1, 10 ** 100)])
+    def test_missed_edge_mass_is_refused(self, shape):
+        # the quadrature misses the mass at the edges and converges near 0;
+        # the true divergence is infinite
+        with pytest.raises(AccuracyError, match="below 1"):
+            chi2_direct(make_scaled_beta(shape))
+
+    def test_shortfall_within_error_is_clamped(self, monkeypatch):
+        monkeypatch.setattr(distances, "integrate",
+                            lambda *args: (1.0 - 1e-13, 2e-13))
+        res = chi2_direct(make_uniform())
         assert res.value == 0.0
+        assert res.error_estimate == 2e-13
 
 
 class TestChi2Series:
+    def test_routes_agree_rule(self):
+        # the direct value within the series error estimate plus 1e-6;
+        # the direct error estimate does not widen it
+        def result(value, err):
+            return Chi2Result(value, DIRECT_METHOD, None, err)
+
+        assert routes_agree(result(1.0, 0.0), result(1.0 + 1e-6, 0.0))
+        assert routes_agree(result(1.0, 0.0), result(1.5, 0.5))
+        assert not routes_agree(result(1.0, 0.0), result(1.0 + 2e-6, 0.0))
+        assert not routes_agree(result(1.0, 0.4), result(1.5, 0.4))
+
     def test_uniform_cross_method(self):
         direct, series = chi2_both(make_uniform())
         assert abs(direct.value - series.value) <= (

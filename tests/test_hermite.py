@@ -13,10 +13,10 @@ from chi2norm.errors import CapacityError, DomainError
 from chi2norm.hermite import (
     MAX_ORDER,
     addition_formula_eval,
-    hermite_coefficients,
     hermite_eval,
     hermite_row_normalized,
 )
+from conftest import hermite_coeffs
 
 
 class TestEvaluation:
@@ -41,7 +41,7 @@ class TestEvaluation:
 
     def test_matches_exact_coefficients(self):
         for n in range(13):
-            coeffs = hermite_coefficients(n)
+            coeffs = hermite_coeffs(n)
             for x in (-1.75, -0.5, 0.25, 2.0):
                 exact = sum(c * x**k for k, c in enumerate(coeffs))
                 np.testing.assert_allclose(hermite_eval(n, x), exact,
@@ -200,11 +200,11 @@ class TestValidation:
         assert math.isfinite(hermite_eval(MAX_ORDER, 0.5))
 
     def test_coefficients_exact(self):
-        assert hermite_coefficients(0) == (1,)
-        assert hermite_coefficients(1) == (0, 1)
-        assert hermite_coefficients(2) == (-1, 0, 1)
-        assert hermite_coefficients(3) == (0, -3, 0, 1)
-        assert hermite_coefficients(4) == (3, 0, -6, 0, 1)
+        assert hermite_coeffs(0) == (1,)
+        assert hermite_coeffs(1) == (0, 1)
+        assert hermite_coeffs(2) == (-1, 0, 1)
+        assert hermite_coeffs(3) == (0, -3, 0, 1)
+        assert hermite_coeffs(4) == (3, 0, -6, 0, 1)
         # leading coefficient is always 1
         for n in range(25):
-            assert hermite_coefficients(n)[-1] == 1
+            assert hermite_coeffs(n)[-1] == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from bisect import bisect_right
@@ -13,6 +14,7 @@ import pytest
 from chi2norm.densities import from_name
 from chi2norm.errors import DomainError
 from chi2norm.piecewise import PiecewisePolyDensity
+from conftest import hermite_moment, moment_t
 
 
 def unit_box() -> PiecewisePolyDensity:
@@ -142,7 +144,7 @@ def assert_matches_reference(d: PiecewisePolyDensity, product) -> None:
                for c in (*d.knots, *(c for p in d.pieces for c in p)))
     jumps = ref_jumps(d)
     assert jumps_as_fractions(d) == jumps
-    exact = [d.mass(), *(d.moment_t(k) for k in range(9)),
+    exact = [d.central_moment(0), *(moment_t(d, k) for k in range(9)),
              *(d.central_moment(k) for k in range(9))]
     want = [ref_moment(jumps, 0, Fraction(0)),
             *(ref_moment(jumps, k, Fraction(0)) for k in range(9)),
@@ -154,16 +156,27 @@ def assert_matches_reference(d: PiecewisePolyDensity, product) -> None:
 class TestExactQueries:
     def test_box_is_standardized(self):
         d = unit_box()
-        assert d.mass() == 1
-        assert d.moment_t(1) == Fraction(1, 2)
+        assert d.central_moment(0) == 1
+        assert moment_t(d, 1) == Fraction(1, 2)
         assert d.central_moment(2) == Fraction(1, 12)
         assert d.is_standardized()
+
+    def test_standardization_needs_mass_mean_and_variance(self):
+        # each clause alone: mass 2, mean 1/3 instead of the shift 1/2, and
+        # variance 1/12 against scale_sq 13
+        box = unit_box()
+        assert not dataclasses.replace(
+            box, pieces=((Fraction(2),),)).is_standardized()
+        assert not dataclasses.replace(
+            box, shift=Fraction(1, 3)).is_standardized()
+        assert not dataclasses.replace(
+            box, scale_sq=Fraction(13)).is_standardized()
 
     def test_box_moments_match_closed_form(self):
         # E[T^k] = 1/(k+1) for the unit box
         d = unit_box()
         for k in range(9):
-            assert d.moment_t(k) == Fraction(1, k + 1)
+            assert moment_t(d, k) == Fraction(1, k + 1)
 
     def test_central_moments_of_box(self):
         d = unit_box()
@@ -185,23 +198,23 @@ class TestExactQueries:
             scale_sq=Fraction(12),
             shift=half,
         )
-        assert d.mass() == 1
+        assert d.central_moment(0) == 1
         assert not d.is_symmetric()
 
     def test_lopsided_moments_match_closed_form(self):
         # E[T^k] = int_0^1 2 t^(k+1) dt = 2/(k+2)
         d = lopsided()
         for k in range(9):
-            assert d.moment_t(k) == Fraction(2, k + 2)
+            assert moment_t(d, k) == Fraction(2, k + 2)
 
     def test_hermite_moments_of_box(self):
         d = unit_box()
         # E[H_2(X)] = E[X^2] - 1 = 0; E[H_4(X)] = E[X^4] - 6 E[X^2] + 3
-        assert d.hermite_moment(0) == pytest.approx(1.0)
-        assert d.hermite_moment(1) == pytest.approx(0.0, abs=1e-15)
-        assert d.hermite_moment(2) == pytest.approx(0.0, abs=1e-14)
-        assert d.hermite_moment(3) == pytest.approx(0.0, abs=1e-14)
-        assert d.hermite_moment(4) == pytest.approx(9.0 / 5.0 - 6.0 + 3.0,
+        assert hermite_moment(d, 0) == pytest.approx(1.0)
+        assert hermite_moment(d, 1) == pytest.approx(0.0, abs=1e-15)
+        assert hermite_moment(d, 2) == pytest.approx(0.0, abs=1e-14)
+        assert hermite_moment(d, 3) == pytest.approx(0.0, abs=1e-14)
+        assert hermite_moment(d, 4) == pytest.approx(9.0 / 5.0 - 6.0 + 3.0,
                                                     abs=1e-13)
 
 
@@ -241,8 +254,8 @@ class TestEvaluation:
 class TestConvolution:
     def test_triangle_from_two_boxes(self):
         d = unit_box().convolve(unit_box())
-        assert d.mass() == 1
-        assert d.moment_t(1) == 1
+        assert d.central_moment(0) == 1
+        assert moment_t(d, 1) == 1
         # variance doubles under convolution
         assert d.central_moment(2) == Fraction(2, 12)
         knots = d.knots
@@ -325,12 +338,12 @@ class TestExactConvolution:
         box = rescaled(unit_box(), f.scale_sq)
         for g in (f, box):
             h = f.convolve(g)
-            assert h.mass() == 1
+            assert h.central_moment(0) == 1
             for k in range(7):
                 # E[(X + Y)^k] from the moments of independent X and Y
-                want = sum(math.comb(k, i) * f.moment_t(i) * g.moment_t(k - i)
-                           for i in range(k + 1))
-                assert h.moment_t(k) == want
+                want = sum(math.comb(k, i) * moment_t(f, i)
+                           * moment_t(g, k - i) for i in range(k + 1))
+                assert moment_t(h, k) == want
 
     def test_knot_without_jump_is_kept(self):
         # every pairwise knot sum is a knot, also where the density is smooth
@@ -454,8 +467,8 @@ class TestFractionReference:
         jumps = ref_jumps(d)
         for k in (7, 0, 30, 3, 31, 64):
             assert d.central_moment(k) == ref_moment(jumps, k, d.shift), k
-        assert d.hermite_moment(12) == from_name(
-            "beta:2").exact.normalized_sum(4).hermite_moment(12)
+        assert hermite_moment(d, 12) == hermite_moment(
+            from_name("beta:2").exact.normalized_sum(4), 12)
 
 
 class TestValidation:
