@@ -56,7 +56,7 @@ from .hermite import (
     addition_formula_eval,
     hermite_eval,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from .quadrature import integrate
 from .subgaussian import (
     ThresholdResult,
     hermite_mgf_identity_check,
@@ -80,11 +80,9 @@ __all__ = [
     "Chi2Result",
     "ConstantEstimate",
     "CorollaryResult",
-    "DEFAULT_SPEC",
     "DomainError",
     "HermiteProfile",
     "IndexSet",
-    "QuadratureSpec",
     "RunConfig",
     "StandardizedDensity",
     "SYMMETRIC_SET",

@@ -13,19 +13,11 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bounds import theorem_bound
-from .config import (
-    CONFIG_ENV_VAR,
-    FORMATS,
-    RunConfig,
-    load_config,
-    parse_tiers,
-    read_config_file,
-)
+from .config import FORMATS, RunConfig, load_config, parse_tiers
 from .constants import (
     BASIC_SET,
     CLOSED_FORM_UPPER,
@@ -159,23 +151,22 @@ def _build_density(name: str, n: int | None):
 def _cmd_chi2(args: argparse.Namespace,
               cfg: RunConfig) -> tuple[Report, int]:
     density = _build_density(args.dist, args.n)
-    spec = cfg.quadrature_spec()
     rows: list[tuple[object, ...]] = []
     footer: list[tuple[str, object]] = []
     if args.method == "direct":
-        r = chi2_direct(density, spec)
+        r = chi2_direct(density)
         rows.append(("direct", r.value, r.error_estimate, None, None))
     elif args.method == "series":
-        profile = profile_until_converged(density, spec,
-                                          cfg.series_start_order,
-                                          cfg.series_max_order,
-                                          cfg.series_tail_tol)
-        r = chi2_series(profile)
+        r = chi2_series(profile_until_converged(density))
+        if not math.isfinite(r.error_estimate):
+            raise AccuracyError(
+                f"series not certified: partial sum {_fmt(r.value)} at "
+                f"order {r.truncation_order} has no finite tail bound",
+                value=r.value, error_estimate=r.error_estimate)
         rows.append(("series", r.value, r.error_estimate,
                      r.truncation_order, None))
     else:
-        direct, series = chi2_both(density, spec, cfg.series_start_order,
-                                   cfg.series_max_order, cfg.series_tail_tol)
+        direct, series = chi2_both(density)
         agree = routes_agree(direct, series)
         rows.append(("direct", direct.value, direct.error_estimate,
                      None, agree))
@@ -268,10 +259,9 @@ def _cmd_check(args: argparse.Namespace,
     if args.t_steps < 1:
         raise DomainError("--t-steps must be >= 1")
     density = _build_density(args.dist, None)
-    spec = cfg.quadrature_spec()
     grid = [args.t_max * j / args.t_steps
             for j in range(-args.t_steps, args.t_steps + 1) if j != 0]
-    margins = mgf_check(density, grid, spec)
+    margins = mgf_check(density, grid)
     rows = tuple((t, m, m > 0.0) for t, m in zip(grid, margins))
     all_positive = all(m > 0.0 for m in margins)
     return Report(f"subgaussian margins {args.dist}",
@@ -422,15 +412,10 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     overrides = {key: getattr(args, key) for key in ("format", "output")
                   if hasattr(args, key)}
+    # figure-data consumers want CSV unless the file or a flag says otherwise
+    defaults = {"format": "csv"} if args.command == "plotdata" else {}
     try:
-        path = (getattr(args, "config", None)
-                or os.environ.get(CONFIG_ENV_VAR) or None)
-        file_keys = set(read_config_file(path)) if path else set()
-        cfg = load_config(path, overrides)
-        if (args.command == "plotdata" and "format" not in overrides
-                and "format" not in file_keys):
-            # figure-data consumers want CSV unless told otherwise
-            cfg = replace(cfg, format="csv")
+        cfg = load_config(getattr(args, "config", None), overrides, defaults)
         report, code = _resolve(args)(args, cfg)
         _emit(report, cfg.format, cfg.output)
     except DomainError as exc:

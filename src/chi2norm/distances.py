@@ -20,7 +20,7 @@ import numpy as np
 from .densities import StandardizedDensity
 from .errors import AccuracyError, DomainError
 from .hermite import MAX_ORDER, hermite_row_normalized
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from .quadrature import integrate
 
 __all__ = [
     "HermiteProfile",
@@ -39,6 +39,12 @@ DIRECT_METHOD = "direct-integral"
 SERIES_METHOD = "parseval-series"
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+# the series ladder: first rung, tail bound that stops it, and the amplitude
+# below which the window certifies neither decay nor growth
+_LADDER_START = 40
+_LADDER_TAIL_TOL = 1e-8
+_NOISE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,7 @@ def _tail_from_window(absvals: np.ndarray, order: int,
     """Geometric-envelope tail estimate from the last quarter of orders.
 
     Returns ``inf`` when the window does not establish decay.  Amplitudes
-    below the quadrature noise floor cannot certify anything either way, so
+    below the noise floor cannot certify anything either way, so
     they are reported at the floor itself rather than extrapolated.
     """
     width = max(order // 4, 6)
@@ -117,8 +123,7 @@ def _tail_from_window(absvals: np.ndarray, order: int,
 
 
 def _profile(density: StandardizedDensity, start: int, top: int,
-             spec: QuadratureSpec, tail_tol: float,
-             direct: Chi2Result | None) -> HermiteProfile:
+             tail_tol: float, direct: Chi2Result | None) -> HermiteProfile:
     """Profile at the first rung ``N`` of ``start, 2 start, ..., top`` with a
     tail bound below ``tail_tol``, else at ``top``, from one exact Gauss rule
     of degree ``top``; the only error is rounding, ``4 N`` ulps per term
@@ -141,7 +146,7 @@ def _profile(density: StandardizedDensity, start: int, top: int,
         # max_j sum_i |w_i h_j(x_i)|, over the rows this rung adds too
         magnitude = max(magnitude, np.max(np.abs(block) @ absw))
         round_err = float(np.finfo(float).eps * (len(nodes) + 4 * order) * magnitude)
-        noise_floor = max(10.0 * round_err, 10.0 * spec.abs_tol)
+        noise_floor = max(10.0 * round_err, _NOISE_FLOOR)
         absvals = np.abs(values[:order + 1])
         tail = _tail_from_window(absvals, order, noise_floor)
         if direct is not None:
@@ -156,26 +161,21 @@ def _profile(density: StandardizedDensity, start: int, top: int,
         order, done = min(2 * order, top), order + 1
 
 
-def hermite_profile(density: StandardizedDensity, order: int = 40,
-                    spec: QuadratureSpec = DEFAULT_SPEC,
-                    direct: Chi2Result | None = None) -> HermiteProfile:
-    """``E H_j(Y)/sqrt(j!)`` for ``j <= order``; given a direct result for the
-    same density, the tail bound also covers its gap ``chi² - sum a_j²``."""
-    return _profile(density, order, order, spec, 0.0, direct)
+def hermite_profile(density: StandardizedDensity,
+                    order: int = 40) -> HermiteProfile:
+    """``E H_j(Y)/sqrt(j!)`` for ``j <= order``."""
+    return _profile(density, order, order, 0.0, None)
 
 
 def profile_until_converged(density: StandardizedDensity,
-                            spec: QuadratureSpec = DEFAULT_SPEC,
-                            start: int = 40,
-                            max_order: int = MAX_ORDER,
-                            tail_tol: float = 1e-8,
                             direct: Chi2Result | None = None) -> HermiteProfile:
-    """Double the order from ``start`` until the tail bound is below
-    ``tail_tol``, every rung read off one rule and table of degree
-    ``max_order``.  Rough densities (the uniform itself) may exhaust
-    ``max_order`` and come back with an honest large tail instead."""
-    return _profile(density, min(start, max_order), max_order, spec,
-                    tail_tol, direct)
+    """Double the order from 40 until the tail bound is below 1e-8, every
+    rung read off one rule and table of degree ``MAX_ORDER``; given a
+    direct result for the same density, the tail bound also covers its gap
+    ``chi² - sum a_j²``.  Rough densities (the uniform itself) may exhaust
+    ``MAX_ORDER`` and come back with an honest large tail instead."""
+    return _profile(density, _LADDER_START, MAX_ORDER, _LADDER_TAIL_TOL,
+                    direct)
 
 
 def _raw_density_ratio(pdf, x: float) -> float:
@@ -210,8 +210,7 @@ def _ladder_verdict(totals: list[float]) -> tuple[float, float] | None:
     return None
 
 
-def chi2_direct(density: StandardizedDensity,
-                spec: QuadratureSpec = DEFAULT_SPEC) -> Chi2Result:
+def chi2_direct(density: StandardizedDensity) -> Chi2Result:
     """``∫ p²/φ − 1`` by adaptive quadrature.
 
     The standard normal returns exactly zero rather than quadrature noise.
@@ -230,7 +229,7 @@ def chi2_direct(density: StandardizedDensity,
     lo, hi = density.support
     finite = math.isfinite(lo) and math.isfinite(hi)
     try:
-        total, err = integrate(q, density.support, spec, density.breakpoints)
+        total, err = integrate(q, density.support, density.breakpoints)
     except AccuracyError:
         pass
     else:
@@ -247,7 +246,7 @@ def chi2_direct(density: StandardizedDensity,
                  for r in (8.0, 12.0, 16.0, 24.0, 32.0, 40.0)]
     for a, b in rungs:
         try:
-            t, _ = integrate(q, (a, b), spec, density.breakpoints)
+            t, _ = integrate(q, (a, b), density.breakpoints)
         except AccuracyError as exc:
             # the rung closest to the trouble spot can itself overwhelm the
             # quadrature; classify from the rungs that did converge
@@ -271,20 +270,16 @@ def chi2_series(profile: HermiteProfile) -> Chi2Result:
                       profile.tail_bound)
 
 
-def chi2_both(density: StandardizedDensity,
-              spec: QuadratureSpec = DEFAULT_SPEC,
-              start: int = 40,
-              max_order: int = MAX_ORDER,
-              tail_tol: float = 1e-8) -> tuple[Chi2Result, Chi2Result]:
+def chi2_both(density: StandardizedDensity) -> tuple[Chi2Result, Chi2Result]:
     """Direct and series results, with the direct value feeding the tail."""
-    direct = chi2_direct(density, spec)
+    direct = chi2_direct(density)
     hint = direct if math.isfinite(direct.value) else None
-    profile = profile_until_converged(density, spec, start, max_order,
-                                      tail_tol, hint)
-    return direct, chi2_series(profile)
+    return direct, chi2_series(profile_until_converged(density, hint))
 
 
 def routes_agree(direct: Chi2Result, series: Chi2Result) -> bool:
-    """The ``both`` agreement rule: the direct value lies within the series
-    result's error estimate, plus an absolute slack of 1e-6."""
-    return abs(direct.value - series.value) <= series.error_estimate + 1e-6
+    """The ``both`` agreement rule: the series error estimate is finite and
+    the direct value lies within it, plus an absolute slack of 1e-6."""
+    return (math.isfinite(series.error_estimate)
+            and abs(direct.value - series.value)
+            <= series.error_estimate + 1e-6)

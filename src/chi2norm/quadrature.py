@@ -11,32 +11,18 @@ Hermite profiles use the densities' exact Gauss rules instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from scipy.integrate import quad as _quad
 
 from .errors import AccuracyError, DomainError
 
-__all__ = ["QuadratureSpec", "DEFAULT_SPEC", "integrate"]
+__all__ = ["integrate"]
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy targets and limits for :func:`integrate`."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 1 << 16
-
-    def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-
-
-DEFAULT_SPEC = QuadratureSpec()
+# accuracy targets and subdivision limit of every segment's QUADPACK call
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-10
+_MAX_SUBDIVISIONS = 1 << 16
 
 
 def _segments(lo: float, hi: float,
@@ -48,7 +34,6 @@ def _segments(lo: float, hi: float,
 
 
 def integrate(f: Callable[[float], float], interval: tuple[float, float],
-              spec: QuadratureSpec = DEFAULT_SPEC,
               breakpoints: Iterable[float] = ()) -> tuple[float, float]:
     """Integrate ``f`` over ``interval``, returning ``(value, error_estimate)``.
 
@@ -58,8 +43,6 @@ def integrate(f: Callable[[float], float], interval: tuple[float, float],
         Scalar integrand.
     interval : (float, float)
         Endpoints; either may be infinite.
-    spec : QuadratureSpec
-        Tolerances and subdivision limit.
     breakpoints : iterable of float
         Points where the integrand is allowed to be non-smooth.  Points
         outside the interval are ignored.
@@ -67,7 +50,7 @@ def integrate(f: Callable[[float], float], interval: tuple[float, float],
     Raises
     ------
     AccuracyError
-        If any segment fails to converge to the requested tolerances.  The
+        If any segment fails to converge to the module tolerances.  The
         exception carries the best estimate and its error bound.
     """
     lo, hi = float(interval[0]), float(interval[1])
@@ -78,8 +61,8 @@ def integrate(f: Callable[[float], float], interval: tuple[float, float],
     errors: list[float] = []
     failures: list[str] = []
     for a, b in _segments(lo, hi, breakpoints):
-        out = _quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                    limit=spec.max_subdivisions, full_output=1)
+        out = _quad(f, a, b, epsabs=_ABS_TOL, epsrel=_REL_TOL,
+                    limit=_MAX_SUBDIVISIONS, full_output=1)
         values.append(out[0])
         errors.append(out[1])
         if len(out) > 3:  # QUADPACK appended a warning message

@@ -17,7 +17,7 @@ import numpy as np
 from .densities import StandardizedDensity
 from .distances import HermiteProfile
 from .errors import DomainError
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from .quadrature import integrate
 
 __all__ = [
     "VARIANTS",
@@ -128,8 +128,7 @@ def threshold(variant: str) -> ThresholdResult:
     return ThresholdResult(variant, objective(variant, xmin), xmin)
 
 
-def mgf(density: StandardizedDensity, t: float,
-        spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def mgf(density: StandardizedDensity, t: float) -> float:
     """``E exp(tY)`` by direct quadrature against the density."""
     if math.isnan(t):
         raise DomainError("t must be a real number")
@@ -145,13 +144,12 @@ def mgf(density: StandardizedDensity, t: float,
             return math.exp(combined) if combined < 700.0 else math.inf
         return d * math.exp(e)
 
-    value, _ = integrate(integrand, density.support, spec=spec,
-                         breakpoints=density.breakpoints)
+    value, _ = integrate(integrand, density.support, density.breakpoints)
     return value
 
 
-def mgf_check(density: StandardizedDensity, t_grid: list[float],
-              spec: QuadratureSpec = DEFAULT_SPEC) -> list[float]:
+def mgf_check(density: StandardizedDensity,
+              t_grid: list[float]) -> list[float]:
     """Margins ``exp(t^2) - E exp(tY)`` on a grid of nonzero ``t``.
 
     All-positive output means the subgaussian condition holds at the
@@ -160,7 +158,7 @@ def mgf_check(density: StandardizedDensity, t_grid: list[float],
     for t in t_grid:
         if t == 0.0 or math.isnan(t):
             raise DomainError("grid points must be nonzero reals")
-    return [math.exp(t * t) - mgf(density, t, spec=spec) for t in t_grid]
+    return [math.exp(t * t) - mgf(density, t) for t in t_grid]
 
 
 def hermite_mgf_identity_check(density: StandardizedDensity,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from chi2norm.densities import StandardizedDensity
 from chi2norm.errors import DomainError
 from chi2norm.piecewise import PiecewisePolyDensity
-from chi2norm.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from chi2norm.quadrature import integrate
 
 # C(1/2) of the basic set, attained at s = 6
 C_BASIC_HALF = 2.1326596308470269
@@ -56,8 +56,8 @@ def moment_t(d: PiecewisePolyDensity, k: int) -> Fraction:
                 for i in range(k + 1)), Fraction(0))
 
 
-def check_standardized(density: StandardizedDensity, tol: float = 1e-8,
-                       spec: QuadratureSpec = DEFAULT_SPEC) -> None:
+def check_standardized(density: StandardizedDensity,
+                       tol: float = 1e-8) -> None:
     """Mass 1, mean 0 and second moment 1 of the float density, each by
     quadrature within ``tol``; a density with an exact form must also pass
     the exact test, which catches construction bugs below ``tol``."""
@@ -67,8 +67,7 @@ def check_standardized(density: StandardizedDensity, tol: float = 1e-8,
     report = {}
     for name, k in (("mass", 0), ("mean", 1), ("second_moment", 2)):
         report[name], _ = integrate(lambda x: x ** k * density.pdf(x),
-                                    density.support, spec,
-                                    density.breakpoints)
+                                    density.support, density.breakpoints)
     if (abs(report["mass"] - 1.0) > tol or abs(report["mean"]) > tol
             or abs(report["second_moment"] - 1.0) > tol):
         raise DomainError(

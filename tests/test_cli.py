@@ -9,6 +9,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -137,22 +138,41 @@ class TestExitCodes:
                             "0.1", "--format", "csv")
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("argv", [
-        ("chi2", "--dist", "uniform", "--method", "series"),
-        ("chi2", "--dist", "beta:2", "--n", "12", "--method", "both"),
-    ])
-    def test_series_max_order_above_hermite_limit(self, capsys, monkeypatch,
-                                                  tmp_path, argv):
-        # refused when the config is read, before any density or route runs
+    @pytest.mark.parametrize("key", [
+        "quad_abs_tol", "quad_rel_tol", "series_start_order",
+        "series_max_order", "series_tail_tol"])
+    def test_retired_key_is_usage(self, capsys, monkeypatch, tmp_path, key):
+        # the numeric policy is fixed in the code; a file that still names
+        # it is refused when read, before any density or route runs
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("series_max_order=300\n", encoding="utf-8")
+        cfg.write_text(f"{key}=1\n", encoding="utf-8")
         monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
         monkeypatch.setattr(cli, "_build_density", None)
-        code, out, err = invoke(capsys, *argv)
+        code, out, err = invoke(capsys, "chi2", "--dist", "uniform",
+                                "--method", "series")
         assert code == EXIT_USAGE
         assert out == ""
         assert (json.loads(err)["error"]["message"]
-                == "series_max_order must be <= 256")
+                == f"{cfg}:1: unknown key {key!r}")
+
+    @pytest.mark.parametrize("shape", ["3", "1e-10"])
+    def test_uncertified_series_is_accuracy(self, capsys, shape):
+        # the ladder ends at order 256 with no finite tail bound; for
+        # beta:1e-10 the true divergence is infinite
+        code, out, err = invoke(capsys, "chi2", "--dist", f"beta:{shape}",
+                                "--method", "series")
+        assert code == EXIT_ACCURACY
+        assert out == ""
+        message = json.loads(err)["error"]["message"]
+        assert "order 256" in message and "partial sum" in message
+
+    def test_series_with_finite_tail_exits_ok(self, capsys):
+        # the tail bound is finite, whether or not it is honest (ROADMAP
+        # defect 4)
+        code, out, _ = invoke(capsys, "chi2", "--dist", "mixture:1:1,1:2",
+                              "--n", "4", "--method", "series")
+        assert code == EXIT_OK
+        assert out.splitlines()[2].split()[0] == "series"
 
 
 class TestDeterminism:
@@ -233,6 +253,16 @@ class TestChi2Command:
         by_method = {row[0]: row for row in payload["rows"]}
         assert by_method["direct"][1] == pytest.approx(0.3285567, abs=5e-7)
         assert by_method["series"][1] <= by_method["direct"][1]
+
+    def test_infinite_series_error_does_not_agree(self, capsys):
+        # chi2 of beta:1/2 is infinite and the series tail bound is inf;
+        # inf <= inf is no agreement
+        code, out, _ = invoke(capsys, "chi2", "--dist", "beta:1/2",
+                              "--method", "both", "--format", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["agreement"] is False
+        assert [row[2] for row in payload["rows"]] == ["inf", "inf"]
 
     def test_single_method_direct(self, capsys):
         code, out, _ = invoke(capsys, "chi2", "--dist", "uniform",
@@ -365,7 +395,7 @@ LAYER_IMPORTS = {
     "constants": {"errors"},
     "hermite": {"errors"},
     "quadrature": {"errors"},
-    "config": {"errors", "hermite", "quadrature"},
+    "config": {"errors"},
     "piecewise": {"errors"},
     "densities": {"errors", "piecewise"},
     "distances": {"densities", "errors", "hermite", "quadrature"},
@@ -461,7 +491,7 @@ class TestConfig:
 
     def test_file_then_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("format=json\n# comment\nquad_abs_tol = 1e-11\n",
+        cfg.write_text("format=json\n# comment\ntiers = 1\n",
                        encoding="utf-8")
         _, out, _ = invoke(capsys, "--config", str(cfg), "constants",
                            "--set", "basic", "--p", "0.5")
@@ -487,6 +517,38 @@ class TestConfig:
         assert code == EXIT_USAGE
         assert "no_such_knob" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_config_file_read_once(self, capsys, tmp_path, monkeypatch,
+                                   via):
+        # plotdata's CSV default gives way to the file's format, which is
+        # learnt from the same single read
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=json\n", encoding="utf-8")
+        calls, opened = [], []
+
+        def spy(path):
+            calls.append(path)
+            return read_config_file(path)
+
+        def spy_open(file, *args, **kwargs):
+            opened.append(file)
+            return builtin_open(file, *args, **kwargs)
+
+        builtin_open = open
+        monkeypatch.setattr(config, "read_config_file", spy)
+        # a reader that bypasses the module attribute still opens the file
+        monkeypatch.setattr("builtins.open", spy_open)
+        argv = ("plotdata", "--steps", "2")
+        if via == "flag":
+            argv = ("--config", str(cfg), *argv)
+        else:
+            monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+        code, out, _ = invoke(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["columns"] == ["x", "g", "g_sym"]
+        assert calls == [str(cfg)]
+        assert opened.count(str(cfg)) == 1
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just some words\n", encoding="utf-8")
@@ -497,15 +559,15 @@ class TestConfig:
         cfg = load_config()
         assert cfg == RunConfig()
         assert cfg.format == "table"
-        spec = cfg.quadrature_spec()
-        assert spec.abs_tol == 1e-10
+        assert [f.name for f in fields(RunConfig)] == ["format", "output",
+                                                       "tiers"]
 
     def test_load_config_typed_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("series_start_order=20\ntiers=2,1\n",
+        cfg.write_text("output=report.txt\ntiers=2,1\n",
                        encoding="utf-8")
         loaded = load_config(str(cfg), {"format": "csv"})
-        assert loaded.series_start_order == 20
+        assert loaded.output == "report.txt"
         assert loaded.tiers == (1, 2)
         assert loaded.format == "csv"
 
@@ -513,16 +575,9 @@ class TestConfig:
         with pytest.raises(DomainError):
             RunConfig(format="yaml")
         with pytest.raises(DomainError):
-            RunConfig(quad_abs_tol=-1.0)
-        with pytest.raises(DomainError):
             RunConfig(tiers=())
         with pytest.raises(DomainError):
             RunConfig(tiers=(2, 1))
-        with pytest.raises(DomainError):
-            RunConfig(series_start_order=100, series_max_order=50)
-        RunConfig(series_max_order=256)
-        with pytest.raises(DomainError, match="series_max_order"):
-            RunConfig(series_max_order=257)
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -599,6 +654,66 @@ def _unread_public_api(package: Path) -> list[str]:
     return sorted(q for q, name in wanted.items() if name not in read)
 
 
+def _unset_defaults(package: Path) -> list[str]:
+    """Defaulted parameters of the functions in a module's ``__all__``, and
+    of the public methods of its classes, that no call in ``package`` sets
+    by position or by keyword.  Calls are matched by the callee's name, so a
+    call to another function of the same name counts too."""
+    wanted: dict[str, ast.FunctionDef] = {}
+    positional: dict[str, int] = {}
+    keywords: dict[str, set[str | None]] = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exported = {e.value for node in tree.body
+                    if isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)
+                    for e in node.value.elts}
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in exported:
+                wanted[f"{path.stem}.{node.name}"] = node
+            elif isinstance(node, ast.ClassDef) and node.name in exported:
+                wanted |= {f"{path.stem}.{node.name}.{m.name}": m
+                           for m in node.body
+                           if isinstance(m, ast.FunctionDef)
+                           and not m.name.startswith("_")}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            n = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                 else len(node.args))
+            positional[name] = max(positional.get(name, 0), n)
+            # ``**kwargs`` shows up as a keyword without a name
+            keywords.setdefault(name, set()).update(
+                k.arg for k in node.keywords)
+    found = []
+    for qual, fn in wanted.items():
+        name = qual.rsplit(".", 1)[1]
+        # a method call's first positional argument fills the parameter
+        # after ``self``
+        skip = int(qual.count(".") == 2 and not any(
+            getattr(d, "id", None) == "staticmethod"
+            for d in fn.decorator_list))
+        params = [*fn.args.posonlyargs, *fn.args.args]
+        first = len(params) - len(fn.args.defaults)
+        defaulted = [(i - skip, p.arg) for i, p in enumerate(params)
+                     if i >= first]
+        defaulted += [(math.inf, p.arg) for p, d in zip(fn.args.kwonlyargs,
+                                                        fn.args.kw_defaults)
+                      if d is not None]
+        given = keywords.get(name, set())
+        found += [f"{qual}({arg})" for pos, arg in defaulted
+                  if pos >= positional.get(name, 0)
+                  and arg not in given and None not in given]
+    return sorted(found)
+
+
+# defaulted parameters that no package call sets: the console entry point
+# reads sys.argv when called without arguments
+UNSET_DEFAULTS = ["cli.main(argv)"]
+
+
 # public names that no package module reads, each kept for a reader outside
 # the package; any other such name is test-only API
 UNREAD_PUBLIC_API = {
@@ -635,6 +750,24 @@ class TestImportHygiene:
         # into the tests as a reference
         found = _unread_public_api(Path(config.__file__).parent)
         assert found == sorted(UNREAD_PUBLIC_API)
+
+    def test_defaulted_parameters_are_set_in_the_package(self):
+        # a default that no package code overrides is a fixed value in
+        # disguise: it belongs in a module constant
+        found = _unset_defaults(Path(config.__file__).parent)
+        assert found == UNSET_DEFAULTS
+
+    def test_unset_default_scan(self, tmp_path):
+        (tmp_path / "a.py").write_text(
+            '__all__ = ["Box", "f", "g"]\n'
+            "def f(x, tol=1.0, *, spec=None): return x\n"
+            "def g(x, order=2, hint=None): return f(x, tol=2.0)\n"
+            "def _h(y=0): return y\n"
+            "class Box:\n"
+            "    def read(self, k=1, j=2): return g(k, **{})\n"
+            "    def _inner(self, m=3): return self.read(m)\n",
+            encoding="utf-8")
+        assert _unset_defaults(tmp_path) == ["a.Box.read(j)", "a.f(spec)"]
 
     def test_unread_public_api_scan(self, tmp_path):
         (tmp_path / "__init__.py").write_text(

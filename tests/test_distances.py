@@ -36,7 +36,6 @@ from chi2norm.distances import (
 from chi2norm.errors import AccuracyError, DomainError
 from chi2norm.hermite import MAX_ORDER, hermite_row_normalized
 from chi2norm.piecewise import PiecewisePolyDensity
-from chi2norm.quadrature import DEFAULT_SPEC
 from chi2norm.verify import _A4_UNIFORM as A4_UNIFORM
 from chi2norm.verify import _CHI2_UNIFORM as CHI2_UNIFORM
 from conftest import hermite_coeffs, hermite_moment
@@ -94,7 +93,7 @@ def rounding_bound(density: StandardizedDensity, degree: int,
                  * np.max(np.abs(table) @ np.abs(weights)))
 
 
-def ref_profile(density, order, spec=DEFAULT_SPEC, direct=None, degree=None):
+def ref_profile(density, order, direct=None, degree=None):
     # the one-rung profile as it stood before the ladders shared one table;
     # with ``degree``, read off the rows <= order of that rule instead
     nodes, weights = density.gauss_rule(order if degree is None else degree)
@@ -102,7 +101,7 @@ def ref_profile(density, order, spec=DEFAULT_SPEC, direct=None, degree=None):
     values = table @ weights
     round_err = float(np.finfo(float).eps * (len(nodes) + 4 * order)
                       * np.max(np.abs(table) @ np.abs(weights)))
-    noise_floor = max(10.0 * round_err, 10.0 * spec.abs_tol)
+    noise_floor = max(10.0 * round_err, 1e-9)
     tail = _tail_from_window(np.abs(values), order, noise_floor)
     if direct is not None:
         partial = float(np.sum(values[1:] ** 2))
@@ -113,12 +112,12 @@ def ref_profile(density, order, spec=DEFAULT_SPEC, direct=None, degree=None):
     return HermiteProfile(tuple(float(v) for v in values), order, tail)
 
 
-def ref_ladder(density, spec=DEFAULT_SPEC, start=40, max_order=MAX_ORDER,
-               tail_tol=1e-8, direct=None):
+def ref_ladder(density, start=40, max_order=MAX_ORDER, tail_tol=1e-8,
+               direct=None):
     # the per-rung ladder: a fresh Gauss rule and table at every order
     order = min(start, max_order)
     while True:
-        profile = ref_profile(density, order, spec, direct)
+        profile = ref_profile(density, order, direct)
         if profile.tail_bound < tail_tol or order >= max_order:
             return profile
         order = min(2 * order, max_order)
@@ -166,13 +165,13 @@ class TestProfile:
     def test_tail_bound_with_direct_hint_covers_truth(self):
         u = make_uniform()
         direct = chi2_direct(u)
-        prof = hermite_profile(u, 64, direct=direct)
+        prof = distances._profile(u, 64, 64, 0.0, direct)
         partial = sum(v * v for v in prof.values[1:])
         assert CHI2_UNIFORM - partial <= prof.tail_bound
 
     def test_smooth_profile_converges(self):
-        prof = profile_until_converged(normalized_sum_density(make_uniform(), 6),
-                                       tail_tol=1e-8)
+        prof = profile_until_converged(
+            normalized_sum_density(make_uniform(), 6))
         assert prof.tail_bound < 1e-8
 
     def test_order_validation(self):
@@ -213,7 +212,7 @@ class TestLadder:
     def test_short_ladder_matches_per_rung_ladder(self, name, n):
         # a top that is not a doubling of the start
         d = build(name, n)
-        got = profile_until_converged(d, start=6, max_order=100, tail_tol=1e-6)
+        got = distances._profile(d, 6, 100, 1e-6, None)
         want = ref_ladder(d, start=6, max_order=100, tail_tol=1e-6)
         assert got.truncation_order == want.truncation_order
         bound = (rounding_bound(d, 100, want.truncation_order)
@@ -237,7 +236,7 @@ class TestLadder:
         direct = chi2_direct(d) if with_direct else None
         profile_until_converged(wrapped, direct=direct)
         assert degrees == [MAX_ORDER]
-        hermite_profile(wrapped, 30, direct=direct)
+        distances._profile(wrapped, 30, 30, 0.0, direct)
         assert degrees == [MAX_ORDER, 30]
 
     @pytest.mark.parametrize("name,n,stop,stop_with_direct", [
@@ -276,8 +275,7 @@ class TestLadder:
         first = ref_profile(d, start, degree=top)
         partial = math.fsum(a * a for a in first.values[1:])
         hint = Chi2Result(partial * (1.0 - 1e-12), DIRECT_METHOD, None, 0.0)
-        got = profile_until_converged(d, start=start, max_order=top,
-                                      direct=hint)
+        got = distances._profile(d, start, top, 1e-8, hint)
         want = ref_profile(d, start, direct=hint, degree=top)
         assert got.truncation_order == start
         # the normal's a_j are rounding noise, and a gemv of another shape
@@ -286,7 +284,7 @@ class TestLadder:
 
     def test_top_above_hermite_limit_is_refused(self):
         with pytest.raises(DomainError, match="order must be <= 256"):
-            profile_until_converged(make_normal(), max_order=MAX_ORDER + 1)
+            distances._profile(make_normal(), 40, MAX_ORDER + 1, 1e-8, None)
 
     @pytest.mark.parametrize("name,n,order,digest", [
         ("uniform", 1, 8,
@@ -449,6 +447,12 @@ class TestChi2Series:
         assert routes_agree(result(1.0, 0.0), result(1.5, 0.5))
         assert not routes_agree(result(1.0, 0.0), result(1.0 + 2e-6, 0.0))
         assert not routes_agree(result(1.0, 0.4), result(1.5, 0.4))
+        # an infinite series error certifies nothing, not even inf vs inf
+        assert not routes_agree(result(1.0, 0.0), result(1.0, math.inf))
+        assert not routes_agree(result(math.inf, math.inf),
+                                result(1.1, math.inf))
+        assert not routes_agree(result(math.inf, math.inf),
+                                result(math.inf, math.inf))
 
     def test_uniform_cross_method(self):
         direct, series = chi2_both(make_uniform())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chi2norm.errors import AccuracyError, DomainError
-from chi2norm.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from chi2norm.quadrature import integrate
 from chi2norm.verify import _CHI2_UNIFORM
 
 SQRT3 = math.sqrt(3.0)
@@ -36,7 +36,7 @@ class TestBasics:
 
     def test_odd_integrand_symmetric_interval(self):
         val, _ = integrate(lambda x: x * phi(x), (-9.0, 9.0))
-        assert abs(val) <= DEFAULT_SPEC.abs_tol
+        assert abs(val) <= 1e-10
 
 
 class TestBreakpoints:
@@ -60,9 +60,9 @@ class TestBreakpoints:
 
 class TestFailureModes:
     def test_subdivision_starvation_raises(self):
-        spec = QuadratureSpec(max_subdivisions=1)
+        # a divergent integral exhausts every subdivision
         with pytest.raises(AccuracyError) as excinfo:
-            integrate(lambda x: math.cos(200 * x * x), (0.0, 10.0), spec)
+            integrate(lambda x: 1.0 / x, (0.0, 1.0))
         # best estimate still attached
         assert excinfo.value.value is not None
         assert excinfo.value.error_estimate is not None
@@ -72,9 +72,3 @@ class TestFailureModes:
             integrate(phi, (2.0, -2.0))
         with pytest.raises(DomainError):
             integrate(phi, (1.0, 1.0))
-
-    def test_invalid_spec(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_subdivisions=0)
