@@ -51,8 +51,11 @@ class StandardizedDensity:
 
     ``breakpoints`` lists interior points where the density or one of its
     derivatives jumps; quadrature routines split there.  ``exact`` is the
-    rational representation when one exists.  ``gauss_rule(degree)`` gives
-    nodes and weights (density included) exact for polynomials of that degree.
+    rational representation when one exists; the series route reads its
+    Hermite moments from the derivative jumps of that form where their
+    rounding bound allows.  ``gauss_rule(degree)`` gives nodes and weights
+    (density included) exact for polynomials of that degree, the series
+    route's source for every other density and its fallback.
     """
 
     pdf: Callable[[float], float]

@@ -2,12 +2,20 @@
 
 Two independent routes compute the same quantity: a direct integral of
 ``p²/φ − 1`` by adaptive quadrature of the float density, and the Parseval
-sum of squared normalized Hermite moments, every truncation order of one
-ladder read off one exact Gauss rule at its top.  The Hermite table over the
-rule's nodes is filled rung by rung, so a ladder that stops early computes
-no row above its stopping order.
-Keeping both alive is the point; their agreement is the main internal
-consistency check, so neither is ever defined in terms of the other.
+sum of squared normalized Hermite moments over a ladder of truncation
+orders.  Every rung of one ladder reads one row source, filled rung by
+rung, so a ladder that stops early computes no row above its stopping
+order:
+
+* the derivative jumps of an exact piecewise density, integrated by parts,
+  with Hermite rows at its knots only, while the rounding bound they state
+  is at most the least that the Gauss rule below could state;
+* otherwise, from the first rung, one exact Gauss rule at the ladder's top
+  order, with Hermite rows at its nodes.
+
+Keeping both routes alive is the point; their agreement is the main
+internal consistency check, so neither is ever defined in terms of the
+other.
 """
 
 from __future__ import annotations
@@ -46,6 +54,8 @@ _LADDER_START = 40
 _LADDER_TAIL_TOL = 1e-8
 _NOISE_FLOOR = 1e-9
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class HermiteProfile:
@@ -82,15 +92,22 @@ class Chi2Result:
     error_estimate: float
 
 
-def _direct_result(total: float, err: float) -> Chi2Result:
+def _direct_result(total: float, err: float, bounded: bool) -> Chi2Result:
     """``total - 1`` for ``total = ∫ p²/φ``, which is at least
     ``(∫ p)² = 1`` for every density (Cauchy-Schwarz): a total below 1 by
     more than its error estimate means the integral missed mass, and a
-    shortfall within the estimate is clamped to 0."""
+    shortfall within the estimate is clamped to 0.  A ``bounded`` density
+    (bounded, with compact support) has a finite total, so an infinite one
+    means the integrand left the float range."""
     if total < 1.0 - err:
         raise AccuracyError(
             f"direct integral {total:.6g} +- {err:.3g} is below 1, the "
             "least value of the integral of p^2/phi for any density",
+            value=total - 1.0, error_estimate=err)
+    if bounded and not math.isfinite(total):
+        raise AccuracyError(
+            "direct integral is not finite, but the density is bounded with "
+            "compact support: p^2/phi left the float range",
             value=total - 1.0, error_estimate=err)
     return Chi2Result(max(total - 1.0, 0.0), DIRECT_METHOD, None, err)
 
@@ -122,30 +139,97 @@ def _tail_from_window(absvals: np.ndarray, order: int,
     return 4.0 * second * second * r2 / (1.0 - r2)
 
 
-def _profile(density: StandardizedDensity, start: int, top: int,
-             tail_tol: float, direct: Chi2Result | None) -> HermiteProfile:
-    """Profile at the first rung ``N`` of ``start, 2 start, ..., top`` with a
-    tail bound below ``tail_tol``, else at ``top``, from one exact Gauss rule
-    of degree ``top``; the only error is rounding, ``4 N`` ulps per term
-    ``w_i h_j(x_i)`` and one per node of the rule.  Each rung fills and
-    reads only the Hermite rows it adds to the table."""
-    if start < 2:
-        raise DomainError("order must be >= 2")
-    if top > MAX_ORDER:
-        raise DomainError(f"order must be <= {MAX_ORDER}")
-    if density.gauss_rule is None:
-        raise DomainError(f"{density.description}: no Gauss rule for the profile")
+def _gauss_rows(density: StandardizedDensity, top: int):
+    """Row source over the density's Gauss rule of degree ``top``: fills
+    ``values[lo:order + 1]`` and returns the stated rounding error, ``4 N``
+    ulps per term ``w_i h_j(x_i)`` and one per node of the rule."""
     nodes, weights = density.gauss_rule(top)
-    table, values = np.empty((top + 1, len(nodes))), np.empty(top + 1)
+    table = np.empty((top + 1, len(nodes)))
     absw = np.abs(weights)
-    order, done, magnitude = start, 0, 0.0
-    while True:
-        # rows done..order only: a ladder that stops early never reads more
-        block = hermite_row_normalized(order, nodes, table, done)[done:order + 1]
-        values[done:order + 1] = block @ weights
+    magnitude = 0.0
+
+    def fill(lo: int, order: int, values: np.ndarray) -> float:
+        nonlocal magnitude
+        # rows lo..order only: a ladder that stops early never reads more
+        block = hermite_row_normalized(order, nodes, table, lo)[lo:order + 1]
+        values[lo:order + 1] = block @ weights
         # max_j sum_i |w_i h_j(x_i)|, over the rows this rung adds too
         magnitude = max(magnitude, np.max(np.abs(block) @ absw))
-        round_err = float(np.finfo(float).eps * (len(nodes) + 4 * order) * magnitude)
+        return float(_EPS * (len(nodes) + 4 * order) * magnitude)
+
+    return fill
+
+
+def _jump_rows(density: StandardizedDensity, top: int):
+    """Row source from the derivative jumps of an exact density, or ``None``
+    when it has none in the float range or its degree ``d`` reaches
+    ``MAX_ORDER``.
+
+    Integrating by parts ``d + 1`` times, with ``h_m`` integrating to
+    ``h_{m+1} / sqrt(m + 1)``, gives
+    ``a_m = sum_o sum_j (-1)^(j+1) J[o, j] sqrt(m!/(m+j+1)!) h_{m+j+1}(x_o)``,
+    so the Hermite rows are read at the ``K + 1`` knots only, up to
+    ``order + d + 1``.  Each term carries ``4 (m + j + 1)`` ulps for its row,
+    ``j + 3`` for its jump, factorial ratio and products, and ``K (d + 1)``
+    for the sum.  At a rung whose stated error exceeds ``N + 4 order`` ulps,
+    the least that the Gauss rule of degree ``top`` with its ``N`` nodes
+    could state, the source gives up and returns ``None``."""
+    exact = density.exact
+    # d is the largest piece degree, read before any jump is converted
+    if (exact is None or max(map(len, exact.pieces)) > MAX_ORDER
+            or exact.x_jumps is None):
+        return None
+    knots, jump = exact.x_jumps
+    k, d = len(knots) - 1, jump.shape[1] - 1
+    least = exact.gauss_rule_size(top)
+    j = np.arange(d + 1)
+    signed = np.where(j % 2 == 1, jump, -jump)
+    # sqrt(m!/(m+j+1)!) down the rows m, one square root and one division
+    # per step in j
+    m = np.arange(top + 1.0)
+    ratio = np.empty((top + 1, d + 1))
+    ratio[:, 0] = 1.0 / np.sqrt(m + 1.0)
+    for i in range(1, d + 1):
+        ratio[:, i] = ratio[:, i - 1] / np.sqrt(m + i + 1.0)
+    ulps = ratio * (k * (d + 1) + 4 * (m[:, None] + j + 1) + j + 3)
+    table = np.empty((top + d + 2, k + 1))
+    # window[i, o, j] is table[i + j, o]
+    window = np.lib.stride_tricks.sliding_window_view(table, d + 1, axis=0)
+    stated = 0.0
+
+    def fill(lo: int, order: int, values: np.ndarray) -> float | None:
+        nonlocal stated
+        rows = window[lo + 1:order + 2]
+        # rows at far knots may overflow; their bound then fails the test
+        with np.errstate(over="ignore", invalid="ignore"):
+            hermite_row_normalized(order + d + 1, knots, table,
+                                   lo + d + 1 if lo else 0)
+            values[lo:order + 1] = np.einsum("moj,oj,mj->m", rows, signed,
+                                             ratio[lo:order + 1])
+            # max_m sum_{o,j} ulps * |term|; np.max keeps a nan, which
+            # fails the test below like an infinite bound
+            stated = float(np.max(np.einsum(
+                "moj,oj,mj->m", np.abs(rows), np.abs(signed),
+                ulps[lo:order + 1]), initial=stated))
+        round_err = _EPS * stated
+        if not round_err <= _EPS * (least + 4 * order):
+            return None
+        return round_err
+
+    return fill
+
+
+def _ladder(fill, start: int, top: int, tail_tol: float,
+            direct: Chi2Result | None) -> HermiteProfile | None:
+    """Profile at the first rung ``N`` of ``start, 2 start, ..., top`` with a
+    tail bound below ``tail_tol``, else at ``top``; each rung has ``fill``
+    add its rows and state their rounding error, or give up with ``None``."""
+    values = np.empty(top + 1)
+    order, done = start, 0
+    while True:
+        round_err = fill(done, order, values)
+        if round_err is None:
+            return None
         noise_floor = max(10.0 * round_err, _NOISE_FLOOR)
         absvals = np.abs(values[:order + 1])
         tail = _tail_from_window(absvals, order, noise_floor)
@@ -159,6 +243,27 @@ def _profile(density: StandardizedDensity, start: int, top: int,
         if tail < tail_tol or order >= top:
             return HermiteProfile(tuple(values[:order + 1].tolist()), order, tail)
         order, done = min(2 * order, top), order + 1
+
+
+def _profile(density: StandardizedDensity, start: int, top: int,
+             tail_tol: float, direct: Chi2Result | None) -> HermiteProfile:
+    """The ladder of :func:`_ladder` on the density's knot jumps while they
+    state no more rounding error than its Gauss rule of degree ``top``
+    could, else from the start on that rule.  Each rung fills and reads only
+    the Hermite rows it adds."""
+    if start < 2:
+        raise DomainError("order must be >= 2")
+    if top > MAX_ORDER:
+        raise DomainError(f"order must be <= {MAX_ORDER}")
+    if density.gauss_rule is None:
+        raise DomainError(f"{density.description}: no Gauss rule for the profile")
+    jumps = _jump_rows(density, top)
+    profile = None if jumps is None else _ladder(jumps, start, top, tail_tol,
+                                                 direct)
+    if profile is None:
+        profile = _ladder(_gauss_rows(density, top), start, top, tail_tol,
+                          direct)
+    return profile
 
 
 def hermite_profile(density: StandardizedDensity,
@@ -216,12 +321,15 @@ def chi2_direct(density: StandardizedDensity) -> Chi2Result:
     The standard normal returns exactly zero rather than quadrature noise.
     A divergent integral (squared density not dominated by the Gaussian
     weight, or an endpoint singularity past the integrable range) yields an
-    ``inf`` sentinel instead of an exception.
+    ``inf`` sentinel instead of an exception.  Only a density without an
+    exact piecewise form can diverge: an exact one is bounded with compact
+    support, and an infinite total for it raises ``AccuracyError``.
     """
     if density.is_standard_normal:
         return Chi2Result(0.0, DIRECT_METHOD, None, 0.0)
 
     pdf = density.pdf
+    bounded = density.exact is not None
 
     def q(x: float) -> float:
         return _raw_density_ratio(pdf, x)
@@ -233,7 +341,7 @@ def chi2_direct(density: StandardizedDensity) -> Chi2Result:
     except AccuracyError:
         pass
     else:
-        return _direct_result(total, err)
+        return _direct_result(total, err, bounded)
 
     # widen (or un-shrink) the domain stepwise and watch the increments
     totals: list[float] = []
@@ -257,10 +365,9 @@ def chi2_direct(density: StandardizedDensity) -> Chi2Result:
                 value=exc.value, error_estimate=exc.error_estimate) from exc
         totals.append(t)
 
-    verdict = _ladder_verdict(totals)
-    if verdict is not None:
-        return _direct_result(*verdict)
-    return Chi2Result(math.inf, DIRECT_METHOD, None, math.inf)
+    # no verdict: the increments do not shrink, the divergence signature
+    total, err = _ladder_verdict(totals) or (math.inf, math.inf)
+    return _direct_result(total, err, bounded)
 
 
 def chi2_series(profile: HermiteProfile) -> Chi2Result:

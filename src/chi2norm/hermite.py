@@ -8,7 +8,9 @@ The recurrence lives in one place, ``_row``, behind
 :func:`hermite_row_normalized`.
 It writes each row into a table that the caller may own, so a caller that
 needs more rows later resumes from the last two it has, with the same bits
-as one pass from order 0.
+as one pass from order 0.  Row tables reach ``2 MAX_ORDER``: a moment of
+order ``MAX_ORDER`` taken by parts from the derivative jumps of a degree
+``d < MAX_ORDER`` density reads rows up to ``MAX_ORDER + d + 1``.
 """
 
 from __future__ import annotations
@@ -28,11 +30,14 @@ __all__ = [
 
 MAX_ORDER = 256
 
+# the highest row of a table; a single value stops at MAX_ORDER
+_MAX_ROW = 2 * MAX_ORDER
+
 # |alpha^2 + beta^2 - 1| tolerated in the splitting identity.
 _WEIGHT_TOL = 1e-12
 
 # sqrt(k) for every k the recurrence and the factorial products reach
-_SQRT = tuple(math.sqrt(k) for k in range(MAX_ORDER + 2))
+_SQRT = tuple(math.sqrt(k) for k in range(_MAX_ROW + 2))
 
 
 def _check_order(n: int, limit: int = MAX_ORDER) -> None:
@@ -105,9 +110,10 @@ def hermite_row_normalized(n: int, x, table: np.ndarray | None = None,
     with ``top >= n``, the pass fills its rows ``lo..n`` in place, reading
     rows ``lo - 2`` and ``lo - 1`` from an earlier call on the same ``x``,
     and returns ``table``.  Rows outside ``lo..n`` are not touched.  Every
-    row has the same bits whichever ``lo`` the pass resumed from.
+    row has the same bits whichever ``lo`` the pass resumed from.  ``n`` may
+    reach ``2 MAX_ORDER``.
     """
-    _check_order(n)
+    _check_order(n, _MAX_ROW)
     if table is None and lo != 0:
         raise DomainError("a pass from lo > 0 needs the caller's table")
     if table is not None and (table.dtype != float or table.ndim == 0

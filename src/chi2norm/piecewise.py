@@ -23,7 +23,9 @@ the jump of the ``j``-th derivative at knot ``t_i``.  In that form
 
 One running sum over the sorted origins builds the monomial ``pieces`` from
 the jumps.  Float evaluation and the Gauss rule read each piece in Bernstein
-form, converted exactly and rounded once.
+form, converted exactly and rounded once.  :attr:`~PiecewisePolyDensity.x_jumps`
+gives the jumps themselves as floats, in the actual variable, for Hermite
+moments taken by parts.
 
 The exact kernels (Taylor shifts, jump products, the running sum, moments
 and the Bernstein conversion) run on Python ``int`` numerators over one
@@ -43,6 +45,7 @@ and by the integer Hermite coefficients.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,6 +83,16 @@ def _over_common(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """One common denominator of ``values`` and their numerators over it."""
     den = math.lcm(*(v.denominator for v in values))
     return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _root_float(num: int, den: int) -> float:
+    """``sqrt(num / den)`` for positive integers, to a relative 0.75 eps:
+    the ratio is scaled by ``4^-e`` into ``(1/2, 4)``, rounded once, its
+    root rounded once and scaled back by ``2^e`` exactly.  The result may
+    overflow (``OverflowError``) or underflow like any float."""
+    e = (num.bit_length() - den.bit_length()) // 2
+    scaled = num / (den << 2 * e) if e >= 0 else (num << -2 * e) / den
+    return math.ldexp(math.sqrt(scaled), e)
 
 
 def _trim(c: list[int]) -> list[int]:
@@ -300,6 +313,33 @@ class PiecewisePolyDensity:
             table.append(((b - a) / kden, tuple(beta)))
         return table
 
+    @cached_property
+    def x_jumps(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The knots ``x_o`` and the jumps ``J[o, j]`` of the ``j``-th
+        derivative of the density of ``x`` there, shapes ``(K + 1,)`` and
+        ``(K + 1, d + 1)``; ``None`` when a nonzero jump leaves the normal
+        float range.
+
+        The density of ``x = c (t - shift)`` is ``f(t) / c``, so its jump is
+        ``J[t][j] / c^(j+1)`` with ``c^2 = scale_sq`` rational: each entry is
+        the signed root of one exact rational, ``J[t][j]^2 / scale_sq^(j+1)``,
+        to a relative 0.75 eps."""
+        _, jden, table = self._jumps
+        p, q = self.scale_sq.numerator, self.scale_sq.denominator
+        out = np.zeros((len(table), max(map(len, table.values()))))
+        try:
+            for row, o in zip(out, sorted(table)):
+                for j, x in enumerate(table[o]):
+                    if x:
+                        root = _root_float(x * x * q ** (j + 1),
+                                           jden * jden * p ** (j + 1))
+                        if root < sys.float_info.min:
+                            return None
+                        row[j] = math.copysign(root, x)
+        except OverflowError:
+            return None
+        return np.array(self.x_knots()), out
+
     def x_knots(self) -> list[float]:
         return [self.scale * o for o in self._offsets]
 
@@ -350,6 +390,12 @@ class PiecewisePolyDensity:
             nodes.append(self.scale * (off[:, None] + width[:, None] * s))
             weights.append((width / 2.0)[:, None] * w * pdf)
         return np.concatenate(nodes, None), np.concatenate(weights, None)
+
+    def gauss_rule_size(self, degree: int) -> int:
+        """The node count of :meth:`gauss_rule` at ``degree``, known without
+        building the rule."""
+        return sum((len(beta) - 1 + degree) // 2 + 1
+                   for _, beta in self._bernstein if any(beta))
 
     # -- constructions -------------------------------------------------
 

@@ -123,6 +123,25 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"]["type"] == "AccuracyError"
 
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_finite_chi2_beyond_float_range_is_accuracy(self, capsys, n):
+        # chi² of the 1e-200 box mixture is about 1.3e199, finite, but
+        # p²/φ overflows; it printed inf and exited 0
+        code, out, err = invoke(capsys, "chi2", "--dist",
+                                "mixture:1:1e-200,1:1", "--n", n,
+                                "--method", "direct")
+        assert code == EXIT_ACCURACY
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "AccuracyError"
+
+    def test_large_finite_chi2_is_printed(self, capsys):
+        # about 0.1279 / h for the box of half-width h = 1e-20
+        code, out, _ = invoke(capsys, "chi2", "--dist", "mixture:1:1e-20,1:1",
+                              "--method", "direct")
+        assert code == EXIT_OK
+        assert out.splitlines()[2].split()[:2] == ["direct",
+                                                   "1.27915838493e+19"]
+
     def test_bound_needs_values(self, capsys):
         code, _, err = invoke(capsys, "bound", "--n", "3")
         assert code == EXIT_USAGE

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermevander
+from scipy.special import gammaln
 
 from chi2norm.densities import (
     StandardizedDensity,
@@ -93,6 +95,34 @@ def rounding_bound(density: StandardizedDensity, degree: int,
                  * np.max(np.abs(table) @ np.abs(weights)))
 
 
+def jump_rounding_bound(density: StandardizedDensity, order: int) -> float:
+    # the stated rounding bound of the jump route on every a_m, m <= order,
+    # recomputed by other formulas: jumps as float(J / s^k), divided by
+    # sqrt(s) for even j, unnormalized He_n from numpy's recurrence over
+    # sqrt(n!), and sqrt(m!/(m+j+1)!) from log-gamma
+    exact = density.exact
+    kden, jden, table = exact._jumps
+    s, c = exact.scale_sq, exact.scale
+    origins = sorted(table)
+    deg = max(map(len, table.values())) - 1
+    k = len(origins) - 1
+    x = np.array([float(Fraction(o, kden) - exact.shift) * c for o in origins])
+    jump = np.zeros((k + 1, deg + 1))
+    for row, o in zip(jump, origins):
+        for j, v in enumerate(table[o]):
+            row[j] = float(Fraction(v, jden) / s ** ((j + 1) // 2))
+            row[j] /= c if j % 2 == 0 else 1.0
+    top = order + deg + 1
+    h = hermevander(x, top) / np.exp(0.5 * gammaln(np.arange(top + 1) + 1.0))
+    m = np.arange(order + 1)[:, None]
+    j = np.arange(deg + 1)
+    ratio = np.exp(0.5 * (gammaln(m + 1.0) - gammaln(m + j + 2.0)))
+    ulps = k * (deg + 1) + 4 * (m + j + 1) + j + 3
+    # terms[o, m, j] = |J[o, j] sqrt(m!/(m+j+1)!) h_{m+j+1}(x_o)|
+    terms = np.abs(jump[:, None, :] * ratio * h[:, m + j + 1])
+    return float(np.finfo(float).eps * np.max(np.sum(ulps * terms, axis=(0, 2))))
+
+
 def ref_profile(density, order, direct=None, degree=None):
     # the one-rung profile as it stood before the ladders shared one table;
     # with ``degree``, read off the rows <= order of that rule instead
@@ -121,6 +151,32 @@ def ref_ladder(density, start=40, max_order=MAX_ORDER, tail_tol=1e-8,
         if profile.tail_bound < tail_tol or order >= max_order:
             return profile
         order = min(2 * order, max_order)
+
+
+# fixed-order profiles: the digest of the per-rung Gauss-rule profile, then
+# that of the package's profile, from the knot jumps for the uniform
+PINNED_PROFILES = [
+    ("uniform", 1, 8,
+     "fe38aa7ccc7b39fc38529d19a91fed5ce7dc345af3b36c97eea603dd4e168043",
+     "4067e575afb1d8ff18fc616a99324146b48995230049dcf6b11f95637b0ef80c"),
+    ("uniform", 1, 40,
+     "5697493d8b0f588a421517d5ef8facc669bc0c832b9138a216947ff151249ec2",
+     "1d1ac3706e956728f78bd73d63670b5affd856cfbf6306b27f6d31970fe9d8ec"),
+    # the three profiles of `verify stein --dist uniform --n 3`
+    ("uniform", 1, 30,
+     "64d27766b4b457d70291c9bf9a8beb39c36de9dd8424e0231ff16c10e4fbf46d",
+     "83b2ede021b17a43bf049e884af2bd858d88c42d403eecfd785c4dc0451fb551"),
+    ("uniform", 2, 30,
+     "6f8be67e45bbb247e4541f6a7e7050097ad0e4e66b94e4b9e5a6f0e132ce455d",
+     "654408b42deaf2e0f1798709b93bfb7c09e6368a35abb1914e5ec9a85c074338"),
+    ("uniform", 3, 30,
+     "122b3294f900c4c17c636e0632c4a1bc583e71fb09f748e11141c91b56535895",
+     "2dcb2a347e92077c1c2864b02b5be2f5ffb8fcdb80d40dca4807791a55300eb8"),
+    # falls back to the Gauss rule: one digest
+    ("beta:2", 6, 30,
+     "7f360b5f1d215f06cde7900983eae06c0d363b5e9c3f2cbc2a18d7112279ebc2",
+     "7f360b5f1d215f06cde7900983eae06c0d363b5e9c3f2cbc2a18d7112279ebc2"),
+]
 
 
 def profile_digest(profile: HermiteProfile) -> str:
@@ -225,6 +281,9 @@ class TestLadder:
                                         ("beta:2", 3), ("beta:2", 6),
                                         ("normal", 1)])
     def test_one_gauss_rule_per_ladder(self, name, n, with_direct):
+        # densities on the jump route build no rule; the rest build one per
+        # ladder, at its top
+        rules = 1 if (name, n) in (("beta:2", 6), ("normal", 1)) else 0
         d = build(name, n)
         degrees = []
 
@@ -235,16 +294,19 @@ class TestLadder:
         wrapped = dataclasses.replace(d, gauss_rule=counted)
         direct = chi2_direct(d) if with_direct else None
         profile_until_converged(wrapped, direct=direct)
-        assert degrees == [MAX_ORDER]
+        assert degrees == [MAX_ORDER] * rules
         distances._profile(wrapped, 30, 30, 0.0, direct)
-        assert degrees == [MAX_ORDER, 30]
+        assert degrees == [MAX_ORDER, 30] * rules
 
     @pytest.mark.parametrize("name,n,stop,stop_with_direct", [
         ("normal", 1, 40, 40), ("uniform", 7, 80, 40), ("uniform", 6, 80, 80),
         ("mixture:1:1,1:2", 6, 40, 40), ("uniform", 1, 256, 256)])
     def test_rows_computed_once_up_to_the_stop(self, name, n, stop,
                                                stop_with_direct, monkeypatch):
+        # the jump route reads rows 0..stop+d+1 at the knots, the normal's
+        # Gauss rule rows 0..stop at its nodes
         d = build(name, n)
+        reach = 0 if d.exact is None else d.exact.x_jumps[1].shape[1]
         passes = []
 
         def spy(order, x, table=None, lo=0):
@@ -258,55 +320,55 @@ class TestLadder:
             assert got.truncation_order == want
             rows = [j for lo, hi in passes for j in range(lo, hi + 1)]
             # each row once, in order, and none above the stopping rung
-            assert rows == list(range(want + 1))
+            assert rows == list(range(want + reach + 1))
         passes.clear()
         hermite_profile(d, 30)
-        assert passes == [(0, 30)]
+        assert passes == [(0, 30 + reach)]
 
     @pytest.mark.parametrize("name,start,top", [("normal", 40, MAX_ORDER),
                                                 ("mixture:19:1,1:4", 4, 64)])
     def test_rounding_bound_reads_rows_up_to_the_stop(self, name, start, top):
         # a direct value just under the partial sum leaves the rounding term
-        # as the whole stated tail.  It counts 4 ulps per rung order and the
-        # largest row sum among rows <= the stop, both recomputed here from
-        # the same rule; the mixture's largest row sum is at order 7, above
-        # the stop at 4, and 4 * top ulps would inflate both tails
+        # as the whole stated tail.  For the normal's Gauss rule it counts 4
+        # ulps per rung order and the largest row sum among rows <= the
+        # stop, both recomputed here from the same rule.  The mixture takes
+        # the jump route, whose bound is recomputed by jump_rounding_bound;
+        # its largest row bound is at order 53, above the stop at 4, and
+        # reading rows to the top would inflate the tail 3.8x
         d = from_name(name)
         first = ref_profile(d, start, degree=top)
         partial = math.fsum(a * a for a in first.values[1:])
         hint = Chi2Result(partial * (1.0 - 1e-12), DIRECT_METHOD, None, 0.0)
         got = distances._profile(d, start, top, 1e-8, hint)
-        want = ref_profile(d, start, direct=hint, degree=top)
         assert got.truncation_order == start
+        if d.exact is None:
+            want = ref_profile(d, start, direct=hint, degree=top).tail_bound
+        else:
+            want = (2.0 * jump_rounding_bound(d, start)
+                    * math.fsum(abs(a) for a in got.values[1:]))
+            assert jump_rounding_bound(d, top) > 1.9 * jump_rounding_bound(
+                d, start)
         # the normal's a_j are rounding noise, and a gemv of another shape
         # moves their sum by 0.1%; either fault moves the tail 1.9x or more
-        assert got.tail_bound == pytest.approx(want.tail_bound, rel=1e-2, abs=0)
+        assert got.tail_bound == pytest.approx(want, rel=1e-2, abs=0)
 
     def test_top_above_hermite_limit_is_refused(self):
         with pytest.raises(DomainError, match="order must be <= 256"):
             distances._profile(make_normal(), 40, MAX_ORDER + 1, 1e-8, None)
 
-    @pytest.mark.parametrize("name,n,order,digest", [
-        ("uniform", 1, 8,
-         "fe38aa7ccc7b39fc38529d19a91fed5ce7dc345af3b36c97eea603dd4e168043"),
-        ("uniform", 1, 40,
-         "5697493d8b0f588a421517d5ef8facc669bc0c832b9138a216947ff151249ec2"),
-        # the three profiles of `verify stein --dist uniform --n 3`
-        ("uniform", 1, 30,
-         "64d27766b4b457d70291c9bf9a8beb39c36de9dd8424e0231ff16c10e4fbf46d"),
-        ("uniform", 2, 30,
-         "6f8be67e45bbb247e4541f6a7e7050097ad0e4e66b94e4b9e5a6f0e132ce455d"),
-        ("uniform", 3, 30,
-         "122b3294f900c4c17c636e0632c4a1bc583e71fb09f748e11141c91b56535895"),
-        ("beta:2", 6, 30,
-         "7f360b5f1d215f06cde7900983eae06c0d363b5e9c3f2cbc2a18d7112279ebc2"),
-    ])
-    def test_pinned_fixed_order_profiles(self, name, n, order, digest):
-        # digests recorded from the per-rung profile: a fixed-order profile
-        # reads the same rule and table as before, bit for bit
+    # each case's id keeps its Gauss-rule digest, the pin it had first
+    @pytest.mark.parametrize("name,n,order,gauss_digest,digest",
+                             PINNED_PROFILES,
+                             ids=["-".join(map(str, case[:4]))
+                                  for case in PINNED_PROFILES])
+    def test_pinned_fixed_order_profiles(self, name, n, order, gauss_digest,
+                                         digest):
+        # the uniform's profiles come from its knot jumps, pinned when that
+        # route came in; the per-rung Gauss-rule profile keeps its own pin,
+        # and a density that falls back to the rule reads it bit for bit
         prof = hermite_profile(build(name, n), order)
         assert profile_digest(prof) == digest
-        assert profile_digest(ref_profile(build(name, n), order)) == digest
+        assert profile_digest(ref_profile(build(name, n), order)) == gauss_digest
 
 
 class TestGaussRules:
@@ -378,6 +440,82 @@ class TestGaussRules:
             hermite_profile(bare, 8)
 
 
+# the route test's densities: every sum, the lopsided density and the
+# catalog mixtures, then densities whose jumps state a larger rounding bound
+# than the Gauss rule could (or overflow a float, the 1e-200 box at n = 2)
+ROUTE_CASES = (SUMS_34 + [("lopsided", n) for n in (1, 2, 3, 5)]
+               + [(name, 1) for name in CATALOG if name.startswith("mixture")])
+FALLBACK_CASES = [("beta:2", 6), ("beta:2", 12), ("beta:3", 6), ("beta:3", 9),
+                  ("beta:12", 1), ("beta:30", 1), ("mixture:1:1e-200,1:1", 2)]
+
+
+def on_gauss_rule(name: str, n: int, order: int) -> bool:
+    # beta:2 at n = 5 states 671 ulps from its jumps: within the 820 that
+    # the degree-120 rule could state, above the 300 of the degree-40 one
+    if name == "beta:2":
+        return n >= 6 or (n == 5 and order == 40)
+    if name == "beta:3":
+        return n >= 3
+    return name in ("beta:12", "beta:30", "mixture:1:1e-200,1:1")
+
+
+class TestRoutes:
+    """Each fixed-order profile against the exact moments, within the
+    rounding bound of the route that ran."""
+
+    @pytest.mark.parametrize("name,n", ROUTE_CASES + FALLBACK_CASES)
+    def test_within_stated_bound_of_exact_moments(self, name, n):
+        d = build(name, n)
+        # the 1e-200 box's exact order-120 moments take 11 s
+        orders = (40,) if name.startswith("mixture:1:1e-200") else (40, 120)
+        want = exact_profile(d.exact, orders[-1])
+        for order in orders:
+            degrees = []
+
+            def counted(degree):
+                degrees.append(degree)
+                return d.gauss_rule(degree)
+
+            got = hermite_profile(dataclasses.replace(d, gauss_rule=counted),
+                                  order).values
+            assert bool(degrees) == on_gauss_rule(name, n, order), order
+            if d.exact.x_jumps is not None:
+                # the jump route runs exactly when its bound is at most the
+                # least that the Gauss rule of this degree could state
+                least = np.finfo(float).eps * (
+                    d.exact.gauss_rule_size(order) + 4 * order)
+                assert (jump_rounding_bound(d, order) <= least) != bool(degrees)
+            bound = (rounding_bound(d, order, order) if degrees
+                     else jump_rounding_bound(d, order))
+            assert max(abs(a - b) for a, b in zip(got, want)) <= bound, order
+
+
+    def test_giving_up_mid_ladder_restarts_on_the_rule(self, monkeypatch):
+        # a jump source that gives up at its second rung leaves the whole
+        # ladder to the Gauss rule, from the first rung
+        d = build("uniform", 6)
+        real = distances._jump_rows
+
+        def first_rung_only(density, top):
+            fill = real(density, top)
+            return lambda lo, order, values: (
+                fill(lo, order, values) if lo == 0 else None)
+
+        monkeypatch.setattr(distances, "_jump_rows", first_rung_only)
+        got = profile_until_converged(d)
+        assert got.truncation_order == 80
+        assert got == distances._ladder(distances._gauss_rows(d, MAX_ORDER),
+                                        40, MAX_ORDER, 1e-8, None)
+
+    def test_rows_beyond_float_range_give_up(self):
+        # knots near 1.2e10: the Hermite rows at them overflow by order 30
+        # and turn to nan, and the jump source must not state a bound
+        d = from_name("mixture:1/100000000000000000000:10000000000,1:1")
+        assert max(d.exact.x_knots()) > 1e10
+        fill = distances._jump_rows(d, 40)
+        assert fill(0, 40, np.empty(41)) is None
+
+
 class TestChi2Direct:
     def test_uniform_value(self):
         res = chi2_direct(make_uniform())
@@ -408,6 +546,14 @@ class TestChi2Direct:
         res = chi2_direct(make_scaled_beta(shape))
         assert math.isinf(res.value)
         assert math.isinf(res.error_estimate)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_exact_density_beyond_float_range_is_refused(self, n):
+        # chi² is about 0.128 / h for the box of half-width h, 1.3e199 here:
+        # finite, as for every exact density, but p²/φ overflows
+        d = build("mixture:1:1e-200,1:1", n)
+        with pytest.raises(AccuracyError, match="bounded with compact support"):
+            chi2_direct(d)
 
     def test_mass_deficit_is_refused(self):
         # the integral of p²/φ is at least 1 for a density, so a total of

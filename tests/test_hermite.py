@@ -70,6 +70,15 @@ class TestEvaluation:
     def test_high_order_normalized_is_finite(self):
         assert math.isfinite(hermite_row_normalized(256, 6.0)[256])
 
+    def test_rows_reach_twice_max_order(self):
+        # a profile of order MAX_ORDER read by parts from the jumps of a
+        # degree MAX_ORDER - 1 density reads rows up to 2 MAX_ORDER
+        row = hermite_row_normalized(2 * MAX_ORDER, 6.0)
+        assert len(row) == 2 * MAX_ORDER + 1
+        assert np.all(np.isfinite(row))
+        with pytest.raises(CapacityError):
+            hermite_row_normalized(2 * MAX_ORDER + 1, 0.0)
+
     def test_max_order_row_finite_in_far_tail(self):
         # the normal density's profile integrand reaches |x| = 40
         for x in (-40.0, 40.0):

@@ -433,6 +433,51 @@ class TestGaussRule:
         assert not np.any((nodes > lo) & (nodes < hi))
 
 
+    @pytest.mark.parametrize("degree", [0, 8, 40, 256])
+    def test_rule_size_without_building(self, degree):
+        for d in (mixed_degrees(), lopsided(),
+                  *(from_name(name).exact.normalized_sum(n)
+                    for name, n in SUMS_34)):
+            assert d.gauss_rule_size(degree) == len(d.gauss_rule(degree)[0])
+
+
+class TestFloatJumps:
+    """The jumps of the density of ``x``, one float per exact jump."""
+
+    @pytest.mark.parametrize("name,n", [*SUMS_34, ("lopsided", 1),
+                                        ("mixed-degrees", 1)])
+    def test_entries_within_three_quarter_ulp(self, name, n):
+        d = {"lopsided": lopsided, "mixed-degrees": mixed_degrees}.get(
+            name, lambda: from_name(name).exact.normalized_sum(n))()
+        knots, jumps = d.x_jumps
+        assert knots.tolist() == d.x_knots()
+        exact = jumps_as_fractions(d)
+        assert jumps.shape == (len(exact), max(map(len, exact.values())))
+        for row, (_, jt) in zip(jumps, sorted(exact.items())):
+            for j, got in enumerate(row):
+                want = jt[j] if j < len(jt) else 0
+                if want == 0:
+                    assert got == 0.0
+                    continue
+                # got = J / c^(j+1), c^2 = scale_sq: compare the squares
+                square = want * want / d.scale_sq ** (j + 1)
+                assert (got > 0) == (want > 0)
+                rel = Fraction(got) ** 2 / square - 1
+                assert abs(rel) <= 1.5 * np.finfo(float).eps, (j, float(rel))
+
+    def test_out_of_float_range_is_none(self):
+        # the triangle of two 1e-200 boxes has slope jumps near 1e399, and a
+        # box of height 1e-320 has jumps below the normal floats
+        wide = from_name("mixture:1:1e-200,1:1").exact
+        assert wide.x_jumps is not None
+        assert wide.normalized_sum(2).x_jumps is None
+        faint = PiecewisePolyDensity(
+            knots=(Fraction(0), Fraction(1)),
+            pieces=((Fraction(1, 10 ** 320),),),
+            scale_sq=Fraction(1), shift=Fraction(0))
+        assert faint.x_jumps is None
+
+
 class TestFractionReference:
     """The integer kernels agree with the Fraction ones, Fraction for
     Fraction."""
