@@ -56,7 +56,6 @@ from .hermite import (
     addition_formula_eval,
     hermite_eval,
 )
-from .quadrature import integrate
 from .subgaussian import (
     ThresholdResult,
     hermite_mgf_identity_check,
@@ -104,7 +103,6 @@ __all__ = [
     "hermite_eval",
     "hermite_mgf_identity_check",
     "hermite_profile",
-    "integrate",
     "load_config",
     "maclaurin_check",
     "make_mixture",

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .constants import BASIC_SET, SYMMETRIC_SET, C_of_p
 from .distances import HermiteProfile
@@ -97,7 +96,8 @@ def stein_recurrence_rhs(profiles: list[HermiteProfile],
         _require_order(leaveout_profiles[k], m - 1, f"leave-one-out {k}")
 
     j = np.arange(1, m + 1, dtype=float)
-    log_binom = gammaln(m + 1.0) - gammaln(j + 1.0) - gammaln(m - j + 1.0)
+    log_binom = np.array([math.lgamma(m + 1.0) - math.lgamma(i + 1.0)
+                          - math.lgamma(m - i + 1.0) for i in range(1, m + 1)])
     pieces: list[float] = []
     for k in range(n):
         q = variances.sigma_sq[k]

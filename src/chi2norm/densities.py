@@ -15,10 +15,10 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_hermitenorm, roots_jacobi
 
 from .errors import CapacityError, DomainError
 from .piecewise import PiecewisePolyDensity
+from .quadrature import Panels, hermite_rule, jacobi_rule
 
 __all__ = [
     "StandardizedDensity",
@@ -49,23 +49,24 @@ def _phi(x: float) -> float:
 class StandardizedDensity:
     """A density with mean 0 and variance 1, plus evaluation metadata.
 
-    ``breakpoints`` lists interior points where the density or one of its
-    derivatives jumps; quadrature routines split there.  ``exact`` is the
-    rational representation when one exists; the series route reads its
-    Hermite moments from the derivative jumps of that form where their
-    rounding bound allows.  ``gauss_rule(degree)`` gives nodes and weights
-    (density included) exact for polynomials of that degree, the series
-    route's source for every other density and its fallback.
+    ``exact`` is the rational representation when one exists; the series
+    route reads its Hermite moments from the derivative jumps of that form
+    where their rounding bound allows.  ``gauss_rule(degree)`` gives nodes
+    and weights (density included) exact for polynomials of that degree,
+    the series route's source for every other density and its fallback.
+    ``panels()`` writes the density panel by panel for the rule sums of the
+    direct route and the MGF; the normal, whose values there are closed
+    forms, has none.
     """
 
     pdf: Callable[[float], float]
     support: tuple[float, float]
     symmetric: bool
     description: str
-    breakpoints: tuple[float, ...] = ()
     exact: PiecewisePolyDensity | None = None
     is_standard_normal: bool = False
     gauss_rule: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None
+    panels: Callable[[], Panels] | None = None
 
     def __call__(self, x: float) -> float:
         return self.pdf(x)
@@ -75,15 +76,14 @@ def _wrap_exact(d: PiecewisePolyDensity, description: str,
                 symmetric: bool | None = None) -> StandardizedDensity:
     """Float-facing wrapper; ``symmetric`` is checked exactly unless given."""
     lo, hi = d.support()
-    inner = tuple(d.x_knots()[1:-1])
     return StandardizedDensity(
         pdf=d.evaluate,
         support=(lo, hi),
         symmetric=d.is_symmetric() if symmetric is None else symmetric,
         description=description,
-        breakpoints=inner,
         exact=d,
         gauss_rule=d.gauss_rule,
+        panels=lambda: Panels(*d.panel_layout, values=d.panel_values),
     )
 
 
@@ -134,6 +134,8 @@ def make_scaled_beta(shape: float | Fraction) -> StandardizedDensity:
 
     c = math.sqrt(float(scale_sq))
     half = c / 2.0
+    # x = half s: the density of x is (1 - s²)^(a-1) level, one panel
+    level = math.exp(log_norm - (af - 1.0) * math.log(4.0)) / (2.0 * half)
 
     def pdf(x: float) -> float:
         t = x / c + 0.5
@@ -142,9 +144,13 @@ def make_scaled_beta(shape: float | Fraction) -> StandardizedDensity:
         return math.exp(log_norm + (af - 1.0) * math.log(t * (1.0 - t))) / c
 
     def gauss_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-        # x = half s, density (1 - s²)^(a-1) e^log_norm 4^(1-a) / 2 in s
-        s, w = roots_jacobi(degree // 2 + 1, af - 1.0, af - 1.0)
-        return half * s, w * math.exp(log_norm - (af - 1.0) * math.log(4.0)) / 2
+        s, w = jacobi_rule(degree // 2 + 1, af - 1.0)
+        return half * s, w * (level * half)
+
+    def panels() -> Panels:
+        return Panels(np.zeros(1), np.array([half]), np.zeros(1),
+                      np.array([level]),
+                      lambda s: np.full((1, len(s)), level), af - 1.0)
 
     return StandardizedDensity(
         pdf=pdf,
@@ -152,12 +158,12 @@ def make_scaled_beta(shape: float | Fraction) -> StandardizedDensity:
         symmetric=True,
         description=f"beta:{af:g}",
         gauss_rule=gauss_rule,
+        panels=panels,
     )
 
 
 def _normal_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = roots_hermitenorm(degree // 2 + 1)
-    return nodes, weights * _INV_SQRT_2PI
+    return hermite_rule(degree // 2 + 1)
 
 
 def make_normal() -> StandardizedDensity:

@@ -1,11 +1,11 @@
 """Divergence from a standardized density to the standard normal.
 
 Two independent routes compute the same quantity: a direct integral of
-``p²/φ − 1`` by adaptive quadrature of the float density, and the Parseval
-sum of squared normalized Hermite moments over a ladder of truncation
-orders.  Every rung of one ladder reads one row source, filled rung by
-rung, so a ladder that stops early computes no row above its stopping
-order:
+``p²/φ − 1`` as one Gauss-rule sum with a stated error bound (see
+:mod:`~chi2norm.quadrature`), and the Parseval sum of squared normalized
+Hermite moments over a ladder of truncation orders.  Every rung of one
+ladder reads one row source, filled rung by rung, so a ladder that stops
+early computes no row above its stopping order:
 
 * the derivative jumps of an exact piecewise density, integrated by parts,
   with Hermite rows at its knots only, while the rounding bound they state
@@ -28,7 +28,7 @@ import numpy as np
 from .densities import StandardizedDensity
 from .errors import AccuracyError, DomainError
 from .hermite import MAX_ORDER, hermite_row_normalized
-from .quadrature import integrate
+from .quadrature import rule_sum
 
 __all__ = [
     "HermiteProfile",
@@ -46,7 +46,8 @@ __all__ = [
 DIRECT_METHOD = "direct-integral"
 SERIES_METHOD = "parseval-series"
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# p²/φ = p² exp(log sqrt(2 pi) + x²/2)
+_CHI2_KERNEL = (0.5 * math.log(2.0 * math.pi), 0.0, 0.5)
 
 # the series ladder: first rung, tail bound that stops it, and the amplitude
 # below which the window certifies neither decay nor growth
@@ -92,24 +93,25 @@ class Chi2Result:
     error_estimate: float
 
 
-def _direct_result(total: float, err: float, bounded: bool) -> Chi2Result:
+def _direct_result(total: float, err: float) -> Chi2Result:
     """``total - 1`` for ``total = ∫ p²/φ``, which is at least
     ``(∫ p)² = 1`` for every density (Cauchy-Schwarz): a total below 1 by
-    more than its error estimate means the integral missed mass, and a
-    shortfall within the estimate is clamped to 0.  A ``bounded`` density
-    (bounded, with compact support) has a finite total, so an infinite one
-    means the integrand left the float range."""
+    more than its error estimate means the sum missed mass, and a shortfall
+    within the estimate is clamped to 0.  Every density with a rule sum has
+    a finite total, so an infinite one means the integrand left the float
+    range.  The subtraction adds one rounding of the result."""
     if total < 1.0 - err:
         raise AccuracyError(
             f"direct integral {total:.6g} +- {err:.3g} is below 1, the "
             "least value of the integral of p^2/phi for any density",
             value=total - 1.0, error_estimate=err)
-    if bounded and not math.isfinite(total):
+    if not math.isfinite(total):
         raise AccuracyError(
             "direct integral is not finite, but the density is bounded with "
-            "compact support: p^2/phi left the float range",
-            value=total - 1.0, error_estimate=err)
-    return Chi2Result(max(total - 1.0, 0.0), DIRECT_METHOD, None, err)
+            "compact support, or a beta of shape above 1/2: p^2/phi left "
+            "the float range", value=total - 1.0, error_estimate=err)
+    value = max(total - 1.0, 0.0)
+    return Chi2Result(value, DIRECT_METHOD, None, err + _EPS * value)
 
 
 def _tail_from_window(absvals: np.ndarray, order: int,
@@ -150,11 +152,14 @@ def _gauss_rows(density: StandardizedDensity, top: int):
 
     def fill(lo: int, order: int, values: np.ndarray) -> float:
         nonlocal magnitude
-        # rows lo..order only: a ladder that stops early never reads more
-        block = hermite_row_normalized(order, nodes, table, lo)[lo:order + 1]
-        values[lo:order + 1] = block @ weights
-        # max_j sum_i |w_i h_j(x_i)|, over the rows this rung adds too
-        magnitude = max(magnitude, np.max(np.abs(block) @ absw))
+        # rows lo..order only: a ladder that stops early never reads more;
+        # rows at far nodes may overflow to nan, which _ladder refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = hermite_row_normalized(order, nodes, table,
+                                           lo)[lo:order + 1]
+            values[lo:order + 1] = block @ weights
+            # max_j sum_i |w_i h_j(x_i)|, over the rows this rung adds too
+            magnitude = max(magnitude, np.max(np.abs(block) @ absw))
         return float(_EPS * (len(nodes) + 4 * order) * magnitude)
 
     return fill
@@ -223,13 +228,19 @@ def _ladder(fill, start: int, top: int, tail_tol: float,
             direct: Chi2Result | None) -> HermiteProfile | None:
     """Profile at the first rung ``N`` of ``start, 2 start, ..., top`` with a
     tail bound below ``tail_tol``, else at ``top``; each rung has ``fill``
-    add its rows and state their rounding error, or give up with ``None``."""
+    add its rows and state their rounding error, or give up with ``None``.
+    A value or error that is not finite raises ``AccuracyError``."""
     values = np.empty(top + 1)
     order, done = start, 0
     while True:
         round_err = fill(done, order, values)
         if round_err is None:
             return None
+        if not (math.isfinite(round_err)
+                and np.all(np.isfinite(values[done:order + 1]))):
+            raise AccuracyError(
+                f"Hermite profile is not finite by order {order}: the rows "
+                "at the rule's nodes left the float range")
         noise_floor = max(10.0 * round_err, _NOISE_FLOOR)
         absvals = np.abs(values[:order + 1])
         tail = _tail_from_window(absvals, order, noise_floor)
@@ -283,91 +294,26 @@ def profile_until_converged(density: StandardizedDensity,
                     direct)
 
 
-def _raw_density_ratio(pdf, x: float) -> float:
-    px = pdf(x)
-    if px == 0.0:
-        return 0.0
-    if not px > 0.0:
-        # a density that evaluates below zero (a caller-built pdf, or
-        # rounding in one) cannot carry a certified value
-        raise AccuracyError(f"density evaluated to {px:.3e} at x = {x:.6g}")
-    log_ratio = 2.0 * math.log(px) + 0.5 * x * x + _LOG_SQRT_2PI
-    return math.exp(log_ratio) if log_ratio < 700.0 else math.inf
-
-
-def _ladder_verdict(totals: list[float]) -> tuple[float, float] | None:
-    """Extrapolate a sequence of widening integrals, or report divergence.
-
-    Returns ``(limit, error)`` when the increments contract geometrically
-    (an integrable endpoint singularity gives a constant contraction ratio
-    on a decade ladder) and ``None`` when they do not shrink, which is the
-    divergence signature.
-    """
-    d1 = totals[-2] - totals[-3]
-    d2 = totals[-1] - totals[-2]
-    scale = max(1.0, abs(totals[-1]))
-    if abs(d2) <= 1e-9 * scale:
-        return totals[-1], 3.0 * abs(d2) + 1e-12 * scale
-    if d2 > 0.0 and d1 > 0.0 and d2 < 0.9 * d1:
-        rho = d2 / d1
-        remaining = d2 * rho / (1.0 - rho)
-        return totals[-1] + remaining, 2.0 * remaining
-    return None
-
-
 def chi2_direct(density: StandardizedDensity) -> Chi2Result:
-    """``∫ p²/φ − 1`` by adaptive quadrature.
+    """``∫ p²/φ − 1`` as one Gauss-rule sum over the density's panels, with
+    its stated error: truncation bound plus rounding.
 
-    The standard normal returns exactly zero rather than quadrature noise.
-    A divergent integral (squared density not dominated by the Gaussian
-    weight, or an endpoint singularity past the integrable range) yields an
-    ``inf`` sentinel instead of an exception.  Only a density without an
-    exact piecewise form can diverge: an exact one is bounded with compact
-    support, and an infinite total for it raises ``AccuracyError``.
+    The standard normal returns exactly zero.  A non-integer beta of shape
+    ``a <= 1/2`` has ``p²/φ`` not integrable at its edges (DLMF §5.12) and
+    yields the ``inf`` sentinel.  Every other density has a finite value,
+    and an infinite total for it raises ``AccuracyError``; so does a sum
+    whose bound needs more nodes than the rule sums allow.  A density
+    without panels is refused with ``DomainError``.
     """
     if density.is_standard_normal:
         return Chi2Result(0.0, DIRECT_METHOD, None, 0.0)
-
-    pdf = density.pdf
-    bounded = density.exact is not None
-
-    def q(x: float) -> float:
-        return _raw_density_ratio(pdf, x)
-
-    lo, hi = density.support
-    finite = math.isfinite(lo) and math.isfinite(hi)
-    try:
-        total, err = integrate(q, density.support, density.breakpoints)
-    except AccuracyError:
-        pass
-    else:
-        return _direct_result(total, err, bounded)
-
-    # widen (or un-shrink) the domain stepwise and watch the increments
-    totals: list[float] = []
-    if finite:
-        span = hi - lo
-        rungs = [(lo + eps * span, hi - eps * span)
-                 for eps in (10.0 ** (-k) for k in range(3, 10))]
-    else:
-        rungs = [(max(lo, -r), min(hi, r))
-                 for r in (8.0, 12.0, 16.0, 24.0, 32.0, 40.0)]
-    for a, b in rungs:
-        try:
-            t, _ = integrate(q, (a, b), density.breakpoints)
-        except AccuracyError as exc:
-            # the rung closest to the trouble spot can itself overwhelm the
-            # quadrature; classify from the rungs that did converge
-            if len(totals) >= 3:
-                break
-            raise AccuracyError(
-                f"direct integral failed even on the shrunk domain: {exc}",
-                value=exc.value, error_estimate=exc.error_estimate) from exc
-        totals.append(t)
-
-    # no verdict: the increments do not shrink, the divergence signature
-    total, err = _ladder_verdict(totals) or (math.inf, math.inf)
-    return _direct_result(total, err, bounded)
+    if density.panels is None:
+        raise DomainError(
+            f"{density.description}: no rule for the direct route")
+    panels = density.panels()
+    if not 2.0 * panels.lam > -1.0:
+        return Chi2Result(math.inf, DIRECT_METHOD, None, math.inf)
+    return _direct_result(*rule_sum(panels, 2, _CHI2_KERNEL, None))
 
 
 def chi2_series(profile: HermiteProfile) -> Chi2Result:

@@ -56,7 +56,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainError
 
@@ -153,6 +152,26 @@ def _pieces(jumps: Jumps) -> tuple[tuple[Fraction, ...], tuple[Poly, ...]]:
             acc[i] += c
         pieces.append(tuple(Fraction(c, den) for c in _trim(acc[:])))
     return tuple(Fraction(o, kden) for o in origins), tuple(pieces)
+
+
+def _bernstein_at(d: int, beta: np.ndarray,
+                  xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``s = (1 + xi) / 2`` and the Bernstein forms of degree ``d`` with
+    coefficients ``beta`` (one row per piece) at ``s``, shape
+    ``(pieces, len(xi))``, in the dtype of ``xi``: Horner in the ratio of
+    the smaller to the larger of ``s`` and ``1 - s``, as
+    :meth:`PiecewisePolyDensity.evaluate` does."""
+    s, s1 = (1.0 + xi) / 2.0, (1.0 - xi) / 2.0
+    left = s <= s1
+    far = np.where(left, s1, s)
+    ratio = np.where(left, s, s1) / far
+    # Horner's coefficient k, highest first, per piece and node
+    coeffs = np.where(left, beta[:, :, None],
+                      beta[:, ::-1, None]).astype(xi.dtype)
+    acc = coeffs[:, d]
+    for k in range(d - 1, -1, -1):
+        acc = acc * ratio + coeffs[:, k]
+    return s, far ** d * acc
 
 
 @dataclass(frozen=True)
@@ -364,6 +383,17 @@ class PiecewisePolyDensity:
             acc = acc * ratio + c
         return acc * (far / width) ** (len(beta) - 1) / self.scale
 
+    @cached_property
+    def _runs(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """The nonzero pieces in order, by run of one degree: ``d`` and the
+        arrays of widths, offsets and Bernstein coefficients ``(run, d + 1)``;
+        shared, never mutated."""
+        kept = [(len(beta) - 1, width, off, beta)
+                for (width, beta), off in zip(self._bernstein, self._offsets)
+                if any(beta)]
+        return [(d, *(np.array(c) for c in list(zip(*run))[1:]))
+                for d, run in groupby(kept, key=itemgetter(0))]
+
     def gauss_rule(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights, the density folded in, that integrate every
         polynomial of degree ``degree`` exactly up to rounding: enough
@@ -374,22 +404,36 @@ class PiecewisePolyDensity:
         so each run of them is one broadcast pass, ``(pieces, nodes)``, with
         every value the same float operations as on its piece alone; pieces
         that are zero are skipped and the rest keep their order."""
-        kept = [(len(beta) - 1, width, off, beta)
-                for (width, beta), off in zip(self._bernstein, self._offsets)
-                if any(beta)]
         nodes, weights = [], []
-        for d, run in groupby(kept, key=itemgetter(0)):
-            _, width, off, beta = (np.array(c) for c in zip(*run))
+        for d, width, off, beta in self._runs:
             xi, w = _legendre((d + degree) // 2 + 1)
-            s, s1 = (1.0 + xi) / 2.0, (1.0 - xi) / 2.0
-            far = np.maximum(s, s1)
-            ratio = np.minimum(s, s1) / far
-            # polyval reads the coefficients down the first axis: (d+1, run)
-            pdf = far ** d * np.where(s <= s1, polyval(ratio, beta.T),
-                                      polyval(ratio, beta.T[::-1]))
+            s, pdf = _bernstein_at(d, beta, xi)
             nodes.append(self.scale * (off[:, None] + width[:, None] * s))
             weights.append((width / 2.0)[:, None] * w * pdf)
         return np.concatenate(nodes, None), np.concatenate(weights, None)
+
+    @cached_property
+    def panel_layout(self) -> tuple[np.ndarray, ...]:
+        """Every nonzero piece as a panel ``x = center + half s``, ``s`` in
+        ``[-1, 1]``: the centers, half-lengths, degrees and absolute sums of
+        the Bernstein coefficients of the density of ``x`` (divided by the
+        scale), in :meth:`gauss_rule`'s order."""
+        width, off, degree, coef_sum = (np.concatenate(c) for c in zip(*(
+            (width, off, np.full(len(width), d), np.sum(np.abs(beta), axis=1))
+            for d, width, off, beta in self._runs)))
+        return (self.scale * (off + width / 2.0), self.scale * width / 2.0,
+                degree, coef_sum / self.scale)
+
+    def panel_values(self, xi: np.ndarray) -> np.ndarray:
+        """The density of ``x`` at ``s = xi`` on every panel of
+        :attr:`panel_layout`, shape ``(panels, len(xi))``: :meth:`gauss_rule`'s
+        Horner scheme, run in ``numpy.longdouble`` (64 mantissa bits on x86)
+        and rounded once to a float.  In floats, the recurrence alone moved
+        the chi-square of beta:3 at n = 6 (degree 29) by 1.1e-15."""
+        xi = np.asarray(xi, dtype=np.longdouble)
+        return np.concatenate([_bernstein_at(d, beta, xi)[1]
+                               for d, _, _, beta in self._runs]
+                              ).astype(float) / self.scale
 
     def gauss_rule_size(self, degree: int) -> int:
         """The node count of :meth:`gauss_rule` at ``degree``, known without
@@ -420,7 +464,9 @@ class PiecewisePolyDensity:
         """Density of ``(X_1 + ... + X_n) / sqrt(n)`` for iid copies.
 
         The ``n - 1`` jump products run in a plain loop (binary powering
-        measured slower in this form), and pieces are built once.
+        measured slower in this form), pieces are built once, and the
+        product becomes the new density's jump table, which is not rebuilt
+        from the pieces.
         """
         if n < 1:
             raise DomainError("n must be >= 1")
@@ -429,5 +475,15 @@ class PiecewisePolyDensity:
         for _ in range(n - 1):
             acc = _jump_product(acc, base)
         knots, polys = _pieces(Jumps(kden, jden ** n, acc))
-        return PiecewisePolyDensity(knots, polys, self.scale_sq / n,
-                                    self.shift * n)
+        out = PiecewisePolyDensity(knots, polys, self.scale_sq / n,
+                                   self.shift * n)
+        # the product is the sum's own jump table once it is put in the
+        # form _jumps builds: lists trimmed, the knot denominator reduced.
+        # The jumps need no reduction: for a prime p dividing jden, the
+        # base's jumps are not all 0 mod p, and the jump product is a
+        # polynomial product, which has no zero divisors mod p
+        k = math.gcd(kden, *acc)
+        vars(out)["_jumps"] = Jumps(kden // k, jden ** n,
+                                    {o // k: _trim(jo[:])
+                                     for o, jo in acc.items()})
+        return out

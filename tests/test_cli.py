@@ -8,10 +8,12 @@ import graphlib
 import io
 import json
 import math
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chi2norm import bounds, cli, config
@@ -21,6 +23,7 @@ from chi2norm.config import (CONFIG_ENV_VAR, RunConfig, load_config,
 from chi2norm.constants import g, g_sym
 from chi2norm.densities import StandardizedDensity
 from chi2norm.errors import DomainError
+from chi2norm.quadrature import Panels
 from conftest import CHI2_UNIFORM_SUM_2
 
 
@@ -60,11 +63,16 @@ class TestExitCodes:
         assert record["error"]["type"] == "CapacityError"
 
     def test_negative_density_is_accuracy(self, capsys, monkeypatch):
-        # a density whose pdf goes negative near its support ends: the
-        # direct route refuses instead of raising a raw traceback
+        # a density whose values go negative near its support ends, on one
+        # panel [-1, 1]: the direct route refuses instead of raising a raw
+        # traceback
+        panels = Panels(np.zeros(1), np.ones(1), np.full(1, 2.0),
+                        np.full(1, 1.1),
+                        lambda s: (0.5 - 0.6 * s * s)[None, :])
         bad = StandardizedDensity(pdf=lambda x: 0.5 - 0.6 * x * x,
                                   support=(-1.0, 1.0), symmetric=True,
-                                  description="negative-tails")
+                                  description="negative-tails",
+                                  panels=lambda: panels)
         monkeypatch.setattr(cli, "from_name", lambda name: bad)
         code, out, err = invoke(capsys, "chi2", "--dist", "negative-tails",
                                 "--method", "direct")
@@ -74,12 +82,10 @@ class TestExitCodes:
         record = json.loads(err)
         assert record["error"]["kind"] == "accuracy"
         assert record["error"]["type"] == "AccuracyError"
-        # the record states the cause: the failed ladder rung's own message
+        # the record states the cause: the value at the offending node
         message = record["error"]["message"]
-        assert message.startswith(
-            "direct integral failed even on the shrunk domain: "
-            "density evaluated to -")
-        assert " at x = " in message
+        assert message.startswith("density evaluated to -")
+        assert message.endswith(" at a rule node")
 
     def test_uniform_sum_direct_certifies(self, capsys):
         # the n = 10 uniform sum's pdf stays positive up to its support
@@ -115,21 +121,36 @@ class TestExitCodes:
         assert json.loads(err)["error"]["type"] == "DomainError"
 
     @pytest.mark.parametrize("method", ["direct", "both"])
-    def test_missed_edge_mass_is_accuracy(self, capsys, method):
-        # the quadrature converges near 0 where the divergence is infinite
+    def test_divergent_beta_prints_inf(self, capsys, method):
+        # shape 1e-10 <= 1/2: p²/φ is not integrable at the edges, and the
+        # Jacobi weight's exponent says so before any node is read
         code, out, err = invoke(capsys, "chi2", "--dist", "beta:1e-10",
                                 "--method", method)
+        assert code == EXIT_OK
+        assert err == ""
+        assert out.splitlines()[2].split()[:3] == ["direct", "inf", "inf"]
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_finite_chi2_beyond_float_range_is_accuracy(self, capsys, n):
+        # a 1/1001 share of a box 40 wide puts knots near x = 43, where
+        # e^(x²/2) passes 1e400: chi² is finite but leaves the float range,
+        # in the sum (n = 2) before the rule's bound can be met
+        code, out, err = invoke(capsys, "chi2", "--dist",
+                                "mixture:1/1000:40,1:1", "--n", n,
+                                "--method", "direct")
         assert code == EXIT_ACCURACY
         assert out == ""
         assert json.loads(err)["error"]["type"] == "AccuracyError"
 
-    @pytest.mark.parametrize("n", ["1", "2"])
-    def test_finite_chi2_beyond_float_range_is_accuracy(self, capsys, n):
-        # chi² of the 1e-200 box mixture is about 1.3e199, finite, but
-        # p²/φ overflows; it printed inf and exited 0
-        code, out, err = invoke(capsys, "chi2", "--dist",
-                                "mixture:1:1e-200,1:1", "--n", n,
-                                "--method", "direct")
+    @pytest.mark.parametrize("method", ["direct", "series"])
+    def test_far_knots_are_accuracy(self, capsys, method):
+        # knots near x = 1.2e10: the direct bound needs more nodes than the
+        # rule sums allow, and the series rows overflow to nan; both refuse
+        # with exit 3, not a usage error after overflow warnings
+        code, out, err = invoke(
+            capsys, "chi2", "--dist",
+            "mixture:1/100000000000000000000:10000000000,1:1",
+            "--method", method)
         assert code == EXIT_ACCURACY
         assert out == ""
         assert json.loads(err)["error"]["type"] == "AccuracyError"
@@ -141,6 +162,15 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert out.splitlines()[2].split()[:2] == ["direct",
                                                    "1.27915838493e+19"]
+
+    def test_chi2_near_the_float_limit_is_printed(self, capsys):
+        # h = 1e-200: every factor of the rule sum's terms is taken in
+        # logarithms, so p²/φ at the box does not overflow
+        code, out, _ = invoke(capsys, "chi2", "--dist", "mixture:1:1e-200,1:1",
+                              "--method", "direct")
+        assert code == EXIT_OK
+        assert out.splitlines()[2].split()[:2] == ["direct",
+                                                   "1.27915838493e+199"]
 
     def test_bound_needs_values(self, capsys):
         code, _, err = invoke(capsys, "bound", "--n", "3")
@@ -416,7 +446,7 @@ LAYER_IMPORTS = {
     "quadrature": {"errors"},
     "config": {"errors"},
     "piecewise": {"errors"},
-    "densities": {"errors", "piecewise"},
+    "densities": {"errors", "piecewise", "quadrature"},
     "distances": {"densities", "errors", "hermite", "quadrature"},
     "bounds": {"constants", "distances", "errors"},
     "subgaussian": {"densities", "distances", "errors", "quadrature"},
@@ -436,18 +466,46 @@ THIRD_PARTY_IMPORTS = {
     "errors": set(),
     "constants": {"numpy"},
     "hermite": {"numpy"},
-    "quadrature": {"scipy.integrate"},
+    "quadrature": {"numpy"},
     "config": set(),
-    "piecewise": {"numpy", "numpy.polynomial.legendre",
-                  "numpy.polynomial.polynomial"},
-    "densities": {"numpy", "scipy.special"},
+    "piecewise": {"numpy", "numpy.polynomial.legendre"},
+    "densities": {"numpy"},
     "distances": {"numpy"},
-    "bounds": {"numpy", "scipy.special"},
+    "bounds": {"numpy"},
     "subgaussian": {"numpy"},
     "verify": {"numpy"},
     "cli": set(),
     "__init__": set(),
 }
+
+
+SCIPY_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+import chi2norm
+from chi2norm.densities import from_name, normalized_sum_density
+from chi2norm.distances import chi2_direct, hermite_profile
+from chi2norm.errors import DomainError
+from chi2norm.subgaussian import mgf
+from chi2norm.verify import stein_check
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+print("after import:", loaded())
+for name in ("normal", "beta:3/4", "uniform"):
+    density = from_name(name)
+    if name == "uniform":
+        density = normalized_sum_density(density, 3)
+    chi2_direct(density)
+    mgf(density, 0.7)
+    hermite_profile(density, 40)
+    try:
+        stein_check(name, 2, 8)
+    except DomainError:
+        pass  # the recurrence check needs an exact base
+print("after calls:", loaded())
+"""
 
 
 def _package_imports(path: Path) -> set[str]:
@@ -507,6 +565,16 @@ class TestConfig:
         paths = sorted(Path(config.__file__).parent.glob("*.py"))
         found = {path.stem: _third_party_imports(path) for path in paths}
         assert found == THIRD_PARTY_IMPORTS
+
+    def test_no_scipy_at_run_time(self):
+        # scipy is a test-only oracle: neither the import nor a call of a
+        # route on the normal, a non-integer beta and a sum may load it
+        src = Path(config.__file__).parent.parent
+        script = SCIPY_PROBE.format(src=str(src))
+        out = subprocess.run([sys.executable, "-c", script], check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split("\n")[:2] == ["after import: []",
+                                               "after calls: []"]
 
     def test_file_then_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -541,41 +541,60 @@ class TestChi2Direct:
         res = chi2_direct(make_scaled_beta(Fraction(3, 4)))
         assert res.value == pytest.approx(0.782573651564441, abs=1e-9)
 
-    @pytest.mark.parametrize("shape", [Fraction(2, 5), Fraction(1, 2)])
+    @pytest.mark.parametrize("shape", [Fraction(2, 5), Fraction(1, 2),
+                                       Fraction(1, 10 ** 10),
+                                       Fraction(1, 10 ** 100)])
     def test_divergent_shapes_get_sentinel(self, shape):
+        # p²/φ is integrable exactly for shapes above 1/2 (DLMF §5.12); at
+        # and below, the Jacobi exponent 2a - 2 <= -1 says so before any
+        # node is read, down to shapes where the edge mass is all there is
         res = chi2_direct(make_scaled_beta(shape))
         assert math.isinf(res.value)
         assert math.isinf(res.error_estimate)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_exact_density_beyond_float_range_is_refused(self, n):
-        # chi² is about 0.128 / h for the box of half-width h, 1.3e199 here:
-        # finite, as for every exact density, but p²/φ overflows
-        d = build("mixture:1:1e-200,1:1", n)
-        with pytest.raises(AccuracyError, match="bounded with compact support"):
+        # a 1/1001 share of a box 40 wide puts knots near x = 43: chi² is
+        # finite, as for every exact density, but about e^900.  The rule sum
+        # overflows at n = 1; the sum's knots near x = 61 need more nodes
+        # than the rule sums allow before any term is formed
+        d = build("mixture:1/1000:40,1:1", n)
+        with pytest.raises(AccuracyError,
+                           match=("bounded with compact support" if n == 1
+                                  else "nodes per panel")):
             chi2_direct(d)
+
+    def test_box_near_the_float_limit(self):
+        # the 1e-200 box: chi² is about 0.128 / h = 1.3e199, finite, and
+        # every factor of the terms is taken in logarithms
+        res = chi2_direct(build("mixture:1:1e-200,1:1", 1))
+        assert res.value == pytest.approx(1.2791583849331e199, rel=1e-12)
+        assert res.error_estimate <= 1e-12 * res.value
 
     def test_mass_deficit_is_refused(self):
         # the integral of p²/φ is at least 1 for a density, so a total of
-        # 0.81 can only be a failed integral: refused, not clamped to 0
-        phi = make_normal().pdf
-        defective = StandardizedDensity(
-            pdf=lambda x: 0.9 * phi(x), support=(-math.inf, math.inf),
-            symmetric=True, description="defective")
+        # 0.81 (1 + chi²) for panels that hold 0.9 of a density can only be
+        # a failed sum: refused, not clamped to 0
+        d = normalized_sum_density(make_uniform(), 4)
+        panels = d.panels()
+        short = dataclasses.replace(panels,
+                                    values=lambda s: 0.9 * panels.values(s))
+        defective = dataclasses.replace(d, panels=lambda: short)
         with pytest.raises(AccuracyError, match="below 1") as info:
             chi2_direct(defective)
-        assert info.value.value == pytest.approx(0.81 - 1.0, abs=1e-10)
+        want = 0.81 * (1.0 + chi2_direct(d).value) - 1.0
+        assert info.value.value == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("shape", [Fraction(1, 10 ** 10),
-                                       Fraction(1, 10 ** 100)])
-    def test_missed_edge_mass_is_refused(self, shape):
-        # the quadrature misses the mass at the edges and converges near 0;
-        # the true divergence is infinite
-        with pytest.raises(AccuracyError, match="below 1"):
-            chi2_direct(make_scaled_beta(shape))
+    def test_density_without_rule_is_refused(self):
+        # a pdf alone carries no bound: refused as a usage error
+        bare = StandardizedDensity(pdf=make_normal().pdf,
+                                   support=(-math.inf, math.inf),
+                                   symmetric=True, description="bare")
+        with pytest.raises(DomainError, match="no rule"):
+            chi2_direct(bare)
 
     def test_shortfall_within_error_is_clamped(self, monkeypatch):
-        monkeypatch.setattr(distances, "integrate",
+        monkeypatch.setattr(distances, "rule_sum",
                             lambda *args: (1.0 - 1e-13, 2e-13))
         res = chi2_direct(make_uniform())
         assert res.value == 0.0

@@ -516,6 +516,24 @@ class TestFractionReference:
             from_name("beta:2").exact.normalized_sum(4), 12)
 
 
+class TestSeededJumps:
+    """A normalized sum keeps the jump product as its own table, which must
+    equal the table rebuilt from its pieces: trimmed, with both
+    denominators reduced (the box of half-width 1/2 has knots over 2 and its
+    even sums over 1)."""
+
+    @pytest.mark.parametrize("name,n", [
+        *SUMS_34, *(("lopsided", n) for n in range(1, 6)),
+        *(("mixture:1:1/2", n) for n in range(1, 5))])
+    def test_seeded_table_equals_rebuilt(self, name, n):
+        base = lopsided() if name == "lopsided" else from_name(name).exact
+        d = base.normalized_sum(n)
+        assert "_jumps" in vars(d)
+        rebuilt = PiecewisePolyDensity(d.knots, d.pieces, d.scale_sq, d.shift)
+        assert "_jumps" not in vars(rebuilt)
+        assert d._jumps == rebuilt._jumps
+
+
 class TestValidation:
     def test_bad_knots(self):
         with pytest.raises(DomainError):
