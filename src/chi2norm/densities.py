@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .piecewise import PiecewisePolyDensity
-from .quadrature import Panels, hermite_rule, jacobi_rule
+from .quadrature import Panels, hermite_rule, jacobi_rule, weight_mass
 
 __all__ = [
     "StandardizedDensity",
@@ -134,8 +134,10 @@ def make_scaled_beta(shape: float | Fraction) -> StandardizedDensity:
 
     c = math.sqrt(float(scale_sq))
     half = c / 2.0
-    # x = half s: the density of x is (1 - s²)^(a-1) level, one panel
-    level = math.exp(log_norm - (af - 1.0) * math.log(4.0)) / (2.0 * half)
+    # x = half s: the density of s is (1 - s²)^(a-1) / mass, and that of x
+    # is (1 - s²)^(a-1) level, one panel
+    mass, mass_ulps = weight_mass(af)
+    level = 1.0 / (half * mass)
 
     def pdf(x: float) -> float:
         t = x / c + 0.5
@@ -145,12 +147,13 @@ def make_scaled_beta(shape: float | Fraction) -> StandardizedDensity:
 
     def gauss_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
         s, w = jacobi_rule(degree // 2 + 1, af - 1.0)
-        return half * s, w * (level * half)
+        return half * s, w / mass
 
     def panels() -> Panels:
         return Panels(np.zeros(1), np.array([half]), np.zeros(1),
                       np.array([level]),
-                      lambda s: np.full((1, len(s)), level), af - 1.0)
+                      lambda s: np.full((1, len(s)), level), af - 1.0,
+                      mass_ulps + 2.0)
 
     return StandardizedDensity(
         pdf=pdf,

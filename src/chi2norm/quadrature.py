@@ -39,7 +39,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 
 __all__ = ["Panels", "hermite_rule", "jacobi_rule", "rule_sum",
-           "truncation_bound"]
+           "truncation_bound", "weight_mass"]
 
 # every sum's truncation bound is at most TARGET (absolute; the integrals
 # summed here are at least 1, so it is also relative), with a node count
@@ -67,7 +67,7 @@ class Panels:
     ``q_k`` is a polynomial of degree ``degree[k]`` whose Bernstein
     coefficients on ``[-1, 1]`` have absolute sum ``coef_sum[k]``, and
     ``values(s)`` gives every ``q_k`` at the points ``s``, shape
-    ``(panels, len(s))``.
+    ``(panels, len(s))``, each within ``2 (degree + 4) + value_ulps`` ulps.
     """
 
     center: np.ndarray
@@ -76,19 +76,22 @@ class Panels:
     coef_sum: np.ndarray
     values: Callable[[np.ndarray], np.ndarray]
     lam: float = 0.0
+    value_ulps: float = 0.0
 
 
-def _mass(lam: float) -> tuple[float, float]:
-    """``∫ (1 - s²)^lam ds = B(1/2, lam + 1)`` and its rounding in ulps:
-    ``sqrt(pi) Γ(lam + 1) / Γ(lam + 3/2)`` from ``math.gamma`` while that
-    stays in range, else from ``math.lgamma``, whose difference loses
-    ``eps`` times its terms."""
-    if lam < 160.0:
-        return (math.sqrt(math.pi) * math.gamma(lam + 1.0)
-                / math.gamma(lam + 1.5)), 8.0
-    big, small = math.lgamma(lam + 1.0), math.lgamma(lam + 1.5)
-    return (math.sqrt(math.pi) * math.exp(big - small),
-            8.0 + 2.0 * (abs(big) + abs(small)))
+def weight_mass(alpha: float) -> tuple[float, float]:
+    """``∫ (1 - s²)^(alpha - 1) ds = sqrt(pi) Γ(alpha) / Γ(alpha + 1/2)``
+    for ``alpha > 0``, and a bound on its rounding in ulps.  ``math.gamma``
+    is within 4 ulps up to 30 and loses accuracy above (312 ulps near 127),
+    so a larger ``alpha`` steps down by
+    ``Γ(alpha) / Γ(alpha + 1/2) = (alpha - 1) / (alpha - 1/2) Γ(alpha - 1)
+    / Γ(alpha - 1/2)``, whose factors are exact floats: one ulp per step."""
+    steps = max(math.ceil(alpha - 29.5), 0)
+    low = alpha - steps
+    ratio = math.gamma(low) / math.gamma(low + 0.5)
+    ratio *= math.prod((alpha - 1.0 - j) / (alpha - 0.5 - j)
+                       for j in range(steps))
+    return math.sqrt(math.pi) * ratio, 12.0 + steps
 
 
 def _recurrence(n: int, x: np.ndarray,
@@ -99,10 +102,14 @@ def _recurrence(n: int, x: np.ndarray,
     p, prev = np.ones_like(x), np.zeros_like(x)
     squares = np.zeros_like(x)
     bk = 0.0
-    for k in range(n):
-        squares += p * p
-        p, prev = (x * p - bk * prev) / b[k], p
-        bk = b[k]
+    # at the outer nodes of a concentrated weight (lam near 1000) the sum
+    # of squares passes the float range where the weight, its reciprocal,
+    # is below the least normal float: it rounds to 0 either way
+    with np.errstate(over="ignore"):
+        for k in range(n):
+            squares += p * p
+            p, prev = (x * p - bk * prev) / b[k], p
+            bk = b[k]
     return prev, p, squares
 
 
@@ -143,13 +150,15 @@ def jacobi_rule(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     ``2n - 1``, weights summing to the mass ``mu0``.  Cached: the arrays are
     shared and must not be mutated."""
     if not lam > -1.0:
-        raise DomainError("the Jacobi weight needs lam > -1")
+        raise DomainError(f"the Jacobi weight (1 - s²)^{lam:g} is not "
+                          "integrable: its exponent must exceed -1")
     # b_1² is written apart: the general form is 0/0 there at lam = -1/2
     k = np.arange(2.0, n + 1.0)
     b2 = k * (k + 2.0 * lam) / ((2.0 * k + 2.0 * lam + 1.0)
                                 * (2.0 * k + 2.0 * lam - 1.0))
     b = np.sqrt(np.concatenate(([1.0 / (3.0 + 2.0 * lam)], b2)))
-    return _symmetric_rule(b, _mass(lam)[0], 1.0, 2.0 * n + 2.0 * lam + 1.0)
+    return _symmetric_rule(b, weight_mass(lam + 1.0)[0], 1.0,
+                           2.0 * n + 2.0 * lam + 1.0)
 
 
 @cache
@@ -199,16 +208,16 @@ def rule_sum(panels: Panels, power: int, kernel: tuple[float, float, float],
     Every term is ``exp`` of a sum of logarithms; the rounding term allows
     each term ``eps`` times the magnitude of that sum (the error a
     log-domain ``exp`` amplifies), three times the kernel's magnitude over
-    its panel for the node, ``2 (degree + 4)`` ulps per factor of ``q``,
-    those of the rule's mass for its weight (8, or more past the range of
-    ``math.gamma``), and one ulp of the total for the sum, which ``fsum``
-    rounds once.  A ``q`` below zero at a node raises ``AccuracyError``.
+    its panel for the node, the ulps of :class:`Panels` per factor of
+    ``q``, those of the rule's mass (:func:`weight_mass`) for its weight,
+    and one ulp of the total for the sum, which ``fsum`` rounds once.  A ``q`` below zero at a node raises ``AccuracyError``.
     """
     a, b, c = kernel
     lam = power * panels.lam
     if not lam > -1.0:
-        raise DomainError("the integral diverges: (1 - s²)^lam needs lam > -1")
-    mass, mass_ulps = _mass(lam)
+        raise DomainError(f"the weight (1 - s²)^{lam:g} is not integrable: "
+                          "its exponent must exceed -1")
+    mass, mass_ulps = weight_mass(lam + 1.0)
     log_mu_m = _log_mu_m(panels, power, kernel, math.log(mass))
     if nodes is None:
         share = math.log(TARGET / len(panels.center))
@@ -242,7 +251,8 @@ def rule_sum(panels: Panels, power: int, kernel: tuple[float, float, float],
         terms = np.exp(log_half + log_w + power * log_q
                        + (a + b * x + c * x * x))
         ulps = (np.abs(log_half) + np.abs(log_w) + 3.0 * kernel_mag
-                + power * (np.abs(log_q) + 2.0 * (panels.degree[:, None] + 4))
+                + power * (np.abs(log_q) + 2.0 * (panels.degree[:, None] + 4)
+                           + panels.value_ulps)
                 + mass_ulps)
         # a zero q gives a zero term: its infinite logarithm counts nothing
         rounding = _EPS * float(np.sum(np.where(terms > 0.0, terms * ulps,

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_hermitenorm, roots_jacobi
 
+from chi2norm import quadrature
 from chi2norm.densities import (from_name, make_normal, make_scaled_beta,
                                 make_uniform, normalized_sum_density)
 from chi2norm.distances import chi2_direct
@@ -35,8 +36,11 @@ MIXTURES = [("mixture:1:1,1:2", 1), ("mixture:1:1,1:1/2", 1),
             # knots near x = 29.5, chi² about 8e171: terms of e^435, whose
             # log-domain exp amplifies the rounding of the exponent
             ("mixture:1/1000000:17,1:1", 1)]
+# and shapes near 1/2 and far above it, where the normalizing constant and
+# the rule's mass come from Gamma ratios past math.gamma's accurate range
 BETA_SHAPES = [Fraction(11, 20), Fraction(3, 5), Fraction(3, 4),
-               Fraction(1342, 1000), Fraction(7, 5)]
+               Fraction(1342, 1000), Fraction(7, 5), Fraction(51, 100),
+               Fraction(99, 2), Fraction(301, 2), Fraction(1001, 2)]
 MGF_GRID = [10.0 * j / 40 for j in range(-40, 41) if j != 0]
 
 
@@ -94,8 +98,9 @@ class TestJacobiRule:
         xs, ws = roots_jacobi(n, lam, lam)
         assert np.max(np.abs(x - xs)) <= 4e-16
         assert np.max(np.abs(w - ws) / ws) <= (1e-12 if n <= 20 else 5e-11)
-        mass = math.gamma(0.5) * math.gamma(lam + 1) / math.gamma(lam + 1.5)
-        assert abs(np.sum(w) - mass) <= 2 * n * 2.3e-16 * mass
+        mass = float(mp.beta(0.5, lam + 1))
+        ulps = 2 * n + quadrature.weight_mass(lam + 1)[1]
+        assert abs(np.sum(w) - mass) <= ulps * 2.3e-16 * mass
 
     @pytest.mark.parametrize("n", [8, 30])
     def test_integrates_monomials(self, n):
@@ -199,3 +204,14 @@ class TestDirectCoversReference:
         res = chi2_direct(make_scaled_beta(Fraction(11, 20)))
         assert f"{res.value:.12g}" == "4.64794168125"
         assert res.error_estimate <= 1e-10
+
+
+class TestWeightMass:
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-10, 0.5, 1.0, 29.4, 29.6,
+                                       98.0, 127.5, 159.9, 501.3, 1023.0])
+    def test_within_stated_ulps(self, alpha):
+        # math.gamma alone is off by 312 ulps near 127
+        mass, ulps = quadrature.weight_mass(alpha)
+        with mp.workdps(40):
+            exact = mp.beta(mp.mpf(1) / 2, mp.mpf(alpha))
+            assert abs(mp.mpf(mass) - exact) <= ulps * 2.3e-16 * exact
