@@ -172,7 +172,7 @@ def hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 def truncation_bound(log_mu_m: np.ndarray, rho: np.ndarray,
                      nodes: int) -> np.ndarray:
     """``4 mu M rho^-(2 nodes) / (1 - 1/rho)``, from ``log(mu M)``: the
-    error of an ``nodes``-point Gauss rule, exact through degree
+    error of a ``nodes``-point Gauss rule, exact through degree
     ``2 nodes - 1``, on an integrand bounded by ``M`` in ``E_rho``."""
     with np.errstate(over="ignore"):
         return np.exp(math.log(4.0) + log_mu_m - 2.0 * nodes * np.log(rho)
@@ -210,7 +210,8 @@ def rule_sum(panels: Panels, power: int, kernel: tuple[float, float, float],
     log-domain ``exp`` amplifies), three times the kernel's magnitude over
     its panel for the node, the ulps of :class:`Panels` per factor of
     ``q``, those of the rule's mass (:func:`weight_mass`) for its weight,
-    and one ulp of the total for the sum, which ``fsum`` rounds once.  A ``q`` below zero at a node raises ``AccuracyError``.
+    and one ulp of the total for the sum, which ``fsum`` rounds once.  A
+    ``q`` below zero at a node raises ``AccuracyError``.
     """
     a, b, c = kernel
     lam = power * panels.lam
