@@ -36,8 +36,9 @@ MIXTURES = [("mixture:1:1,1:2", 1), ("mixture:1:1,1:1/2", 1),
             # knots near x = 29.5, chi² about 8e171: terms of e^435, whose
             # log-domain exp amplifies the rounding of the exponent
             ("mixture:1/1000000:17,1:1", 1)]
-# and shapes near 1/2 and far above it, where the normalizing constant and
-# the rule's mass come from Gamma ratios past math.gamma's accurate range
+# five shapes in (1/2, 3/2), then one near 1/2 and three far above it, where
+# the normalizing constant and the rule's mass come from Gamma ratios past
+# math.gamma's accurate range
 BETA_SHAPES = [Fraction(11, 20), Fraction(3, 5), Fraction(3, 4),
                Fraction(1342, 1000), Fraction(7, 5), Fraction(51, 100),
                Fraction(99, 2), Fraction(301, 2), Fraction(1001, 2)]
