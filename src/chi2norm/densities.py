@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .piecewise import PiecewisePolyDensity
-from .quadrature import Panels, hermite_rule, jacobi_rule, weight_mass
+from .quadrature import Panels, weight_mass
 
 __all__ = [
     "StandardizedDensity",
@@ -51,12 +51,12 @@ class StandardizedDensity:
 
     ``exact`` is the rational representation when one exists; the series
     route reads its Hermite moments from the derivative jumps of that form
-    where their rounding bound allows.  ``gauss_rule(degree)`` gives nodes
-    and weights (density included) exact for polynomials of that degree,
-    the series route's source for every other density and its fallback.
-    ``panels()`` writes the density panel by panel for the rule sums of the
-    direct route and the MGF; the normal, whose values there are closed
-    forms, has none.
+    where their rounding bound allows.  ``panels()`` writes the density
+    panel by panel, the one description that the quadrature reads: the
+    rule sums of the direct route and the MGF, and the series route's Gauss
+    rule (:func:`~chi2norm.quadrature.moment_rule`) for every other density
+    and as its fallback.  The normal has none: its divergence, MGF and
+    Hermite moments are exact closed forms.
     """
 
     pdf: Callable[[float], float]
@@ -65,7 +65,6 @@ class StandardizedDensity:
     description: str
     exact: PiecewisePolyDensity | None = None
     is_standard_normal: bool = False
-    gauss_rule: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None
     panels: Callable[[], Panels] | None = None
 
     def __call__(self, x: float) -> float:
@@ -82,7 +81,6 @@ def _wrap_exact(d: PiecewisePolyDensity, description: str,
         symmetric=d.is_symmetric() if symmetric is None else symmetric,
         description=description,
         exact=d,
-        gauss_rule=d.gauss_rule,
         panels=lambda: Panels(*d.panel_layout, values=d.panel_values),
     )
 
@@ -145,12 +143,8 @@ def make_scaled_beta(shape: float | Fraction) -> StandardizedDensity:
             return 0.0
         return math.exp(log_norm + (af - 1.0) * math.log(t * (1.0 - t))) / c
 
-    def gauss_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-        s, w = jacobi_rule(degree // 2 + 1, af - 1.0)
-        return half * s, w / mass
-
     def panels() -> Panels:
-        return Panels(np.zeros(1), np.array([half]), np.zeros(1),
+        return Panels(np.zeros(1), np.array([half]), np.zeros(1, int),
                       np.array([level]),
                       lambda s: np.full((1, len(s)), level), af - 1.0,
                       mass_ulps + 2.0)
@@ -160,13 +154,8 @@ def make_scaled_beta(shape: float | Fraction) -> StandardizedDensity:
         support=(-half, half),
         symmetric=True,
         description=f"beta:{af:g}",
-        gauss_rule=gauss_rule,
         panels=panels,
     )
-
-
-def _normal_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    return hermite_rule(degree // 2 + 1)
 
 
 def make_normal() -> StandardizedDensity:
@@ -176,7 +165,6 @@ def make_normal() -> StandardizedDensity:
         symmetric=True,
         description="normal",
         is_standard_normal=True,
-        gauss_rule=_normal_rule,
     )
 
 

@@ -11,7 +11,10 @@ early computes no row above its stopping order:
   with Hermite rows at its knots only, while the rounding bound they state
   is at most the least that the Gauss rule below could state;
 * otherwise, from the first rung, one exact Gauss rule at the ladder's top
-  order, with Hermite rows at its nodes.
+  order, built from the panels that the direct route reads, with Hermite
+  rows at its nodes.
+
+The standard normal's profile is exact: ``E H_j(Z) = 0`` for ``j >= 1``.
 
 Keeping both routes alive is the point; their agreement is the main
 internal consistency check, so neither is ever defined in terms of the
@@ -28,7 +31,7 @@ import numpy as np
 from .densities import StandardizedDensity
 from .errors import AccuracyError, DomainError
 from .hermite import MAX_ORDER, hermite_row_normalized
-from .quadrature import rule_sum
+from .quadrature import moment_node_counts, moment_rule, rule_sum
 
 __all__ = [
     "HermiteProfile",
@@ -142,10 +145,10 @@ def _tail_from_window(absvals: np.ndarray, order: int,
 
 
 def _gauss_rows(density: StandardizedDensity, top: int):
-    """Row source over the density's Gauss rule of degree ``top``: fills
-    ``values[lo:order + 1]`` and returns the stated rounding error, ``4 N``
-    ulps per term ``w_i h_j(x_i)`` and one per node of the rule."""
-    nodes, weights = density.gauss_rule(top)
+    """Row source over the Gauss rule of degree ``top`` on the density's
+    panels: fills ``values[lo:order + 1]`` and returns the stated rounding
+    error, ``4 N`` ulps per term ``w_i h_j(x_i)`` and one per node."""
+    nodes, weights = moment_rule(density.panels(), top)
     table = np.empty((top + 1, len(nodes)))
     absw = np.abs(weights)
     magnitude = 0.0
@@ -186,7 +189,7 @@ def _jump_rows(density: StandardizedDensity, top: int):
         return None
     knots, jump = exact.x_jumps
     k, d = len(knots) - 1, jump.shape[1] - 1
-    least = exact.gauss_rule_size(top)
+    least = int(np.sum(moment_node_counts(density.panels(), top)))
     j = np.arange(d + 1)
     signed = np.where(j % 2 == 1, jump, -jump)
     # sqrt(m!/(m+j+1)!) down the rows m, one square root and one division
@@ -256,17 +259,26 @@ def _ladder(fill, start: int, top: int, tail_tol: float,
         order, done = min(2 * order, top), order + 1
 
 
+def _unit_rows(lo: int, order: int, values: np.ndarray) -> float:
+    """Row source of the standard normal, exact: ``E H_j(Z) = 0``."""
+    values[lo:order + 1] = 0.0
+    values[0] = 1.0
+    return 0.0
+
+
 def _profile(density: StandardizedDensity, start: int, top: int,
              tail_tol: float, direct: Chi2Result | None) -> HermiteProfile:
     """The ladder of :func:`_ladder` on the density's knot jumps while they
     state no more rounding error than its Gauss rule of degree ``top``
-    could, else from the start on that rule.  Each rung fills and reads only
-    the Hermite rows it adds."""
+    could, else from the start on that rule; the normal's is exact.  Each
+    rung fills and reads only the Hermite rows it adds."""
     if start < 2:
         raise DomainError("order must be >= 2")
     if top > MAX_ORDER:
         raise DomainError(f"order must be <= {MAX_ORDER}")
-    if density.gauss_rule is None:
+    if density.is_standard_normal:
+        return _ladder(_unit_rows, start, top, tail_tol, direct)
+    if density.panels is None:
         raise DomainError(f"{density.description}: no Gauss rule for the profile")
     jumps = _jump_rows(density, top)
     profile = None if jumps is None else _ladder(jumps, start, top, tail_tol,

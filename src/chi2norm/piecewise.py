@@ -22,10 +22,11 @@ the jump of the ``j``-th derivative at knot ``t_i``.  In that form
   ``2s - t_i``, which is the symmetry test.
 
 One running sum over the sorted origins builds the monomial ``pieces`` from
-the jumps.  Float evaluation and the Gauss rule read each piece in Bernstein
-form, converted exactly and rounded once.  :attr:`~PiecewisePolyDensity.x_jumps`
-gives the jumps themselves as floats, in the actual variable, for Hermite
-moments taken by parts.
+the jumps.  Float evaluation and the panels, all that the quadrature reads
+of a density, take each piece in Bernstein form, converted exactly and
+rounded once.  :attr:`~PiecewisePolyDensity.x_jumps` gives the jumps
+themselves as floats, in the actual variable, for Hermite moments taken by
+parts.
 
 The exact kernels (Taylor shifts, jump products, the running sum, moments
 and the Bernstein conversion) run on Python ``int`` numerators over one
@@ -49,23 +50,18 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import groupby, zip_longest
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
 
 __all__ = ["PiecewisePolyDensity"]
 
 Poly = tuple[Fraction, ...]
-
-# Gauss-Legendre nodes and weights on [-1, 1] by node count; never mutated
-_legendre = cache(leggauss)
-
 
 class Jumps(NamedTuple):
     """Derivative jumps in integers: ``J[o / knot_den][j]`` is
@@ -154,13 +150,11 @@ def _pieces(jumps: Jumps) -> tuple[tuple[Fraction, ...], tuple[Poly, ...]]:
     return tuple(Fraction(o, kden) for o in origins), tuple(pieces)
 
 
-def _bernstein_at(d: int, beta: np.ndarray,
-                  xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``s = (1 + xi) / 2`` and the Bernstein forms of degree ``d`` with
-    coefficients ``beta`` (one row per piece) at ``s``, shape
-    ``(pieces, len(xi))``, in the dtype of ``xi``: Horner in the ratio of
-    the smaller to the larger of ``s`` and ``1 - s``, as
-    :meth:`PiecewisePolyDensity.evaluate` does."""
+def _bernstein_at(d: int, beta: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The Bernstein forms of degree ``d`` with coefficients ``beta`` (one
+    row per piece) at ``s = (1 + xi) / 2``, shape ``(pieces, len(xi))``, in
+    the dtype of ``xi``: Horner in the ratio of the smaller to the larger of
+    ``s`` and ``1 - s``, as :meth:`PiecewisePolyDensity.evaluate` does."""
     s, s1 = (1.0 + xi) / 2.0, (1.0 - xi) / 2.0
     left = s <= s1
     far = np.where(left, s1, s)
@@ -171,7 +165,7 @@ def _bernstein_at(d: int, beta: np.ndarray,
     acc = coeffs[:, d]
     for k in range(d - 1, -1, -1):
         acc = acc * ratio + coeffs[:, k]
-    return s, far ** d * acc
+    return far ** d * acc
 
 
 @dataclass(frozen=True)
@@ -394,30 +388,12 @@ class PiecewisePolyDensity:
         return [(d, *(np.array(c) for c in list(zip(*run))[1:]))
                 for d, run in groupby(kept, key=itemgetter(0))]
 
-    def gauss_rule(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights, the density folded in, that integrate every
-        polynomial of degree ``degree`` exactly up to rounding: enough
-        Gauss-Legendre nodes on each piece for the piece times that
-        polynomial, weighted by :meth:`evaluate`'s Bernstein form.
-
-        Consecutive nonzero pieces of one degree share their Legendre nodes,
-        so each run of them is one broadcast pass, ``(pieces, nodes)``, with
-        every value the same float operations as on its piece alone; pieces
-        that are zero are skipped and the rest keep their order."""
-        nodes, weights = [], []
-        for d, width, off, beta in self._runs:
-            xi, w = _legendre((d + degree) // 2 + 1)
-            s, pdf = _bernstein_at(d, beta, xi)
-            nodes.append(self.scale * (off[:, None] + width[:, None] * s))
-            weights.append((width / 2.0)[:, None] * w * pdf)
-        return np.concatenate(nodes, None), np.concatenate(weights, None)
-
     @cached_property
     def panel_layout(self) -> tuple[np.ndarray, ...]:
         """Every nonzero piece as a panel ``x = center + half s``, ``s`` in
         ``[-1, 1]``: the centers, half-lengths, degrees and absolute sums of
         the Bernstein coefficients of the density of ``x`` (divided by the
-        scale), in :meth:`gauss_rule`'s order."""
+        scale), in piece order."""
         width, off, degree, coef_sum = (np.concatenate(c) for c in zip(*(
             (width, off, np.full(len(width), d), np.sum(np.abs(beta), axis=1))
             for d, width, off, beta in self._runs)))
@@ -426,20 +402,15 @@ class PiecewisePolyDensity:
 
     def panel_values(self, xi: np.ndarray) -> np.ndarray:
         """The density of ``x`` at ``s = xi`` on every panel of
-        :attr:`panel_layout`, shape ``(panels, len(xi))``: :meth:`gauss_rule`'s
-        Horner scheme, run in ``numpy.longdouble`` (64 mantissa bits on x86)
-        and rounded once to a float.  In floats, the recurrence alone moved
-        the chi-square of beta:3 at n = 6 (degree 29) by 1.1e-15."""
+        :attr:`panel_layout`, shape ``(panels, len(xi))``: :meth:`evaluate`'s
+        Horner scheme, one broadcast pass per run of pieces of one degree,
+        run in ``numpy.longdouble`` (64 mantissa bits on x86) and rounded
+        once to a float.  In floats, the recurrence alone moved the
+        chi-square of beta:3 at n = 6 (degree 29) by 1.1e-15."""
         xi = np.asarray(xi, dtype=np.longdouble)
-        return np.concatenate([_bernstein_at(d, beta, xi)[1]
+        return np.concatenate([_bernstein_at(d, beta, xi)
                                for d, _, _, beta in self._runs]
                               ).astype(float) / self.scale
-
-    def gauss_rule_size(self, degree: int) -> int:
-        """The node count of :meth:`gauss_rule` at ``degree``, known without
-        building the rule."""
-        return sum((len(beta) - 1 + degree) // 2 + 1
-                   for _, beta in self._bernstein if any(beta))
 
     # -- constructions -------------------------------------------------
 

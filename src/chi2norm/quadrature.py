@@ -6,6 +6,7 @@ A density is handed in as :class:`Panels`: on panel ``k``,
 ``p(x)^power h(x)`` for a positive kernel ``h = exp(a + b x + c x²)``,
 ``c >= 0``, by the Gauss-Jacobi rule of the weight ``(1 - s²)^(power lam)``
 on every panel: one vectorized sum, with no callback per node.
+:func:`moment_rule` builds the series route's Gauss rule from the same panels.
 
 The error it states is a truncation bound plus a rounding term.  For a rule
 with positive weights of total mass ``mu``, exact through degree ``D``, and
@@ -38,8 +39,8 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 
-__all__ = ["Panels", "hermite_rule", "jacobi_rule", "rule_sum",
-           "truncation_bound", "weight_mass"]
+__all__ = ["Panels", "hermite_rule", "jacobi_rule", "moment_node_counts",
+           "moment_rule", "rule_sum", "truncation_bound", "weight_mass"]
 
 # every sum's truncation bound is at most TARGET (absolute; the integrals
 # summed here are at least 1, so it is also relative), with a node count
@@ -64,7 +65,7 @@ _EPS = float(np.finfo(float).eps)
 class Panels:
     """A density as ``(1 - s²)^lam q_k(s)`` on ``x = center[k] + half[k] s``.
 
-    ``q_k`` is a polynomial of degree ``degree[k]`` whose Bernstein
+    ``q_k`` is a polynomial of integer degree ``degree[k]`` whose Bernstein
     coefficients on ``[-1, 1]`` have absolute sum ``coef_sum[k]``, and
     ``values(s)`` gives every ``q_k`` at the points ``s``, shape
     ``(panels, len(s))``, each within ``2 (degree + 4) + value_ulps`` ulps.
@@ -167,6 +168,30 @@ def hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     normal density, ``b_k = sqrt(k)``; weights summing to 1.  Cached: the
     arrays are shared and must not be mutated."""
     return _symmetric_rule(np.sqrt(np.arange(1.0, n + 1.0)), 1.0, 0.0, 1.0)
+
+
+def moment_node_counts(panels: Panels, degree: int) -> np.ndarray:
+    """The node count of :func:`moment_rule` on every panel at ``degree``,
+    known without building the rule."""
+    return (panels.degree + degree) // 2 + 1
+
+
+def moment_rule(panels: Panels,
+                degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, the density folded in, that integrate every
+    polynomial of degree ``degree`` in ``x`` exactly up to rounding: on
+    panel ``k``, the ``(degree[k] + degree) // 2 + 1`` nodes ``s`` of
+    :func:`jacobi_rule` for ``(1 - s²)^lam`` at ``x = center[k] + half[k] s``,
+    with the weights ``half[k] w q_k(s)``, in panel order.  The panels of
+    one node count share one ``values`` pass."""
+    counts = moment_node_counts(panels, degree).tolist()
+    rules = {n: jacobi_rule(n, panels.lam) for n in set(counts)}
+    values = {n: panels.values(s) for n, (s, _) in rules.items()}
+    parts = [(c + h * rules[n][0], h * rules[n][1] * values[n][k])
+             for k, (c, h, n) in enumerate(zip(panels.center, panels.half,
+                                               counts))]
+    nodes, weights = zip(*parts)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def truncation_bound(log_mu_m: np.ndarray, rho: np.ndarray,

@@ -36,10 +36,11 @@ from .constants import (
     sandwich_upper_basic,
     sandwich_upper_sym,
 )
-from .densities import from_name, make_normal, make_uniform, normalized_sum_density
+from .densities import from_name, make_uniform, normalized_sum_density
 from .distances import chi2_both, chi2_direct, hermite_profile, routes_agree
 from .errors import AccuracyError, DomainError
 from .hermite import addition_formula_eval, hermite_eval, hermite_row_normalized
+from .quadrature import hermite_rule
 from .subgaussian import hermite_mgf_identity_check, threshold
 
 __all__ = [
@@ -111,7 +112,7 @@ def _check_hermite_addition() -> tuple[bool, str]:
 
 def _check_orthonormality() -> tuple[bool, str]:
     # the normal's Gauss rule, 60 nodes: exact through degree 119
-    nodes, weights = make_normal().gauss_rule(119)
+    nodes, weights = hermite_rule(60)
     table = hermite_row_normalized(12, nodes)
     gram = table @ (weights[:, None] * table.T)
     worst = float(np.max(np.abs(gram - np.eye(13))))

@@ -57,6 +57,20 @@ def moment_t(d: PiecewisePolyDensity, k: int) -> Fraction:
                 for i in range(k + 1)), Fraction(0))
 
 
+def mixed_degrees() -> PiecewisePolyDensity:
+    """Pieces of degree 0, 1 and 2, one of them zero: two runs of one
+    degree around the zero piece, which gets no panel."""
+    return PiecewisePolyDensity(
+        knots=tuple(Fraction(k) for k in range(7)),
+        pieces=((Fraction(1, 4),), (Fraction(0),), (Fraction(1, 8),),
+                (Fraction(1, 8), Fraction(1, 16)),
+                (Fraction(1, 16), Fraction(1, 32)),
+                (Fraction(1, 4), Fraction(0), Fraction(-1, 64))),
+        scale_sq=Fraction(3, 2),
+        shift=Fraction(5, 2),
+    )
+
+
 def check_standardized(density: StandardizedDensity,
                        tol: float = 1e-8) -> None:
     """Mass 1, mean 0 and second moment 1 of the float density, each by

@@ -451,7 +451,7 @@ LAYER_IMPORTS = {
     "bounds": {"constants", "distances", "errors"},
     "subgaussian": {"densities", "distances", "errors", "quadrature"},
     "verify": {"bounds", "config", "constants", "densities", "distances",
-               "errors", "hermite", "subgaussian"},
+               "errors", "hermite", "quadrature", "subgaussian"},
     "cli": {"bounds", "config", "constants", "densities", "distances",
             "errors", "subgaussian", "verify"},
     "__init__": {"bounds", "config", "constants", "densities", "distances",
@@ -468,7 +468,7 @@ THIRD_PARTY_IMPORTS = {
     "hermite": {"numpy"},
     "quadrature": {"numpy"},
     "config": set(),
-    "piecewise": {"numpy", "numpy.polynomial.legendre"},
+    "piecewise": {"numpy"},
     "densities": {"numpy"},
     "distances": {"numpy"},
     "bounds": {"numpy"},
@@ -490,12 +490,13 @@ from chi2norm.subgaussian import mgf
 from chi2norm.verify import stein_check
 
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m.startswith("numpy.polynomial"))
 
 print("after import:", loaded())
-for name in ("normal", "beta:3/4", "uniform"):
+for name in ("normal", "beta:3/4", "uniform", "beta:3"):
     density = from_name(name)
-    if name == "uniform":
+    if name in ("uniform", "beta:3"):
         density = normalized_sum_density(density, 3)
     chi2_direct(density)
     mgf(density, 0.7)
@@ -567,8 +568,11 @@ class TestConfig:
         assert found == THIRD_PARTY_IMPORTS
 
     def test_no_scipy_at_run_time(self):
-        # scipy is a test-only oracle: neither the import nor a call of a
-        # route on the normal, a non-integer beta and a sum may load it
+        # scipy is a test-only oracle, and numpy.polynomial is no rule
+        # source (its leggauss solves the full companion matrix): neither
+        # the import nor a call of a route on the normal, a non-integer
+        # beta and two sums, beta:3 at n = 3 on the Gauss-rule fallback of
+        # the series route, may load either
         src = Path(config.__file__).parent.parent
         script = SCIPY_PROBE.format(src=str(src))
         out = subprocess.run([sys.executable, "-c", script], check=True,

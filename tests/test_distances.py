@@ -38,9 +38,10 @@ from chi2norm.distances import (
 from chi2norm.errors import AccuracyError, DomainError
 from chi2norm.hermite import MAX_ORDER, hermite_row_normalized
 from chi2norm.piecewise import PiecewisePolyDensity
+from chi2norm.quadrature import hermite_rule, moment_node_counts, moment_rule
 from chi2norm.verify import _A4_UNIFORM as A4_UNIFORM
 from chi2norm.verify import _CHI2_UNIFORM as CHI2_UNIFORM
-from conftest import hermite_coeffs, hermite_moment
+from conftest import hermite_coeffs, hermite_moment, mixed_degrees
 
 # sum of squared exact Hermite coefficients to order 256, from the jumps
 CHI2_UNIFORM_SUM = {8: 0.000965595004459, 11: 0.000503817190453}
@@ -85,11 +86,32 @@ def exact_profile(d: PiecewisePolyDensity, order: int) -> list[float]:
             for m in range(order + 1)]
 
 
+def gauss_rule(density: StandardizedDensity,
+               degree: int) -> tuple[np.ndarray, np.ndarray]:
+    # the rule of degree ``degree`` that the series route reads off the
+    # density's panels; the normal, whose profile is exact, has its own
+    if density.is_standard_normal:
+        return hermite_rule(degree // 2 + 1)
+    return moment_rule(density.panels(), degree)
+
+
+def count_rules(monkeypatch) -> list[int]:
+    # the degree of every Gauss rule the series route builds from now on
+    degrees = []
+
+    def counted(panels, degree):
+        degrees.append(degree)
+        return moment_rule(panels, degree)
+
+    monkeypatch.setattr(distances, "moment_rule", counted)
+    return degrees
+
+
 def rounding_bound(density: StandardizedDensity, degree: int,
                    order: int) -> float:
     # the stated rounding bound on every a_j, j <= order, read off the Gauss
     # rule of degree ``degree``
-    nodes, weights = density.gauss_rule(degree)
+    nodes, weights = gauss_rule(density, degree)
     table = hermite_row_normalized(order, nodes)
     return float(np.finfo(float).eps * (len(nodes) + 4 * order)
                  * np.max(np.abs(table) @ np.abs(weights)))
@@ -126,7 +148,8 @@ def jump_rounding_bound(density: StandardizedDensity, order: int) -> float:
 def ref_profile(density, order, direct=None, degree=None):
     # the one-rung profile as it stood before the ladders shared one table;
     # with ``degree``, read off the rows <= order of that rule instead
-    nodes, weights = density.gauss_rule(order if degree is None else degree)
+    nodes, weights = gauss_rule(density, order if degree is None
+                                else degree)
     table = hermite_row_normalized(order, nodes)
     values = table @ weights
     round_err = float(np.finfo(float).eps * (len(nodes) + 4 * order)
@@ -153,29 +176,45 @@ def ref_ladder(density, start=40, max_order=MAX_ORDER, tail_tol=1e-8,
         order = min(2 * order, max_order)
 
 
-# fixed-order profiles: the digest of the per-rung Gauss-rule profile, then
-# that of the package's profile, from the knot jumps for the uniform
+def pin(name, n, order, first, gauss_digest, digest):
+    # a pinned case whose id keeps the Gauss-rule digest it was first pinned
+    # with
+    return pytest.param(name, n, order, gauss_digest, digest,
+                        id=f"{name}-{n}-{order}-{first}")
+
+
+# fixed-order profiles: the first Gauss-rule digest, the digest of the
+# per-rung Gauss-rule profile, then that of the package's profile, from the
+# knot jumps for the uniform.  The Gauss-rule digests were re-pinned when
+# the rule's Legendre nodes came from jacobi_rule and its values from
+# panel_values
 PINNED_PROFILES = [
-    ("uniform", 1, 8,
-     "fe38aa7ccc7b39fc38529d19a91fed5ce7dc345af3b36c97eea603dd4e168043",
-     "4067e575afb1d8ff18fc616a99324146b48995230049dcf6b11f95637b0ef80c"),
-    ("uniform", 1, 40,
-     "5697493d8b0f588a421517d5ef8facc669bc0c832b9138a216947ff151249ec2",
-     "1d1ac3706e956728f78bd73d63670b5affd856cfbf6306b27f6d31970fe9d8ec"),
+    pin("uniform", 1, 8,
+        "fe38aa7ccc7b39fc38529d19a91fed5ce7dc345af3b36c97eea603dd4e168043",
+        "d0abb46a64f69227933a973661b5044eca6473dafed7627cab17dc71f2dcf623",
+        "4067e575afb1d8ff18fc616a99324146b48995230049dcf6b11f95637b0ef80c"),
+    pin("uniform", 1, 40,
+        "5697493d8b0f588a421517d5ef8facc669bc0c832b9138a216947ff151249ec2",
+        "c82eafd58263b34fab090be6da123cc9610578213230d175ad8f0273d1283f65",
+        "1d1ac3706e956728f78bd73d63670b5affd856cfbf6306b27f6d31970fe9d8ec"),
     # the three profiles of `verify stein --dist uniform --n 3`
-    ("uniform", 1, 30,
-     "64d27766b4b457d70291c9bf9a8beb39c36de9dd8424e0231ff16c10e4fbf46d",
-     "83b2ede021b17a43bf049e884af2bd858d88c42d403eecfd785c4dc0451fb551"),
-    ("uniform", 2, 30,
-     "6f8be67e45bbb247e4541f6a7e7050097ad0e4e66b94e4b9e5a6f0e132ce455d",
-     "654408b42deaf2e0f1798709b93bfb7c09e6368a35abb1914e5ec9a85c074338"),
-    ("uniform", 3, 30,
-     "122b3294f900c4c17c636e0632c4a1bc583e71fb09f748e11141c91b56535895",
-     "2dcb2a347e92077c1c2864b02b5be2f5ffb8fcdb80d40dca4807791a55300eb8"),
+    pin("uniform", 1, 30,
+        "64d27766b4b457d70291c9bf9a8beb39c36de9dd8424e0231ff16c10e4fbf46d",
+        "722de415637e3e02251ed1659eb0d1bb0a9afb8e584e62e5e5b98156926a7dab",
+        "83b2ede021b17a43bf049e884af2bd858d88c42d403eecfd785c4dc0451fb551"),
+    pin("uniform", 2, 30,
+        "6f8be67e45bbb247e4541f6a7e7050097ad0e4e66b94e4b9e5a6f0e132ce455d",
+        "bc479c4cb714b48c3df3a4d576959c6f6ea03634a9786e8483bb7e892116612c",
+        "654408b42deaf2e0f1798709b93bfb7c09e6368a35abb1914e5ec9a85c074338"),
+    pin("uniform", 3, 30,
+        "122b3294f900c4c17c636e0632c4a1bc583e71fb09f748e11141c91b56535895",
+        "daa54427c7a0cf29b88e8a44915029a03fb2372df506feda2463facdb1020d39",
+        "2dcb2a347e92077c1c2864b02b5be2f5ffb8fcdb80d40dca4807791a55300eb8"),
     # falls back to the Gauss rule: one digest
-    ("beta:2", 6, 30,
-     "7f360b5f1d215f06cde7900983eae06c0d363b5e9c3f2cbc2a18d7112279ebc2",
-     "7f360b5f1d215f06cde7900983eae06c0d363b5e9c3f2cbc2a18d7112279ebc2"),
+    pin("beta:2", 6, 30,
+        "7f360b5f1d215f06cde7900983eae06c0d363b5e9c3f2cbc2a18d7112279ebc2",
+        "06b197bda91d8a8b42981e8a28b0c98024d7a89d263c1d18b7bdbb1e72527fe4",
+        "06b197bda91d8a8b42981e8a28b0c98024d7a89d263c1d18b7bdbb1e72527fe4"),
 ]
 
 
@@ -231,10 +270,12 @@ class TestProfile:
         assert prof.tail_bound < 1e-8
 
     def test_order_validation(self):
-        with pytest.raises(DomainError):
-            hermite_profile(make_uniform(), 1)
-        with pytest.raises(DomainError):
-            hermite_profile(make_uniform(), 10_000)
+        # the normal's exact profile comes after the order checks too
+        for density in (make_uniform(), make_normal()):
+            with pytest.raises(DomainError, match="order must be >= 2"):
+                hermite_profile(density, 1)
+            with pytest.raises(DomainError, match="order must be <= 256"):
+                hermite_profile(density, 10_000)
 
     def test_profile_type_validation(self):
         with pytest.raises(DomainError):
@@ -280,33 +321,31 @@ class TestLadder:
     @pytest.mark.parametrize("name,n", [("uniform", 1), ("uniform", 3),
                                         ("beta:2", 3), ("beta:2", 6),
                                         ("normal", 1)])
-    def test_one_gauss_rule_per_ladder(self, name, n, with_direct):
-        # densities on the jump route build no rule; the rest build one per
-        # ladder, at its top
-        rules = 1 if (name, n) in (("beta:2", 6), ("normal", 1)) else 0
+    def test_one_gauss_rule_per_ladder(self, name, n, with_direct,
+                                       monkeypatch):
+        # densities on the jump route build no rule, nor does the normal,
+        # whose profile is exact; the rest build one per ladder, at its top
+        rules = 1 if (name, n) == ("beta:2", 6) else 0
         d = build(name, n)
-        degrees = []
-
-        def counted(degree):
-            degrees.append(degree)
-            return d.gauss_rule(degree)
-
-        wrapped = dataclasses.replace(d, gauss_rule=counted)
+        degrees = count_rules(monkeypatch)
         direct = chi2_direct(d) if with_direct else None
-        profile_until_converged(wrapped, direct=direct)
+        profile_until_converged(d, direct=direct)
         assert degrees == [MAX_ORDER] * rules
-        distances._profile(wrapped, 30, 30, 0.0, direct)
+        distances._profile(d, 30, 30, 0.0, direct)
         assert degrees == [MAX_ORDER, 30] * rules
 
     @pytest.mark.parametrize("name,n,stop,stop_with_direct", [
         ("normal", 1, 40, 40), ("uniform", 7, 80, 40), ("uniform", 6, 80, 80),
-        ("mixture:1:1,1:2", 6, 40, 40), ("uniform", 1, 256, 256)])
+        ("mixture:1:1,1:2", 6, 40, 40), ("uniform", 1, 256, 256),
+        ("beta:13/2", 1, 160, 160)])
     def test_rows_computed_once_up_to_the_stop(self, name, n, stop,
                                                stop_with_direct, monkeypatch):
-        # the jump route reads rows 0..stop+d+1 at the knots, the normal's
-        # Gauss rule rows 0..stop at its nodes
+        # the jump route reads rows 0..stop+d+1 at the knots, the Gauss rule
+        # of a non-integer beta rows 0..stop at its nodes; the normal, whose
+        # profile is exact, reads none
         d = build(name, n)
         reach = 0 if d.exact is None else d.exact.x_jumps[1].shape[1]
+        read = not d.is_standard_normal
         passes = []
 
         def spy(order, x, table=None, lo=0):
@@ -320,27 +359,34 @@ class TestLadder:
             assert got.truncation_order == want
             rows = [j for lo, hi in passes for j in range(lo, hi + 1)]
             # each row once, in order, and none above the stopping rung
-            assert rows == list(range(want + reach + 1))
+            assert rows == (list(range(want + reach + 1)) if read else [])
         passes.clear()
         hermite_profile(d, 30)
-        assert passes == [(0, 30 + reach)]
+        assert passes == ([(0, 30 + reach)] if read else [])
 
     @pytest.mark.parametrize("name,start,top", [("normal", 40, MAX_ORDER),
+                                                ("beta:61/2", 40, MAX_ORDER),
                                                 ("mixture:19:1,1:4", 4, 64)])
     def test_rounding_bound_reads_rows_up_to_the_stop(self, name, start, top):
         # a direct value just under the partial sum leaves the rounding term
-        # as the whole stated tail.  For the normal's Gauss rule it counts 4
-        # ulps per rung order and the largest row sum among rows <= the
-        # stop, both recomputed here from the same rule.  The mixture takes
-        # the jump route, whose bound is recomputed by jump_rounding_bound;
-        # its largest row bound is at order 53, above the stop at 4, and
-        # reading rows to the top would inflate the tail 3.8x
+        # as the whole stated tail.  For the Gauss rule of beta:61/2 it
+        # counts 4 ulps per rung order and the largest row sum among rows
+        # <= the stop, both recomputed here from the same rule; its window's
+        # tail is 13% below that term, and the ulps of the top order would
+        # inflate the term 4x.  The mixture takes the jump route, whose
+        # bound is recomputed by jump_rounding_bound; its largest row bound
+        # is at order 53, above the stop at 4, and reading rows to the top
+        # would inflate the tail 3.8x.  The normal's profile is exact: it
+        # states no rounding term, so its tail is the hint's gap alone
         d = from_name(name)
         first = ref_profile(d, start, degree=top)
         partial = math.fsum(a * a for a in first.values[1:])
         hint = Chi2Result(partial * (1.0 - 1e-12), DIRECT_METHOD, None, 0.0)
         got = distances._profile(d, start, top, 1e-8, hint)
         assert got.truncation_order == start
+        if d.is_standard_normal:
+            assert got.tail_bound == hint.value > 0.0
+            return
         if d.exact is None:
             want = ref_profile(d, start, direct=hint, degree=top).tail_bound
         else:
@@ -348,19 +394,14 @@ class TestLadder:
                     * math.fsum(abs(a) for a in got.values[1:]))
             assert jump_rounding_bound(d, top) > 1.9 * jump_rounding_bound(
                 d, start)
-        # the normal's a_j are rounding noise, and a gemv of another shape
-        # moves their sum by 0.1%; either fault moves the tail 1.9x or more
         assert got.tail_bound == pytest.approx(want, rel=1e-2, abs=0)
 
     def test_top_above_hermite_limit_is_refused(self):
         with pytest.raises(DomainError, match="order must be <= 256"):
             distances._profile(make_normal(), 40, MAX_ORDER + 1, 1e-8, None)
 
-    # each case's id keeps its Gauss-rule digest, the pin it had first
     @pytest.mark.parametrize("name,n,order,gauss_digest,digest",
-                             PINNED_PROFILES,
-                             ids=["-".join(map(str, case[:4]))
-                                  for case in PINNED_PROFILES])
+                             PINNED_PROFILES)
     def test_pinned_fixed_order_profiles(self, name, n, order, gauss_digest,
                                          digest):
         # the uniform's profiles come from its knot jumps, pinned when that
@@ -402,8 +443,9 @@ class TestGaussRules:
     @pytest.mark.parametrize("degree", [2, 5, 8, 9])
     def test_rules_integrate_monomials_exactly(self, degree):
         # E X^k for k <= degree, odd k included: exact moments of the
-        # piecewise densities and the beta, (k-1)!! for the normal; a rule
-        # one node short misses by up to 5e-2
+        # piecewise densities (pieces of mixed degrees and a zero piece
+        # among them) and the beta, (k-1)!! for the normal; a rule one node
+        # short misses by up to 5e-2
         def even_only(moment):
             return lambda k: moment(k) if k % 2 == 0 else 0
 
@@ -415,11 +457,11 @@ class TestGaussRules:
         ]
         for d in (make_uniform(), normalized_sum_density(from_name("beta:2"), 2),
                   normalized_sum_density(from_name("mixture:1:1,1:2"), 3),
-                  lopsided()):
+                  lopsided(), _wrap_exact(mixed_degrees(), "mixed-degrees")):
             cases.append((d, lambda k, e=d.exact:
                           e.scale ** k * float(e.central_moment(k))))
         for density, moment in cases:
-            nodes, weights = density.gauss_rule(degree)
+            nodes, weights = gauss_rule(density, degree)
             for k in range(degree + 1):
                 want = float(moment(k))
                 got = float(weights @ nodes ** k)
@@ -428,9 +470,10 @@ class TestGaussRules:
 
     @pytest.mark.parametrize("order", [16, 256])
     def test_normal_profile_is_unit_vector(self, order):
-        values = hermite_profile(make_normal(), order).values
-        assert abs(values[0] - 1.0) <= 1e-15
-        assert max(abs(v) for v in values[1:]) <= 1e-15
+        # E H_j(Z) = 0 for j >= 1, exactly, with nothing left in the tail
+        profile = hermite_profile(make_normal(), order)
+        assert profile.values == (1.0,) + (0.0,) * order
+        assert profile.tail_bound == 0.0
 
     def test_density_without_rule_is_refused(self):
         phi = make_normal().pdf
@@ -464,26 +507,21 @@ class TestRoutes:
     rounding bound of the route that ran."""
 
     @pytest.mark.parametrize("name,n", ROUTE_CASES + FALLBACK_CASES)
-    def test_within_stated_bound_of_exact_moments(self, name, n):
+    def test_within_stated_bound_of_exact_moments(self, name, n, monkeypatch):
         d = build(name, n)
         # the 1e-200 box's exact order-120 moments take 11 s
         orders = (40,) if name.startswith("mixture:1:1e-200") else (40, 120)
         want = exact_profile(d.exact, orders[-1])
+        degrees = count_rules(monkeypatch)
         for order in orders:
-            degrees = []
-
-            def counted(degree):
-                degrees.append(degree)
-                return d.gauss_rule(degree)
-
-            got = hermite_profile(dataclasses.replace(d, gauss_rule=counted),
-                                  order).values
+            degrees.clear()
+            got = hermite_profile(d, order).values
             assert bool(degrees) == on_gauss_rule(name, n, order), order
             if d.exact.x_jumps is not None:
                 # the jump route runs exactly when its bound is at most the
                 # least that the Gauss rule of this degree could state
                 least = np.finfo(float).eps * (
-                    d.exact.gauss_rule_size(order) + 4 * order)
+                    np.sum(moment_node_counts(d.panels(), order)) + 4 * order)
                 assert (jump_rounding_bound(d, order) <= least) != bool(degrees)
             bound = (rounding_bound(d, order, order) if degrees
                      else jump_rounding_bound(d, order))

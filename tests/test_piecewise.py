@@ -14,7 +14,8 @@ import pytest
 from chi2norm.densities import from_name
 from chi2norm.errors import DomainError
 from chi2norm.piecewise import PiecewisePolyDensity
-from conftest import hermite_moment, moment_t
+from chi2norm.quadrature import Panels, moment_node_counts, moment_rule
+from conftest import hermite_moment, mixed_degrees, moment_t
 
 
 def unit_box() -> PiecewisePolyDensity:
@@ -390,55 +391,62 @@ class TestExactConvolution:
                         for x in (width, *beta))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-def mixed_degrees() -> PiecewisePolyDensity:
-    # pieces of degree 0, 1 and 2, one of them zero: two runs of one degree
-    # around the zero piece, and the zero piece itself gets no nodes
-    return PiecewisePolyDensity(
-        knots=tuple(Fraction(k) for k in range(7)),
-        pieces=((Fraction(1, 4),), (Fraction(0),), (Fraction(1, 8),),
-                (Fraction(1, 8), Fraction(1, 16)),
-                (Fraction(1, 16), Fraction(1, 32)),
-                (Fraction(1, 4), Fraction(0), Fraction(-1, 64))),
-        scale_sq=Fraction(3, 2),
-        shift=Fraction(5, 2),
-    )
+
+def panels(d: PiecewisePolyDensity) -> Panels:
+    return Panels(*d.panel_layout, values=d.panel_values)
 
 
 class TestGaussRule:
+    """The series route's Gauss rule, built from the panels."""
+
+    # re-pinned when the Legendre nodes came from jacobi_rule and the values
+    # from panel_values; each id keeps the digest first pinned
     @pytest.mark.parametrize("name,n,digest", [
-        ("uniform", 12,
-         "33b2218be77c205ae8116193ce1ce67fd496aa7bce28a5684311fcfefa8ae27b"),
-        ("beta:2", 6,
-         "672a871e5ad1e168be3bb5c92522ae75d298bc3887705435bcdb5574cffa2200"),
-        ("mixture:1:1,1:2", 6,
-         "216b31f7199e6cbcb2e0a54e0a76bc8f08fdebaa1339e860ed47e175d4f24216"),
-        ("mixed-degrees", 1,
-         "3c555ab913c2c5ebdb934b413f87af0e128fdb5cbba6ee48d2ccd2b502367bfc"),
+        pytest.param(
+            "uniform", 12,
+            "56bae88a7c287ffa77d708de9823e21b6df78978e2c675c4a5d448e494216b60",
+            id="uniform-12-"
+               "33b2218be77c205ae8116193ce1ce67fd496aa7bce28a5684311fcfefa8ae27b"),
+        pytest.param(
+            "beta:2", 6,
+            "f7475b306524dac5b4a857e756ccaf1903e1253b002e8321420671e06cb19292",
+            id="beta:2-6-"
+               "672a871e5ad1e168be3bb5c92522ae75d298bc3887705435bcdb5574cffa2200"),
+        pytest.param(
+            "mixture:1:1,1:2", 6,
+            "9a0cfea3b54d8621f40745deb41a409873d35962e83e5384cf5fc63b14fe93ab",
+            id="mixture:1:1,1:2-6-"
+               "216b31f7199e6cbcb2e0a54e0a76bc8f08fdebaa1339e860ed47e175d4f24216"),
+        pytest.param(
+            "mixed-degrees", 1,
+            "4fd2a9f3ddb9447fab50d7fa308d118aa988383c2d8210e132acaa5064ec529f",
+            id="mixed-degrees-1-"
+               "3c555ab913c2c5ebdb934b413f87af0e128fdb5cbba6ee48d2ccd2b502367bfc"),
     ])
     def test_pinned_rules(self, name, n, digest):
-        # digests recorded when each piece had its own pass
         d = (mixed_degrees() if name == "mixed-degrees"
              else from_name(name).exact.normalized_sum(n))
-        nodes, weights = d.gauss_rule(256)
+        nodes, weights = moment_rule(panels(d), 256)
         text = " ".join(float.hex(float(v)) for v in (*nodes, *weights))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_nodes_in_piece_order_and_none_on_zero_piece(self):
         d = mixed_degrees()
-        nodes, weights = d.gauss_rule(8)
+        nodes, weights = moment_rule(panels(d), 8)
         # (degree + 8) // 2 + 1 Legendre nodes on each nonzero piece
         assert len(nodes) == len(weights) == 5 + 5 + 5 + 5 + 6
         assert np.all(np.diff(nodes) > 0)
         lo, hi = d.x_knots()[1:3]
         assert not np.any((nodes > lo) & (nodes < hi))
 
-
     @pytest.mark.parametrize("degree", [0, 8, 40, 256])
     def test_rule_size_without_building(self, degree):
-        for d in (mixed_degrees(), lopsided(),
-                  *(from_name(name).exact.normalized_sum(n)
-                    for name, n in SUMS_34)):
-            assert d.gauss_rule_size(degree) == len(d.gauss_rule(degree)[0])
+        cases = [panels(d) for d in (
+            mixed_degrees(), lopsided(),
+            *(from_name(name).exact.normalized_sum(n) for name, n in SUMS_34))]
+        for p in (*cases, from_name("beta:3/4").panels()):
+            want = int(np.sum(moment_node_counts(p, degree)))
+            assert want == len(moment_rule(p, degree)[0])
 
 
 class TestFloatJumps:

@@ -17,11 +17,12 @@ import pytest
 from scipy.special import roots_hermitenorm, roots_jacobi
 
 from chi2norm import quadrature
-from chi2norm.densities import (from_name, make_normal, make_scaled_beta,
-                                make_uniform, normalized_sum_density)
+from chi2norm.densities import (from_name, make_scaled_beta, make_uniform,
+                                normalized_sum_density)
 from chi2norm.distances import chi2_direct
 from chi2norm.errors import AccuracyError, DomainError
-from chi2norm.quadrature import jacobi_rule, rule_sum, truncation_bound
+from chi2norm.quadrature import (hermite_rule, jacobi_rule, rule_sum,
+                                 truncation_bound)
 from chi2norm.subgaussian import _mgf_sum
 
 SUMS_34 = ([("uniform", n) for n in range(2, 13)]
@@ -121,7 +122,7 @@ class TestJacobiRule:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 20, 60, 129])
     def test_hermite_matches_scipy(self, n):
-        nodes, weights = make_normal().gauss_rule(2 * n - 2)
+        nodes, weights = hermite_rule(n)
         xs, ws = roots_hermitenorm(n)
         scale = np.maximum(1.0, np.abs(xs))
         assert np.max(np.abs(nodes - xs) / scale) <= 4e-16
