@@ -25,6 +25,7 @@ __all__ = [
     "stein_recurrence_rhs",
     "unroll_recurrence",
     "maclaurin_check",
+    "check_bound_n",
     "step_constants",
     "theorem_bound",
     "corollary_bound",
@@ -185,6 +186,15 @@ def maclaurin_check(values: list[float], k: int) -> bool:
 _LEVEL_CONSTANTS: dict[str, list[float]] = {"basic": [], "symmetric": []}
 
 
+def check_bound_n(n: int) -> None:
+    """Refuse ``n`` unless it is an integer in ``2..MAX_BOUND_N``; a caller
+    runs this before it builds anything of length ``n``."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise DomainError("n must be an integer >= 2")
+    if n > MAX_BOUND_N:
+        raise CapacityError(f"n={n} exceeds the supported maximum {MAX_BOUND_N}")
+
+
 def step_constants(n: int, symmetric: bool) -> list[float]:
     """Per-level constants for levels 2..n, as a new list.
 
@@ -193,10 +203,7 @@ def step_constants(n: int, symmetric: bool) -> list[float]:
     the change of level-k to level-(k-1) normalization.  Each level's
     ``C(1/k)`` is computed once per process.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise DomainError("n must be an integer >= 2")
-    if n > MAX_BOUND_N:
-        raise CapacityError(f"n={n} exceeds the supported maximum {MAX_BOUND_N}")
+    check_bound_n(n)
     index_set = SYMMETRIC_SET if symmetric else BASIC_SET
     levels = _LEVEL_CONSTANTS[index_set.kind]
     for k in range(len(levels) + 2, n + 1):
@@ -238,8 +245,7 @@ def theorem_bound(n: int, chi2s: list[float], symmetric: bool,
     The finite product form is evaluated exactly as the unrolled
     recurrence gives it; no per-level constant is replaced by its limit.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise DomainError("n must be an integer >= 2")
+    check_bound_n(n)
     if len(chi2s) != n:
         raise DomainError("need one chi-square value per summand")
     mean = _mean_chi2(chi2s)

@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bounds import theorem_bound
+from .bounds import check_bound_n, theorem_bound
 from .config import FORMATS, RunConfig, load_config, parse_tiers
 from .constants import (
     BASIC_SET,
@@ -216,6 +216,8 @@ def _cmd_bound(args: argparse.Namespace,
                cfg: RunConfig) -> tuple[Report, int]:
     if cfg.format == "csv":
         raise DomainError("bound supports table and json output")
+    # before a list of n values is built
+    check_bound_n(args.n)
     if args.per_var is not None:
         try:
             values = [float(tok) for tok in args.per_var.split(",") if tok]

@@ -8,7 +8,16 @@ The recurrence lives in one place, ``_row``, behind
 :func:`hermite_row_normalized`.
 It writes each row into a table that the caller may own, so a caller that
 needs more rows later resumes from the last two it has, with the same bits
-as one pass from order 0.  Row tables reach ``2 MAX_ORDER``: a moment of
+as one pass from order 0.  It has two loops over the same float operations
+in the same order, so they give the same bits.  Up to ``_SCALAR_MAX``
+abscissas (a single value, the two points of the splitting identity, the
+2 to 17 knots of a catalog density or small sum) it runs one loop on
+Python floats per abscissa and writes its rows as one block; past that (the
+Gauss rules, the knots of large mixture sums) it runs one numpy step per
+row across all abscissas.  On arrays of a few floats a numpy step costs its
+call overhead, about 2 us, while a scalar step costs about 0.1 us per
+abscissa, so the two loops break even near 20 abscissas, where the
+threshold sits.  Row tables reach ``2 MAX_ORDER``: a moment of
 order ``MAX_ORDER`` taken by parts from the derivative jumps of a degree
 ``d < MAX_ORDER`` density reads rows up to ``MAX_ORDER + d + 1``.
 """
@@ -39,6 +48,10 @@ _WEIGHT_TOL = 1e-12
 # sqrt(k) for every k the recurrence and the factorial products reach
 _SQRT = tuple(math.sqrt(k) for k in range(_MAX_ROW + 2))
 
+# most abscissas for which _row runs the recurrence on Python floats: the
+# measured break-even with the per-row numpy loop
+_SCALAR_MAX = 20
+
 
 def _check_order(n: int, limit: int = MAX_ORDER) -> None:
     if isinstance(n, bool) or not isinstance(n, int):
@@ -53,7 +66,8 @@ def _row(n: int, x, table: np.ndarray | None = None, lo: int = 0) -> np.ndarray:
     """``[H_0(x)/sqrt(0!), ..., H_n(x)/sqrt(n!)]`` along a new first axis.
 
     The rescaled recurrence keeps intermediate values of moderate size, and
-    each step is the same float operations at every abscissa of ``x``.
+    each step is the same float operations at every abscissa of ``x``,
+    whichever loop runs it.
     Rows ``lo..n`` are written into ``table`` (a new one when it is
     ``None``) from the rows ``lo - 2`` and ``lo - 1`` already stored there,
     so resuming at any ``lo`` gives the same bits as one pass from 0.
@@ -61,11 +75,30 @@ def _row(n: int, x, table: np.ndarray | None = None, lo: int = 0) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if table is None:
         table = np.empty((n + 1, *x.shape))
+    start = max(lo, 2)
+    if x.size <= _SCALAR_MAX:
+        # rows start - 2 and start - 1 seed each abscissa's column
+        xs = x.ravel().tolist()
+        if lo >= 2:
+            below = table[lo - 2].ravel().tolist()
+            above = table[lo - 1].ravel().tolist()
+        else:
+            below = table[0].ravel().tolist() if lo else [1.0] * len(xs)
+            above = xs
+        sq, cols = _SQRT, []
+        for v, t0, t1 in zip(xs, below, above):
+            col = [t0, t1]
+            for k in range(start - 1, n):
+                t0, t1 = t1, (v * t1 - sq[k] * t0) / sq[k + 1]
+                col.append(t1)
+            cols.append(col[lo - start + 2:n - start + 3])
+        table[lo:n + 1] = np.array(cols).T.reshape(n + 1 - lo, *x.shape)
+        return table
     if lo == 0:
         table[0] = 1.0
     if lo <= 1 and n >= 1:
         table[1] = x
-    for k in range(max(lo, 2) - 1, n):
+    for k in range(start - 1, n):
         table[k + 1] = (x * table[k] - _SQRT[k] * table[k - 1]) / _SQRT[k + 1]
     return table
 

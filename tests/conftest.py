@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 from scipy.integrate import quad
 
 from chi2norm.densities import StandardizedDensity
@@ -33,6 +34,24 @@ def hermite_coeffs(n: int) -> tuple[int, ...]:
             math.factorial(n)
             // (math.factorial(i) * math.factorial(n - 2 * i) * 2 ** i))
     return tuple(out)
+
+
+def hermite_rows_numpy(n: int, x, table: np.ndarray | None = None,
+                       lo: int = 0) -> np.ndarray:
+    """Rows ``lo..n`` of ``H_k(x)/sqrt(k!)`` by one numpy step per row
+    across all abscissas: the loop the package ran for every input before
+    it gained its scalar loop, kept as the bitwise reference for both."""
+    x = np.asarray(x, dtype=float)
+    if table is None:
+        table = np.empty((n + 1, *x.shape))
+    if lo == 0:
+        table[0] = 1.0
+    if lo <= 1 and n >= 1:
+        table[1] = x
+    for k in range(max(lo, 2) - 1, n):
+        table[k + 1] = ((x * table[k] - math.sqrt(k) * table[k - 1])
+                        / math.sqrt(k + 1))
+    return table
 
 
 def hermite_moment(d: PiecewisePolyDensity, m: int) -> float:

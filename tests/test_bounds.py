@@ -280,6 +280,14 @@ class TestTheoremBound:
         with pytest.raises(DomainError):
             theorem_bound(1, [0.1], False)
 
+    def test_capacity_refused_before_the_mean(self, monkeypatch):
+        def refuse(values):
+            raise AssertionError("the per-summand values were summed")
+
+        monkeypatch.setattr(bounds, "_mean_chi2", refuse)
+        with pytest.raises(CapacityError):
+            theorem_bound(1001, [0.3] * 1001, False)
+
 
 class TestCorollaryBound:
     def test_zero_average(self):

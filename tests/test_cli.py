@@ -120,6 +120,21 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"]["type"] == "DomainError"
 
+    def test_bound_beyond_capacity_builds_no_list(self, capsys, monkeypatch):
+        # refused before the n per-summand values are built or summed
+        def refuse(values):
+            raise AssertionError("the per-summand values were summed")
+
+        monkeypatch.setattr(bounds, "_mean_chi2", refuse)
+        code, out, err = invoke(capsys, "bound", "--n", str(10 ** 7),
+                                "--avg-chi2", "0.3")
+        assert code == EXIT_ACCURACY
+        assert out == ""
+        record = json.loads(err)["error"]
+        assert record["type"] == "CapacityError"
+        assert record["message"] == (
+            f"n={10 ** 7} exceeds the supported maximum {bounds.MAX_BOUND_N}")
+
     @pytest.mark.parametrize("method", ["direct", "both"])
     def test_divergent_beta_prints_inf(self, capsys, method):
         # shape 1e-10 <= 1/2: p²/φ is not integrable at the edges, and the

@@ -11,12 +11,13 @@ from numpy.polynomial import hermite_e
 
 from chi2norm.errors import CapacityError, DomainError
 from chi2norm.hermite import (
+    _SCALAR_MAX,
     MAX_ORDER,
     addition_formula_eval,
     hermite_eval,
     hermite_row_normalized,
 )
-from conftest import hermite_coeffs
+from conftest import hermite_coeffs, hermite_rows_numpy
 
 
 class TestEvaluation:
@@ -96,9 +97,12 @@ PIN_ORDERS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 256)
 PIN_POINTS = (-9.5, -2.25, -1.0, 0.0, 0.3, 1.7, 4.0, 7.125)
 PIN_WEIGHTS = ((1.0, 0.0), (0.6, 0.8), (math.cos(0.3), math.sin(0.3)))
 
-# 0-d, tuple, empty and 1-d abscissas
+# 0-d, tuple, empty and 1-d abscissas; 37 points run the per-row numpy loop,
+# and the last two sit at the scalar loop's threshold and just past it
 RESUME_INPUTS = [np.float64(0.7), (1.5, -2.0), np.empty(0),
-                 np.linspace(-9.0, 9.0, 37)]
+                 np.linspace(-9.0, 9.0, 37),
+                 np.linspace(-9.0, 9.0, _SCALAR_MAX),
+                 np.linspace(-9.0, 9.0, _SCALAR_MAX + 1)]
 
 
 def float_digest(values) -> str:
@@ -106,10 +110,85 @@ def float_digest(values) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def far_points(count: int) -> np.ndarray:
+    """``count`` abscissas led by far ones: the rows at ±1e10 overflow to
+    ``inf`` at row 33 and turn ``nan`` after it, those at ±40 stay finite
+    but large up to row 512."""
+    far = np.array([1e10, -40.0, -1e10, 40.0, 39.5, -0.0])
+    return np.concatenate([far, np.linspace(-9.0, 9.0, count)])[:count]
+
+
+class TestLoops:
+    """The scalar loop (up to ``_SCALAR_MAX`` abscissas) and the per-row
+    numpy loop (past it) against the numpy reference, bit for bit."""
+
+    @pytest.mark.parametrize("count", [0, 1, 2, _SCALAR_MAX,
+                                       _SCALAR_MAX + 1, 129])
+    def test_bitwise_reference(self, count):
+        x = far_points(count)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = hermite_rows_numpy(2 * MAX_ORDER, x)
+            got = hermite_row_normalized(2 * MAX_ORDER, x)
+            for lo in (1, 2, 3, 31, 400):
+                # a pass resumed before and after the overflow, into a
+                # table whose rows lo.. hold nan until the pass fills them
+                table = np.full_like(want, np.nan)
+                table[:lo] = want[:lo]
+                hermite_row_normalized(2 * MAX_ORDER, x, table, lo)
+                assert table.tobytes() == want.tobytes(), lo
+        assert got.tobytes() == want.tobytes()
+        if count:
+            # the far points reach inf and then nan in the same rows
+            assert np.isinf(got).any() and np.isnan(got).any()
+        if count > 6:  # a near point after the six far ones
+            assert np.isfinite(got[:, -1]).all()
+
+    @pytest.mark.parametrize("x", [0.7, -1e10, 40.0])
+    def test_scalar_abscissa(self, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = hermite_rows_numpy(MAX_ORDER, x)
+        assert hermite_row_normalized(MAX_ORDER, x).tobytes() == want.tobytes()
+        for n in (0, 1, 2):
+            assert (hermite_row_normalized(n, x).tobytes()
+                    == want[:n + 1].tobytes())
+
+    @pytest.mark.parametrize("shape", [(2, 1), (3, 4), (2, 11), (0, 3)])
+    def test_two_dimensional_abscissas(self, shape):
+        x = far_points(math.prod(shape)).reshape(shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = hermite_rows_numpy(MAX_ORDER, x)
+            got = hermite_row_normalized(MAX_ORDER, x)
+        assert got.shape == (MAX_ORDER + 1, *shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(5,), (_SCALAR_MAX,),
+                                       (_SCALAR_MAX + 1,), (3, 4)])
+    @pytest.mark.parametrize("order", ["strided", "fortran"])
+    def test_caller_table_is_filled_in_place(self, shape, order):
+        # a table that is not one contiguous run of rows: every other column
+        # of a wider array (whose axes no reshape can merge without a
+        # copy), or column-major; the rows land in it, and the columns
+        # between its own stay as they were
+        x = np.linspace(-9.0, 9.0, math.prod(shape)).reshape(shape)
+        n, lo, k = 90, 41, shape[-1]
+        wide = (n + 1, *shape[:-1], 2 * k + 1)
+        backing = {"strided": np.full(wide, 7.0),
+                   "fortran": np.full((n + 1, *shape), 7.0, order="F")}[order]
+        table = backing[..., :2 * k:2] if order == "strided" else backing
+        want = hermite_rows_numpy(n, x)
+        assert hermite_row_normalized(lo - 1, x, table) is table
+        assert hermite_row_normalized(n, x, table, lo) is table
+        assert np.ascontiguousarray(table).tobytes() == want.tobytes()
+        if order == "strided":
+            assert (backing[..., 1::2] == 7.0).all()
+            assert (backing[..., -1] == 7.0).all()
+
+
 class TestResume:
     """Rows ``lo..n`` filled in place from the two rows stored above them."""
 
-    @pytest.mark.parametrize("x", RESUME_INPUTS, ids=["0d", "tuple", "empty", "1d"])
+    @pytest.mark.parametrize("x", RESUME_INPUTS, ids=[
+        "0d", "tuple", "empty", "1d", "at-threshold", "past-threshold"])
     def test_every_split_is_bitwise_one_shot(self, x):
         want = hermite_row_normalized(MAX_ORDER, x)
         assert want.shape == (MAX_ORDER + 1, *np.shape(x))
