@@ -41,6 +41,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ACCURACY = 3
 
+# the most steps of a --t-steps or --steps grid: at about 0.1 ms per MGF
+# point, the largest check grid runs for about 20 s
+MAX_GRID_STEPS = 100_000
+
 _SET_NAMES = {"basic": BASIC_SET, "sym": SYMMETRIC_SET}
 _VARIANT_NAMES = {"first": "first", "basic": "basic", "sym": "symmetric"}
 
@@ -254,12 +258,20 @@ def _cmd_threshold(args: argparse.Namespace,
                   ("variant", "threshold", "argmin_x"), (row,), ()), EXIT_OK
 
 
+def _check_grid_steps(flag: str, steps: int) -> None:
+    """Refuse ``steps`` outside ``1..MAX_GRID_STEPS``, before any grid."""
+    if steps < 1:
+        raise DomainError(f"{flag} must be >= 1")
+    if steps > MAX_GRID_STEPS:
+        raise CapacityError(f"{flag}={steps} exceeds the supported maximum "
+                            f"{MAX_GRID_STEPS}")
+
+
 def _cmd_check(args: argparse.Namespace,
                cfg: RunConfig) -> tuple[Report, int]:
     if args.t_max <= 0.0 or not math.isfinite(args.t_max):
         raise DomainError("--t-max must be positive and finite")
-    if args.t_steps < 1:
-        raise DomainError("--t-steps must be >= 1")
+    _check_grid_steps("--t-steps", args.t_steps)
     density = _build_density(args.dist, None)
     grid = [args.t_max * j / args.t_steps
             for j in range(-args.t_steps, args.t_steps + 1) if j != 0]
@@ -296,8 +308,7 @@ def _cmd_plotdata(args: argparse.Namespace,
                   cfg: RunConfig) -> tuple[Report, int]:
     if args.x_max <= 0.0 or not math.isfinite(args.x_max):
         raise DomainError("--x-max must be positive and finite")
-    if args.steps < 1:
-        raise DomainError("--steps must be >= 1")
+    _check_grid_steps("--steps", args.steps)
     rows = []
     for i in range(args.steps + 1):
         x = args.x_max * i / args.steps

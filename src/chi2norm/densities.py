@@ -1,9 +1,10 @@
 """Standardized test densities: mean zero, unit variance.
 
-Every construction here either carries an exact rational representation
-(:class:`~chi2norm.piecewise.PiecewisePolyDensity`) or is the standard
-normal itself.  The exact representation is what lets downstream code form
-normalized sums and rational moments without accumulating float error.
+Every construction here carries an exact rational representation
+(:class:`~chi2norm.piecewise.PiecewisePolyDensity`), is a non-integer beta
+on one Jacobi-weighted panel, or is the standard normal itself.  The exact
+representation is what lets downstream code form normalized sums and
+rational moments without accumulating float error.
 """
 
 from __future__ import annotations
@@ -33,51 +34,37 @@ __all__ = [
 
 MAX_SUM_TERMS = 12
 
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
 # positive normal floats; a scale or normalizing constant outside them
 # cannot be evaluated, so the density is refused before it is built
 _FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
 _LOG_FLOAT_MIN, _LOG_FLOAT_MAX = math.log(_FLOAT_MIN), math.log(_FLOAT_MAX)
 
 
-def _phi(x: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-
-
 @dataclass(frozen=True)
 class StandardizedDensity:
-    """A density with mean 0 and variance 1, plus evaluation metadata.
+    """A density with mean 0 and variance 1, as the routes read it.
 
     ``exact`` is the rational representation when one exists; the series
     route reads its Hermite moments from the derivative jumps of that form
-    where their rounding bound allows.  ``panels()`` writes the density
-    panel by panel, the one description that the quadrature reads: the
-    rule sums of the direct route and the MGF, and the series route's Gauss
-    rule (:func:`~chi2norm.quadrature.moment_rule`) for every other density
-    and as its fallback.  The normal has none: its divergence, MGF and
-    Hermite moments are exact closed forms.
+    where their rounding bound allows.  ``panels()``, the density's only
+    float view, is all that the quadrature reads: the rule sums of the
+    direct route and the MGF, and the series route's Gauss rule
+    (:func:`~chi2norm.quadrature.moment_rule`) for every other density and
+    as its fallback.  The normal has none: its divergence, MGF and Hermite
+    moments are exact closed forms.
     """
 
-    pdf: Callable[[float], float]
-    support: tuple[float, float]
     symmetric: bool
     description: str
     exact: PiecewisePolyDensity | None = None
     is_standard_normal: bool = False
     panels: Callable[[], Panels] | None = None
 
-    def __call__(self, x: float) -> float:
-        return self.pdf(x)
-
 
 def _wrap_exact(d: PiecewisePolyDensity, description: str,
                 symmetric: bool | None = None) -> StandardizedDensity:
     """Float-facing wrapper; ``symmetric`` is checked exactly unless given."""
-    lo, hi = d.support()
     return StandardizedDensity(
-        pdf=d.evaluate,
-        support=(lo, hi),
         symmetric=d.is_symmetric() if symmetric is None else symmetric,
         description=description,
         exact=d,
@@ -130,42 +117,27 @@ def make_scaled_beta(shape: float | Fraction) -> StandardizedDensity:
         )
         return _wrap_exact(d, f"beta:{ai}")
 
-    c = math.sqrt(float(scale_sq))
-    half = c / 2.0
-    # x = half s: the density of s is (1 - s²)^(a-1) / mass, and that of x
-    # is (1 - s²)^(a-1) level, one panel
-    mass, mass_ulps = weight_mass(af)
+    half = math.sqrt(float(scale_sq)) / 2.0
+    # one panel x = half s with density (1 - s²)^lam level.  The level
+    # takes the mass that the rules of this weight sum to, read from the
+    # rounded lam + 1; that sum is 0 only where a <= 2^-54
+    lam = af - 1.0
+    mass, mass_ulps = weight_mass(lam + 1.0 or af)
     level = 1.0 / (half * mass)
-
-    def pdf(x: float) -> float:
-        t = x / c + 0.5
-        if t <= 0.0 or t >= 1.0:
-            return 0.0
-        return math.exp(log_norm + (af - 1.0) * math.log(t * (1.0 - t))) / c
 
     def panels() -> Panels:
         return Panels(np.zeros(1), np.array([half]), np.zeros(1, int),
                       np.array([level]),
-                      lambda s: np.full((1, len(s)), level), af - 1.0,
+                      lambda s: np.full((1, len(s)), level), lam,
                       mass_ulps + 2.0)
 
-    return StandardizedDensity(
-        pdf=pdf,
-        support=(-half, half),
-        symmetric=True,
-        description=f"beta:{af:g}",
-        panels=panels,
-    )
+    return StandardizedDensity(symmetric=True, description=f"beta:{af:g}",
+                               panels=panels)
 
 
 def make_normal() -> StandardizedDensity:
-    return StandardizedDensity(
-        pdf=_phi,
-        support=(-math.inf, math.inf),
-        symmetric=True,
-        description="normal",
-        is_standard_normal=True,
-    )
+    return StandardizedDensity(symmetric=True, description="normal",
+                               is_standard_normal=True)
 
 
 def make_mixture(components: Sequence[tuple[Fraction | float, Fraction | float]],

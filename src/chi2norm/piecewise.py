@@ -22,11 +22,11 @@ the jump of the ``j``-th derivative at knot ``t_i``.  In that form
   ``2s - t_i``, which is the symmetry test.
 
 One running sum over the sorted origins builds the monomial ``pieces`` from
-the jumps.  Float evaluation and the panels, all that the quadrature reads
-of a density, take each piece in Bernstein form, converted exactly and
-rounded once.  :attr:`~PiecewisePolyDensity.x_jumps` gives the jumps
-themselves as floats, in the actual variable, for Hermite moments taken by
-parts.
+the jumps.  The panels, a density's one float view and all that the
+quadrature reads of it, take each piece in Bernstein form, converted
+exactly and rounded once.  :attr:`~PiecewisePolyDensity.x_jumps` gives
+the jumps themselves as floats, in the actual variable, for Hermite
+moments taken by parts.
 
 The exact kernels (Taylor shifts, jump products, the running sum, moments
 and the Bernstein conversion) run on Python ``int`` numerators over one
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -154,7 +153,7 @@ def _bernstein_at(d: int, beta: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """The Bernstein forms of degree ``d`` with coefficients ``beta`` (one
     row per piece) at ``s = (1 + xi) / 2``, shape ``(pieces, len(xi))``, in
     the dtype of ``xi``: Horner in the ratio of the smaller to the larger of
-    ``s`` and ``1 - s``, as :meth:`PiecewisePolyDensity.evaluate` does."""
+    ``s`` and ``1 - s``, times the larger to the power ``d``."""
     s, s1 = (1.0 + xi) / 2.0, (1.0 - xi) / 2.0
     left = s <= s1
     far = np.where(left, s1, s)
@@ -308,7 +307,7 @@ class PiecewisePolyDensity:
         with ``beta_k = sum_{j<=k} C(d-j, k-j) q_j`` for ``f(a + h s) =
         sum_j q_j s^j``.  The basis is the best-conditioned one on an
         interval (Farouki & Rajan, CAGD 1987); every catalog sum has
-        ``beta_k >= 0``, so evaluating it cancels nothing and is never < 0.
+        ``beta_k >= 0``, so :meth:`panel_values` cancels nothing and is >= 0.
 
         With the knots ``o / K`` and a piece's coefficients over ``P``, the
         ``q_j`` are integers over ``P K^(2d)``: the shift to ``a`` brings
@@ -351,31 +350,7 @@ class PiecewisePolyDensity:
                         row[j] = math.copysign(root, x)
         except OverflowError:
             return None
-        return np.array(self.x_knots()), out
-
-    def x_knots(self) -> list[float]:
-        return [self.scale * o for o in self._offsets]
-
-    def support(self) -> tuple[float, float]:
-        xs = self.x_knots()
-        return xs[0], xs[-1]
-
-    def evaluate(self, x: float) -> float:
-        u = x / self.scale
-        offs = self._offsets
-        if u < offs[0] or u > offs[-1]:
-            return 0.0
-        idx = min(max(bisect_right(offs, u) - 1, 0), len(self.pieces) - 1)
-        width, beta = self._bernstein[idx]
-        # Horner in the smaller over the larger distance to the two knots,
-        # each distance taken from its own knot
-        s, s1 = u - offs[idx], offs[idx + 1] - u
-        ratio, far, coeffs = ((s / s1, s1, beta[::-1]) if s <= s1
-                              else (s1 / s, s, beta))
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * ratio + c
-        return acc * (far / width) ** (len(beta) - 1) / self.scale
+        return np.array([self.scale * o for o in self._offsets]), out
 
     @cached_property
     def _runs(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
@@ -402,10 +377,10 @@ class PiecewisePolyDensity:
 
     def panel_values(self, xi: np.ndarray) -> np.ndarray:
         """The density of ``x`` at ``s = xi`` on every panel of
-        :attr:`panel_layout`, shape ``(panels, len(xi))``: :meth:`evaluate`'s
-        Horner scheme, one broadcast pass per run of pieces of one degree,
-        run in ``numpy.longdouble`` (64 mantissa bits on x86) and rounded
-        once to a float.  In floats, the recurrence alone moved the
+        :attr:`panel_layout`, shape ``(panels, len(xi))``: the Horner scheme
+        of :func:`_bernstein_at`, one broadcast pass per run of pieces of one
+        degree, run in ``numpy.longdouble`` (64 mantissa bits on x86) and
+        rounded once to a float.  In floats, the recurrence alone moved the
         chi-square of beta:3 at n = 6 (degree 29) by 1.1e-15."""
         xi = np.asarray(xi, dtype=np.longdouble)
         return np.concatenate([_bernstein_at(d, beta, xi)

@@ -92,23 +92,31 @@ def mixed_degrees() -> PiecewisePolyDensity:
 
 def check_standardized(density: StandardizedDensity,
                        tol: float = 1e-8) -> None:
-    """Mass 1, mean 0 and second moment 1 of the float density, each by
-    QUADPACK (scipy's ``quad``, a reference the package does not use) split
-    at the knots, within ``tol``; a density with an exact form must also
-    pass the exact test, which catches construction bugs below ``tol``."""
-    lo, hi = density.support
-    edges = [lo, hi]
-    if density.exact is not None:
-        if not density.exact.is_standardized():
-            raise DomainError(
-                f"{density.description}: exact standardization failed")
-        edges = density.exact.x_knots()
+    """Mass 1, mean 0 and second moment 1 of the density's panels, the one
+    float view the routes read, each by QUADPACK (scipy's ``quad``, a
+    reference the package does not use) within ``tol``: on panel ``k`` it
+    integrates ``half (1 - s²)^lam q_k(s) x^k`` over ``s`` in ``[-1, 1]``,
+    ``x = center + half s``, with the weight ``(1 - s²)^lam`` taken by the
+    algebraic-weight rule when ``lam`` is not 0.  A density with an exact
+    form must also pass the exact test, which catches construction bugs
+    below ``tol``."""
+    if density.panels is None:
+        raise DomainError(f"{density.description}: no panels")
+    if density.exact is not None and not density.exact.is_standardized():
+        raise DomainError(
+            f"{density.description}: exact standardization failed")
+    panels = density.panels()
+    weight = ({} if panels.lam == 0.0
+              else {"weight": "alg", "wvar": (panels.lam, panels.lam)})
     report = {}
     for name, k in (("mass", 0), ("mean", 1), ("second_moment", 2)):
         report[name] = math.fsum(
-            quad(lambda x: x ** k * density.pdf(x), a, b, epsabs=1e-10,
-                 epsrel=1e-10, limit=1 << 16)[0]
-            for a, b in zip(edges, edges[1:]))
+            quad(lambda s: (half * panels.values(np.array([s]))[i, 0]
+                            * (center + half * s) ** k),
+                 -1.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=1 << 16,
+                 **weight)[0]
+            for i, (center, half) in enumerate(zip(panels.center,
+                                                   panels.half)))
     if (abs(report["mass"] - 1.0) > tol or abs(report["mean"]) > tol
             or abs(report["second_moment"] - 1.0) > tol):
         raise DomainError(

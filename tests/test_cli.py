@@ -69,8 +69,7 @@ class TestExitCodes:
         panels = Panels(np.zeros(1), np.ones(1), np.full(1, 2.0),
                         np.full(1, 1.1),
                         lambda s: (0.5 - 0.6 * s * s)[None, :])
-        bad = StandardizedDensity(pdf=lambda x: 0.5 - 0.6 * x * x,
-                                  support=(-1.0, 1.0), symmetric=True,
+        bad = StandardizedDensity(symmetric=True,
                                   description="negative-tails",
                                   panels=lambda: panels)
         monkeypatch.setattr(cli, "from_name", lambda name: bad)
@@ -134,6 +133,35 @@ class TestExitCodes:
         assert record["type"] == "CapacityError"
         assert record["message"] == (
             f"n={10 ** 7} exceeds the supported maximum {bounds.MAX_BOUND_N}")
+
+    @pytest.mark.parametrize("argv,evaluator", [
+        (("subgaussian", "check", "--dist", "uniform", "--t-max", "1",
+          "--t-steps"), "mgf_check"),
+        (("plotdata", "--steps"), "g")], ids=["check", "plotdata"])
+    def test_grid_beyond_capacity_builds_no_grid(self, capsys, monkeypatch,
+                                                 argv, evaluator):
+        # refused before the grid is built or any point of it evaluated
+        def refuse(*args):
+            raise AssertionError("a grid point was evaluated")
+
+        monkeypatch.setattr(cli, evaluator, refuse)
+        steps = cli.MAX_GRID_STEPS + 1
+        code, out, err = invoke(capsys, *argv, str(steps))
+        assert code == EXIT_ACCURACY
+        assert out == ""
+        record = json.loads(err)["error"]
+        assert record["type"] == "CapacityError"
+        assert record["message"] == (
+            f"{argv[-1]}={steps} exceeds the supported maximum "
+            f"{cli.MAX_GRID_STEPS}")
+
+    @pytest.mark.parametrize("argv", [
+        ("subgaussian", "check", "--dist", "uniform", "--t-max", "1",
+         "--t-steps"), ("plotdata", "--steps")], ids=["check", "plotdata"])
+    def test_grid_at_capacity_runs(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "MAX_GRID_STEPS", 3)
+        assert invoke(capsys, *argv, "3")[0] == EXIT_OK
+        assert invoke(capsys, *argv, "4")[0] == EXIT_ACCURACY
 
     @pytest.mark.parametrize("method", ["direct", "both"])
     def test_divergent_beta_prints_inf(self, capsys, method):

@@ -8,13 +8,15 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from chi2norm.densities import from_name
 from chi2norm.errors import DomainError
 from chi2norm.piecewise import PiecewisePolyDensity
-from chi2norm.quadrature import Panels, moment_node_counts, moment_rule
+from chi2norm.quadrature import (Panels, jacobi_rule, moment_node_counts,
+                                 moment_rule)
 from conftest import hermite_moment, mixed_degrees, moment_t
 
 
@@ -42,6 +44,8 @@ def lopsided() -> PiecewisePolyDensity:
     )
 
 
+EPS = float(np.finfo(float).eps)
+
 # every sum the divergence benchmark builds, and more: 34 in all
 SUMS_34 = ([("uniform", n) for n in range(2, 13)]
            + [(name, n) for name in ("beta:2", "beta:3", "mixture:1:1,1:2",
@@ -50,13 +54,22 @@ SUMS_34 = ([("uniform", n) for n in range(2, 13)]
            + [("mixture:1:1,3:1/2,1:3/2", n) for n in range(2, 5)])
 
 
+def build(name: str, n: int) -> PiecewisePolyDensity:
+    return {"lopsided": lopsided, "mixed-degrees": mixed_degrees}.get(
+        name, lambda: from_name(name).exact.normalized_sum(n))()
+
+
+def piece_value(piece: tuple[Fraction, ...], t: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(piece):
+        acc = acc * t + c
+    return acc
+
+
 def exact_value(d: PiecewisePolyDensity, t: Fraction) -> Fraction:
     """``f(t)`` in the internal coordinate, in exact arithmetic."""
     idx = min(max(bisect_right(d.knots, t) - 1, 0), len(d.pieces) - 1)
-    acc = Fraction(0)
-    for c in reversed(d.pieces[idx]):
-        acc = acc * t + c
-    return acc
+    return piece_value(d.pieces[idx], t)
 
 
 # Fraction reference: the exact kernels as they ran on Fraction objects
@@ -220,36 +233,48 @@ class TestExactQueries:
 
 
 class TestEvaluation:
-    def test_box_density_value(self):
-        d = unit_box()
-        h = 1.0 / (2.0 * math.sqrt(3.0))
-        for x in (-1.5, 0.0, 0.3, 1.7):
-            assert d.evaluate(x) == pytest.approx(h, rel=1e-15)
-        assert d.evaluate(1.8) == 0.0
-        assert d.evaluate(-5.0) == 0.0
+    """``panel_values``, the float view of the pieces that every route
+    reads, against the exact pieces."""
 
-    @pytest.mark.parametrize("name,n", SUMS_34)
+    def test_box_density_value(self):
+        values = unit_box().panel_values(np.array([-1.0, -0.5, 0.0, 0.3, 1.0]))
+        assert values.shape == (1, 5)
+        assert values == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)),
+                                       rel=1e-15)
+
+    @pytest.mark.parametrize("name,n", [*SUMS_34, ("lopsided", 1),
+                                        ("mixed-degrees", 1)])
     def test_matches_exact_evaluation(self, name, n):
-        # 500 grid points plus approaches to both support ends; the exact
-        # reference is taken at the t the float x stands for, x / scale
-        d = from_name(name).exact.normalized_sum(n)
-        lo, hi = d.support()
-        xs = [*np.linspace(lo, hi, 502)[1:-1],
-              *(end * (1.0 - 10.0 ** -k) for end in (lo, hi)
-                for k in range(1, 13))]
-        worst = 0.0
-        for x in map(float, xs):
-            got = d.evaluate(x)
-            want = float(exact_value(d, d.shift + Fraction(x / d.scale))
-                         / Fraction(d.scale))
-            assert got >= 0.0, x
-            worst = max(worst, abs(got - want) / want)
-        assert worst <= 1e-10
+        # at Legendre nodes and a uniform grid with both ends, within the
+        # 2 (degree + 4) ulps that Panels states and rule_sum's rounding
+        # term charges; the reference is the exact piece at the t the float
+        # s stands for, over the irrational scale
+        d = build(name, n)
+        xi = np.concatenate((jacobi_rule(32, 0.0)[0],
+                             np.linspace(-1.0, 1.0, 21)))
+        got = d.panel_values(xi)
+        kept = [i for i, piece in enumerate(d.pieces) if any(piece)]
+        degrees = d.panel_layout[2]
+        assert got.shape == (len(kept), len(xi))
+        with mp.workdps(40):
+            scale = mp.sqrt(mp.mpf(d.scale_sq.numerator)
+                            / d.scale_sq.denominator)
+            for row, i, degree in zip(got, kept, degrees):
+                a, b = d.knots[i], d.knots[i + 1]
+                for value, s in zip(row.tolist(), xi.tolist()):
+                    f = piece_value(d.pieces[i],
+                                    a + (b - a) * (1 + Fraction(s)) / 2)
+                    if f == 0:
+                        assert value == 0.0
+                        continue
+                    want = mp.mpf(f.numerator) / f.denominator / scale
+                    ulps = abs(value - want) / (EPS * want)
+                    assert ulps <= 2 * (degree + 4), (i, s)
 
     def test_support_endpoints(self):
-        lo, hi = unit_box().support()
-        assert lo == pytest.approx(-math.sqrt(3.0), rel=1e-15)
-        assert hi == pytest.approx(math.sqrt(3.0), rel=1e-15)
+        center, half = unit_box().panel_layout[:2]
+        assert center - half == pytest.approx([-math.sqrt(3.0)], rel=1e-15)
+        assert center + half == pytest.approx([math.sqrt(3.0)], rel=1e-15)
 
 
 class TestConvolution:
@@ -266,30 +291,25 @@ class TestConvolution:
         assert d.pieces[1] == (Fraction(2), Fraction(-1))
 
     def test_normalized_sum_matches_irwin_hall(self):
-        # closed form for the standardized sum of n unit boxes
+        # closed form for the sum of n unit boxes, in the internal
+        # coordinate t = x sqrt(n / 12) + n / 2
         for n in (2, 3, 4):
             d = unit_box().normalized_sum(n)
             assert d.is_standardized()
-            c = math.sqrt(n / 12.0)
+            assert (d.scale_sq, d.shift) == (Fraction(12, n), Fraction(n, 2))
             rng = np.random.default_rng(100 + n)
-            for x in rng.uniform(-math.sqrt(3 * n) * 0.99,
-                                 math.sqrt(3 * n) * 0.99, size=40):
-                t = x * c + n / 2.0
-                ih = sum((-1) ** k * math.comb(n, k) * (t - k) ** (n - 1)
-                         for k in range(int(math.floor(t)) + 1))
-                ih /= math.factorial(n - 1)
-                assert d.evaluate(x) == pytest.approx(ih * c, rel=1e-12,
-                                                      abs=1e-13)
+            for u in rng.uniform(0.005 * n, 0.995 * n, size=40):
+                t = Fraction(u)
+                ih = sum((Fraction((-1) ** k * math.comb(n, k)) * (t - k)
+                          ** (n - 1) for k in range(math.floor(t) + 1)),
+                         Fraction(0))
+                assert exact_value(d, t) == ih / math.factorial(n - 1)
 
     def test_sum_associativity(self):
         # building S_4 directly must agree with (S_2 + S_2) rescaled
         direct = unit_box().normalized_sum(4)
         half = unit_box().convolve(unit_box())
-        other = rescaled(half.convolve(half), Fraction(3))
-        xs = np.linspace(-3.4, 3.4, 113)
-        for x in xs:
-            assert direct.evaluate(float(x)) == pytest.approx(
-                other.evaluate(float(x)), rel=1e-12, abs=1e-14)
+        assert direct == rescaled(half.convolve(half), Fraction(3))
 
     def test_convolution_requires_matching_scale(self):
         with pytest.raises(DomainError):
@@ -436,7 +456,7 @@ class TestGaussRule:
         # (degree + 8) // 2 + 1 Legendre nodes on each nonzero piece
         assert len(nodes) == len(weights) == 5 + 5 + 5 + 5 + 6
         assert np.all(np.diff(nodes) > 0)
-        lo, hi = d.x_knots()[1:3]
+        lo, hi = d.x_jumps[0][1:3]
         assert not np.any((nodes > lo) & (nodes < hi))
 
     @pytest.mark.parametrize("degree", [0, 8, 40, 256])
@@ -455,10 +475,10 @@ class TestFloatJumps:
     @pytest.mark.parametrize("name,n", [*SUMS_34, ("lopsided", 1),
                                         ("mixed-degrees", 1)])
     def test_entries_within_three_quarter_ulp(self, name, n):
-        d = {"lopsided": lopsided, "mixed-degrees": mixed_degrees}.get(
-            name, lambda: from_name(name).exact.normalized_sum(n))()
+        d = build(name, n)
         knots, jumps = d.x_jumps
-        assert knots.tolist() == d.x_knots()
+        assert knots.tolist() == [d.scale * float(k - d.shift)
+                                  for k in d.knots]
         exact = jumps_as_fractions(d)
         assert jumps.shape == (len(exact), max(map(len, exact.values())))
         for row, (_, jt) in zip(jumps, sorted(exact.items())):

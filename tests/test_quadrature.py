@@ -171,7 +171,11 @@ class TestUniformMgf:
 
 
 class TestBetaMgf:
-    @pytest.mark.parametrize("shape", [Fraction(3, 4), Fraction(7, 5)])
+    # below shape 1/2 the level's mass must be the one the rules read, from
+    # the rounded lam + 1, which differs from a by up to 2^-54 / a relative
+    @pytest.mark.parametrize("shape", [
+        Fraction(3, 4), Fraction(7, 5), Fraction(1, 10 ** 4),
+        Fraction(1, 10 ** 8), Fraction(1, 10 ** 12)])
     @pytest.mark.parametrize("t", [-3.0, -0.4, 1.0, 2.5, 8.0])
     def test_covers_bessel_form(self, shape, t):
         # E e^(zU) = Γ(a + 1/2) (z/2)^(1/2 - a) I_(a-1/2)(z), z = t sqrt(2a+1)
