@@ -41,6 +41,11 @@ COMMANDS = (
     "chi2 --dist normal --method both",
     "chi2 --dist beta:2 --n 12 --method both",
     "chi2 --dist beta:3 --n 9 --method both",
+    # a format flag over the table layout, over plotdata's CSV default, and
+    # a tiers flag
+    "table1 --format csv",
+    "plotdata --steps 4 --format table",
+    "verify --tiers 1 --format json",
 )
 
 _HEADER = re.compile(r"^=== chi2norm (.*) \(exit (\d+)\)\n", re.M)
