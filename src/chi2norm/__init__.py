@@ -17,7 +17,6 @@ from .bounds import (
     theorem_bound,
     unroll_recurrence,
 )
-from .config import RunConfig, load_config
 from .constants import (
     BASIC_SET,
     SYMMETRIC_SET,
@@ -82,7 +81,6 @@ __all__ = [
     "DomainError",
     "HermiteProfile",
     "IndexSet",
-    "RunConfig",
     "StandardizedDensity",
     "SYMMETRIC_SET",
     "Table1Entry",
@@ -103,7 +101,6 @@ __all__ = [
     "hermite_eval",
     "hermite_mgf_identity_check",
     "hermite_profile",
-    "load_config",
     "maclaurin_check",
     "make_mixture",
     "make_normal",

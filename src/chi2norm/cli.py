@@ -13,11 +13,11 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
 from .bounds import check_bound_n, theorem_bound
-from .config import FORMATS, RunConfig, load_config, parse_tiers
 from .constants import (
     BASIC_SET,
     CLOSED_FORM_UPPER,
@@ -33,13 +33,16 @@ from .distances import (chi2_both, chi2_direct, chi2_series,
                          profile_until_converged, routes_agree)
 from .errors import AccuracyError, CapacityError, DomainError
 from .subgaussian import mgf_check, threshold
-from .verify import run_suite, stein_check
+from .verify import TIERS, run_suite, stein_check
 
 __all__ = ["main", "run", "Report"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ACCURACY = 3
+
+CONFIG_ENV_VAR = "CHI2NORM_CONFIG"
+FORMATS = ("table", "json", "csv")
 
 # the most steps of a --t-steps or --steps grid: at about 0.1 ms per MGF
 # point, the largest check grid runs for about 20 s
@@ -152,8 +155,7 @@ def _build_density(name: str, n: int | None):
     return normalized_sum_density(base, n)
 
 
-def _cmd_chi2(args: argparse.Namespace,
-              cfg: RunConfig) -> tuple[Report, int]:
+def _cmd_chi2(args: argparse.Namespace) -> tuple[Report, int]:
     density = _build_density(args.dist, args.n)
     rows: list[tuple[object, ...]] = []
     footer: list[tuple[str, object]] = []
@@ -185,8 +187,7 @@ def _cmd_chi2(args: argparse.Namespace,
                   tuple(rows), tuple(footer)), EXIT_OK
 
 
-def _cmd_constants(args: argparse.Namespace,
-                   cfg: RunConfig) -> tuple[Report, int]:
+def _cmd_constants(args: argparse.Namespace) -> tuple[Report, int]:
     index_set = _SET_NAMES[args.set]
     method = EXACT_MAX if args.method == "exact" else CLOSED_FORM_UPPER
     est = C_of_p(index_set, args.p, method=method)
@@ -196,8 +197,7 @@ def _cmd_constants(args: argparse.Namespace,
                   (row,), ()), EXIT_OK
 
 
-def _cmd_table1(args: argparse.Namespace,
-                cfg: RunConfig) -> tuple[Report, int]:
+def _cmd_table1(args: argparse.Namespace) -> tuple[Report, int]:
     entries = constants_table(2, 10)
     basic = [e for e in entries if e.index_set is BASIC_SET]
     sym = [e for e in entries if e.index_set is SYMMETRIC_SET]
@@ -206,7 +206,7 @@ def _cmd_table1(args: argparse.Namespace,
         ("basic",) + tuple(e.value for e in basic),
         ("symmetric",) + tuple(e.value for e in sym),
     ]
-    if cfg.format == "table":
+    if args.format == "table":
         # human layout adds the rounded-up 4-decimal rows
         rows.insert(1, ("basic (4dp)",)
                     + tuple(f"{e.rounded_up:.4f}" for e in basic))
@@ -216,9 +216,8 @@ def _cmd_table1(args: argparse.Namespace,
                   tuple(rows), ()), EXIT_OK
 
 
-def _cmd_bound(args: argparse.Namespace,
-               cfg: RunConfig) -> tuple[Report, int]:
-    if cfg.format == "csv":
+def _cmd_bound(args: argparse.Namespace) -> tuple[Report, int]:
+    if args.format == "csv":
         raise DomainError("bound supports table and json output")
     # before a list of n values is built
     check_bound_n(args.n)
@@ -250,8 +249,7 @@ def _cmd_bound(args: argparse.Namespace,
                   tuple(rows), ()), EXIT_OK
 
 
-def _cmd_threshold(args: argparse.Namespace,
-                   cfg: RunConfig) -> tuple[Report, int]:
+def _cmd_threshold(args: argparse.Namespace) -> tuple[Report, int]:
     result = threshold(_VARIANT_NAMES[args.set])
     row = (result.variant, result.threshold, result.argmin_x)
     return Report("subgaussian divergence threshold",
@@ -267,8 +265,7 @@ def _check_grid_steps(flag: str, steps: int) -> None:
                             f"{MAX_GRID_STEPS}")
 
 
-def _cmd_check(args: argparse.Namespace,
-               cfg: RunConfig) -> tuple[Report, int]:
+def _cmd_check(args: argparse.Namespace) -> tuple[Report, int]:
     if args.t_max <= 0.0 or not math.isfinite(args.t_max):
         raise DomainError("--t-max must be positive and finite")
     _check_grid_steps("--t-steps", args.t_steps)
@@ -283,10 +280,8 @@ def _cmd_check(args: argparse.Namespace,
                   (("all_positive", all_positive),)), EXIT_OK
 
 
-def _cmd_verify_suite(args: argparse.Namespace,
-                      cfg: RunConfig) -> tuple[Report, int]:
-    tiers = cfg.tiers if args.tiers is None else parse_tiers(args.tiers)
-    suite = run_suite(tiers)
+def _cmd_verify_suite(args: argparse.Namespace) -> tuple[Report, int]:
+    suite = run_suite(args.tiers)
     rows = tuple((c.tier, c.name, c.passed, c.detail) for c in suite.checks)
     footer = (("passed", suite.n_passed), ("failed", suite.n_failed))
     code = EXIT_OK if suite.ok else EXIT_ACCURACY
@@ -294,8 +289,7 @@ def _cmd_verify_suite(args: argparse.Namespace,
                   rows, footer), code
 
 
-def _cmd_verify_stein(args: argparse.Namespace,
-                      cfg: RunConfig) -> tuple[Report, int]:
+def _cmd_verify_stein(args: argparse.Namespace) -> tuple[Report, int]:
     passed, detail = stein_check(args.dist, args.n, args.max_order)
     row = (args.dist, args.n, args.max_order, passed, detail)
     code = EXIT_OK if passed else EXIT_ACCURACY
@@ -304,8 +298,7 @@ def _cmd_verify_stein(args: argparse.Namespace,
                   (row,), ()), code
 
 
-def _cmd_plotdata(args: argparse.Namespace,
-                  cfg: RunConfig) -> tuple[Report, int]:
+def _cmd_plotdata(args: argparse.Namespace) -> tuple[Report, int]:
     if args.x_max <= 0.0 or not math.isfinite(args.x_max):
         raise DomainError("--x-max must be positive and finite")
     _check_grid_steps("--steps", args.steps)
@@ -315,6 +308,89 @@ def _cmd_plotdata(args: argparse.Namespace,
         rows.append((x, g(x), g_sym(x)))
     return Report("weight functions", ("x", "g", "g_sym"),
                   tuple(rows), ()), EXIT_OK
+
+
+def _parse_format(raw: str) -> str:
+    if raw not in FORMATS:
+        raise DomainError(f"format must be one of {', '.join(FORMATS)}")
+    return raw
+
+
+def _parse_output(raw: str) -> str:
+    if not raw:
+        raise DomainError("output path must be nonempty when given")
+    return raw
+
+
+def _parse_tiers(raw: str) -> tuple[int, ...]:
+    """Comma-separated known tier numbers, deduplicated and sorted."""
+    parts = [tok.strip() for tok in raw.split(",") if tok.strip()]
+    if not parts:
+        raise DomainError("tiers must not be empty")
+    tiers = set()
+    for tok in parts:
+        try:
+            tiers.add(int(tok))
+        except ValueError:
+            raise DomainError(f"not an integer: {tok!r}") from None
+    for t in sorted(tiers):
+        if t not in TIERS:
+            raise DomainError(f"unknown tier {t}")
+    return tuple(sorted(tiers))
+
+
+# each setting's parser, run on a config file's value and a flag's alike
+_SETTINGS = {"format": _parse_format, "output": _parse_output,
+             "tiers": _parse_tiers}
+# the settings of a command that neither the file nor a flag gives
+_DEFAULTS = {"format": "table", "output": None, "tiers": TIERS}
+
+
+def _read_config(path: str) -> dict[str, str]:
+    """Raw key=value pairs from ``path``; later duplicates win.
+
+    Blank lines and ``#`` comments are skipped.  Keys are validated
+    here, values by their setting's parser.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise DomainError(f"cannot read config {path!r}: {exc}") from None
+    raw: dict[str, str] = {}
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise DomainError(
+                f"{path}:{lineno}: expected key=value, got {stripped!r}")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key not in _SETTINGS:
+            raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+        raw[key] = value.strip()
+    return raw
+
+
+def _apply_settings(args: argparse.Namespace) -> None:
+    """Set ``format``, ``output`` and ``tiers`` on ``args``: a flag wins
+    over the config file, which wins over the command's default.
+
+    The file is named by ``--config`` or, without it, by the
+    ``CHI2NORM_CONFIG`` environment variable; when neither names one, no
+    file is read.
+    """
+    path = getattr(args, "config", None)
+    if path is None:
+        path = os.environ.get(CONFIG_ENV_VAR) or None
+    from_file = {} if path is None else _read_config(path)
+    values = dict(args.defaults)
+    values |= {key: _SETTINGS[key](raw) for key, raw in from_file.items()}
+    for key, parse in _SETTINGS.items():
+        if hasattr(args, key):
+            values[key] = parse(getattr(args, key))
+    vars(args).update(values)
 
 
 def _common_options(parser: argparse.ArgumentParser) -> None:
@@ -335,6 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Divergence-from-normal computations: divergences, "
                     "certified constants, convergence bounds, diagnostics.")
     _common_options(parser)
+    parser.set_defaults(defaults=_DEFAULTS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chi2", help="divergence of a catalog density")
@@ -346,15 +423,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="compute for the normalized sum of n copies")
     p.add_argument("--method", choices=("direct", "series", "both"),
                    default="both")
+    p.set_defaults(handler=_cmd_chi2)
 
     p = sub.add_parser("constants", help="correction constant at one p")
     _common_options(p)
     p.add_argument("--set", choices=("basic", "sym"), required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--method", choices=("exact", "upper"), default="exact")
+    p.set_defaults(handler=_cmd_constants)
 
     p = sub.add_parser("table1", help="certified constants for n = 2..10")
     _common_options(p)
+    p.set_defaults(handler=_cmd_table1)
 
     p = sub.add_parser("bound", help="convergence bound for a sum")
     _common_options(p)
@@ -363,55 +443,43 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--per-var", default=None,
                    help="comma-separated per-variable divergences")
+    p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("subgaussian", help="thresholds and MGF diagnostics")
     gsub = p.add_subparsers(dest="subcommand", required=True)
     q = gsub.add_parser("threshold", help="divergence threshold of a variant")
     _common_options(q)
     q.add_argument("--set", choices=("first", "basic", "sym"), required=True)
+    q.set_defaults(handler=_cmd_threshold)
     q = gsub.add_parser("check", help="MGF margins on a grid")
     _common_options(q)
     q.add_argument("--dist", required=True)
     q.add_argument("--t-max", type=float, required=True)
     q.add_argument("--t-steps", type=int, required=True)
+    q.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("verify", help="run the tiered self-check suite")
     _common_options(p)
-    p.add_argument("--tiers", default=None,
+    p.add_argument("--tiers", default=argparse.SUPPRESS,
                    help="comma-separated tiers to run (default: all)")
+    p.set_defaults(handler=_cmd_verify_suite)
     vsub = p.add_subparsers(dest="target", required=False)
     q = vsub.add_parser("stein", help="recurrence identity for one sum")
     _common_options(q)
     q.add_argument("--dist", default="uniform")
     q.add_argument("--n", type=int, default=2)
     q.add_argument("--max-order", type=int, default=24)
+    q.set_defaults(handler=_cmd_verify_stein)
 
     p = sub.add_parser("plotdata", help="x, g(x), g_sym(x) samples")
     _common_options(p)
     p.add_argument("--x-max", type=float, default=20.0)
     p.add_argument("--steps", type=int, default=200)
+    # figure-data consumers want CSV unless the file or a flag says otherwise
+    p.set_defaults(handler=_cmd_plotdata,
+                   defaults={**_DEFAULTS, "format": "csv"})
 
     return parser
-
-
-_COMMANDS = {
-    "chi2": _cmd_chi2,
-    "constants": _cmd_constants,
-    "table1": _cmd_table1,
-    "bound": _cmd_bound,
-    "plotdata": _cmd_plotdata,
-}
-
-
-def _resolve(args: argparse.Namespace):
-    if args.command == "subgaussian":
-        return (_cmd_threshold if args.subcommand == "threshold"
-                else _cmd_check)
-    if args.command == "verify":
-        if getattr(args, "target", None) == "stein":
-            return _cmd_verify_stein
-        return _cmd_verify_suite
-    return _COMMANDS[args.command]
 
 
 def run(argv: list[str]) -> int:
@@ -423,14 +491,10 @@ def run(argv: list[str]) -> int:
         if exc.code is None:
             return EXIT_OK
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    overrides = {key: getattr(args, key) for key in ("format", "output")
-                  if hasattr(args, key)}
-    # figure-data consumers want CSV unless the file or a flag says otherwise
-    defaults = {"format": "csv"} if args.command == "plotdata" else {}
     try:
-        cfg = load_config(getattr(args, "config", None), overrides, defaults)
-        report, code = _resolve(args)(args, cfg)
-        _emit(report, cfg.format, cfg.output)
+        _apply_settings(args)
+        report, code = args.handler(args)
+        _emit(report, args.format, args.output)
     except DomainError as exc:
         _error_record("usage", exc)
         return EXIT_USAGE

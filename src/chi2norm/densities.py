@@ -91,7 +91,8 @@ def make_scaled_beta(shape: float | Fraction) -> StandardizedDensity:
     the normal is infinite at and below that point; the construction still
     succeeds there because the density itself is fine.  A shape whose
     normalizing constant ``1/B(a, a)`` leaves the float range is refused,
-    read from ``lgamma`` before any factorial is built.
+    read from ``lgamma`` before any factorial is built, and so is a shape
+    at most ``2^-54``, where ``a - 1`` rounds to -1.
     """
     a = Fraction(shape)
     if a <= 0:
@@ -101,6 +102,9 @@ def make_scaled_beta(shape: float | Fraction) -> StandardizedDensity:
     if not _LOG_FLOAT_MIN < log_norm < _LOG_FLOAT_MAX:
         raise DomainError("beta shape out of range: its normalizing "
                           "constant 1/B(a, a) leaves the float range")
+    if af <= 2.0 ** -54:
+        raise DomainError(f"beta shape {af:g} is at most 2^-54, where "
+                          "a - 1 rounds to -1")
     scale_sq = 4 * (2 * a + 1)
     if a.denominator == 1:
         ai = int(a)
@@ -120,9 +124,9 @@ def make_scaled_beta(shape: float | Fraction) -> StandardizedDensity:
     half = math.sqrt(float(scale_sq)) / 2.0
     # one panel x = half s with density (1 - s²)^lam level.  The level
     # takes the mass that the rules of this weight sum to, read from the
-    # rounded lam + 1; that sum is 0 only where a <= 2^-54
+    # rounded lam + 1
     lam = af - 1.0
-    mass, mass_ulps = weight_mass(lam + 1.0 or af)
+    mass, mass_ulps = weight_mass(lam + 1.0)
     level = 1.0 / (half * mass)
 
     def panels() -> Panels:

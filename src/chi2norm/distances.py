@@ -344,7 +344,7 @@ def chi2_both(density: StandardizedDensity) -> tuple[Chi2Result, Chi2Result]:
 
 def routes_agree(direct: Chi2Result, series: Chi2Result) -> bool:
     """The ``both`` agreement rule: the series error estimate is finite and
-    the direct value lies within it, plus an absolute slack of 1e-6."""
+    the two routes' stated intervals overlap."""
     return (math.isfinite(series.error_estimate)
             and abs(direct.value - series.value)
-            <= series.error_estimate + 1e-6)
+            <= direct.error_estimate + series.error_estimate)

@@ -10,20 +10,18 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chi2norm import bounds, cli, config
-from chi2norm.cli import EXIT_ACCURACY, EXIT_OK, EXIT_USAGE, run
-from chi2norm.config import (CONFIG_ENV_VAR, RunConfig, load_config,
-                             read_config_file)
+from chi2norm import bounds, cli
+from chi2norm.cli import (CONFIG_ENV_VAR, EXIT_ACCURACY, EXIT_OK, EXIT_USAGE,
+                          run)
 from chi2norm.constants import g, g_sym
 from chi2norm.densities import StandardizedDensity
-from chi2norm.errors import DomainError
 from chi2norm.quadrature import Panels
+from chi2norm.verify import TIERS, VerifyReport
 from conftest import CHI2_UNIFORM_SUM_2
 
 
@@ -169,6 +167,30 @@ class TestExitCodes:
         # Jacobi weight's exponent says so before any node is read
         code, out, err = invoke(capsys, "chi2", "--dist", "beta:1e-10",
                                 "--method", method)
+        assert code == EXIT_OK
+        assert err == ""
+        assert out.splitlines()[2].split()[:3] == ["direct", "inf", "inf"]
+
+    @pytest.mark.parametrize("argv", [
+        ("chi2", "--dist", "beta:1e-20"),
+        ("chi2", "--dist", "beta:1e-20", "--method", "series"),
+        ("chi2", "--dist", "beta:1e-20", "--method", "direct"),
+        ("subgaussian", "check", "--dist", "beta:1e-20", "--t-max", "1",
+         "--t-steps", "1"),
+    ], ids=["both", "series", "direct", "check"])
+    def test_vanishing_beta_shape_is_usage(self, capsys, argv):
+        # at a <= 2^-54, a - 1 rounds to -1: the shape is refused when the
+        # density is built, in a message that names it and the limit
+        code, out, err = invoke(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert json.loads(err)["error"]["message"] == (
+            "beta shape 1e-20 is at most 2^-54, where a - 1 rounds to -1")
+
+    def test_least_beta_shape_prints_inf(self, capsys):
+        # 2^-53 builds: there a - 1 = -(1 - 2^-53) is exact
+        code, out, err = invoke(capsys, "chi2", "--dist",
+                                f"beta:{2.0 ** -53!r}", "--method", "direct")
         assert code == EXIT_OK
         assert err == ""
         assert out.splitlines()[2].split()[:3] == ["direct", "inf", "inf"]
@@ -487,18 +509,17 @@ LAYER_IMPORTS = {
     "constants": {"errors"},
     "hermite": {"errors"},
     "quadrature": {"errors"},
-    "config": {"errors"},
     "piecewise": {"errors"},
     "densities": {"errors", "piecewise", "quadrature"},
     "distances": {"densities", "errors", "hermite", "quadrature"},
     "bounds": {"constants", "distances", "errors"},
     "subgaussian": {"densities", "distances", "errors", "quadrature"},
-    "verify": {"bounds", "config", "constants", "densities", "distances",
-               "errors", "hermite", "quadrature", "subgaussian"},
-    "cli": {"bounds", "config", "constants", "densities", "distances",
-            "errors", "subgaussian", "verify"},
-    "__init__": {"bounds", "config", "constants", "densities", "distances",
-                 "errors", "hermite", "quadrature", "subgaussian", "verify"},
+    "verify": {"bounds", "constants", "densities", "distances", "errors",
+               "hermite", "quadrature", "subgaussian"},
+    "cli": {"bounds", "constants", "densities", "distances", "errors",
+            "subgaussian", "verify"},
+    "__init__": {"bounds", "constants", "densities", "distances", "errors",
+                 "hermite", "quadrature", "subgaussian", "verify"},
 }
 
 
@@ -510,7 +531,6 @@ THIRD_PARTY_IMPORTS = {
     "constants": {"numpy"},
     "hermite": {"numpy"},
     "quadrature": {"numpy"},
-    "config": set(),
     "piecewise": {"numpy"},
     "densities": {"numpy"},
     "distances": {"numpy"},
@@ -598,7 +618,7 @@ class TestConfig:
         # the package __init__ loads every module, so the import graph is
         # read from the source rather than from sys.modules
         graphlib.TopologicalSorter(LAYER_IMPORTS).prepare()
-        paths = sorted(Path(config.__file__).parent.glob("*.py"))
+        paths = sorted(Path(cli.__file__).parent.glob("*.py"))
         assert {path.stem for path in paths} == set(LAYER_IMPORTS)
         extra = {path.stem: names for path in paths
                  if (names := sorted(_package_imports(path)
@@ -606,7 +626,7 @@ class TestConfig:
         assert extra == {}
 
     def test_module_level_third_party_imports(self):
-        paths = sorted(Path(config.__file__).parent.glob("*.py"))
+        paths = sorted(Path(cli.__file__).parent.glob("*.py"))
         found = {path.stem: _third_party_imports(path) for path in paths}
         assert found == THIRD_PARTY_IMPORTS
 
@@ -616,7 +636,7 @@ class TestConfig:
         # the import nor a call of a route on the normal, a non-integer
         # beta and two sums, beta:3 at n = 3 on the Gauss-rule fallback of
         # the series route, may load either
-        src = Path(config.__file__).parent.parent
+        src = Path(cli.__file__).parent.parent
         script = SCIPY_PROBE.format(src=str(src))
         out = subprocess.run([sys.executable, "-c", script], check=True,
                              capture_output=True, text=True, timeout=120)
@@ -658,19 +678,13 @@ class TestConfig:
         # learnt from the same single read
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format=json\n", encoding="utf-8")
-        calls, opened = [], []
-
-        def spy(path):
-            calls.append(path)
-            return read_config_file(path)
+        opened = []
 
         def spy_open(file, *args, **kwargs):
             opened.append(file)
             return builtin_open(file, *args, **kwargs)
 
         builtin_open = open
-        monkeypatch.setattr(config, "read_config_file", spy)
-        # a reader that bypasses the module attribute still opens the file
         monkeypatch.setattr("builtins.open", spy_open)
         argv = ("plotdata", "--steps", "2")
         if via == "flag":
@@ -680,38 +694,97 @@ class TestConfig:
         code, out, _ = invoke(capsys, *argv)
         assert code == EXIT_OK
         assert json.loads(out)["columns"] == ["x", "g", "g_sym"]
-        assert calls == [str(cfg)]
         assert opened.count(str(cfg)) == 1
 
-    def test_malformed_line_rejected(self, tmp_path):
+    def test_malformed_line_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just some words\n", encoding="utf-8")
-        with pytest.raises(DomainError):
-            read_config_file(str(cfg))
+        code, out, err = invoke(capsys, "--config", str(cfg), "table1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"{cfg}:1" in json.loads(err)["error"]["message"]
 
-    def test_defaults(self):
-        cfg = load_config()
-        assert cfg == RunConfig()
-        assert cfg.format == "table"
-        assert [f.name for f in fields(RunConfig)] == ["format", "output",
-                                                       "tiers"]
+    @staticmethod
+    def _spy_suite(monkeypatch):
+        """Record the tiers each ``verify`` run asks for, running none."""
+        asked = []
 
-    def test_load_config_typed_overrides(self, tmp_path):
+        def run_suite(tiers):
+            asked.append(tiers)
+            return VerifyReport(())
+
+        monkeypatch.setattr(cli, "run_suite", run_suite)
+        return asked
+
+    def test_defaults(self, capsys, monkeypatch):
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+        asked = self._spy_suite(monkeypatch)
+        code, out, _ = invoke(capsys, "verify")
+        assert code == EXIT_OK
+        assert asked == [TIERS]
+        assert out.splitlines()[:2] == ["verification suite",
+                                        "tier  check  passed  detail"]
+
+    def test_load_config_typed_overrides(self, capsys, tmp_path,
+                                         monkeypatch):
+        report = tmp_path / "report.txt"
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("output=report.txt\ntiers=2,1\n",
-                       encoding="utf-8")
-        loaded = load_config(str(cfg), {"format": "csv"})
-        assert loaded.output == "report.txt"
-        assert loaded.tiers == (1, 2)
-        assert loaded.format == "csv"
+        cfg.write_text(f"output={report}\ntiers=2,1\n", encoding="utf-8")
+        asked = self._spy_suite(monkeypatch)
+        code, out, _ = invoke(capsys, "--config", str(cfg), "verify",
+                              "--format", "csv")
+        assert code == EXIT_OK
+        assert out == ""
+        assert asked == [(1, 2)]
+        assert report.read_text(encoding="utf-8") == (
+            "tier,check,passed,detail\n")
 
-    def test_runconfig_validation(self):
-        with pytest.raises(DomainError):
-            RunConfig(format="yaml")
-        with pytest.raises(DomainError):
-            RunConfig(tiers=())
-        with pytest.raises(DomainError):
-            RunConfig(tiers=(2, 1))
+    def test_runconfig_validation(self, capsys, tmp_path):
+        # each setting's parser refuses a bad value from a file or a flag,
+        # also where a flag would override the file's value
+        cfg = tmp_path / "run.cfg"
+        for line, flags, message in [
+                ("format=yaml", (), "format must be one of table, json, csv"),
+                ("format=yaml", ("--format", "json"),
+                 "format must be one of table, json, csv"),
+                ("tiers=", (), "tiers must not be empty"),
+                ("", ("--output=",),
+                 "output path must be nonempty when given")]:
+            cfg.write_text(line + "\n", encoding="utf-8")
+            code, out, err = invoke(capsys, "--config", str(cfg), "table1",
+                                    *flags)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert json.loads(err)["error"]["message"] == message
+
+    def test_tiers_flag_beats_file(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tiers=2\n", encoding="utf-8")
+        asked = self._spy_suite(monkeypatch)
+        code, _, _ = invoke(capsys, "--config", str(cfg), "verify",
+                            "--tiers", "1")
+        assert code == EXIT_OK
+        assert asked == [(1,)]
+
+    def test_config_flag_beats_env_var(self, capsys, tmp_path, monkeypatch):
+        env_cfg, flag_cfg = tmp_path / "env.cfg", tmp_path / "flag.cfg"
+        env_cfg.write_text("format=json\n", encoding="utf-8")
+        flag_cfg.write_text("format=csv\n", encoding="utf-8")
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(env_cfg))
+        code, out, _ = invoke(capsys, "--config", str(flag_cfg), "constants",
+                              "--set", "basic", "--p", "0.5")
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "set,p,method,value,argmax_s"
+
+    def test_empty_config_path_is_usage(self, capsys, monkeypatch):
+        # an empty --config names no readable file: it is not read as
+        # "no file", as an empty CHI2NORM_CONFIG is
+        monkeypatch.setenv(CONFIG_ENV_VAR, "")
+        code, out, err = invoke(capsys, "--config", "", "table1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert ("cannot read config ''"
+                in json.loads(err)["error"]["message"])
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -863,7 +936,7 @@ class TestImportHygiene:
     def test_no_private_names_across_package_modules(self):
         # each module reaches another only through its public names, so the
         # Hermite recurrence stays behind hermite_row_normalized
-        paths = sorted(Path(config.__file__).parent.glob("*.py"))
+        paths = sorted(Path(cli.__file__).parent.glob("*.py"))
         found = {path.name: names for path in paths
                  if (names := _private_imports(path))}
         assert found == {}
@@ -882,13 +955,13 @@ class TestImportHygiene:
     def test_public_api_has_package_readers(self):
         # a public function that only its own tests call goes, or moves
         # into the tests as a reference
-        found = _unread_public_api(Path(config.__file__).parent)
+        found = _unread_public_api(Path(cli.__file__).parent)
         assert found == sorted(UNREAD_PUBLIC_API)
 
     def test_defaulted_parameters_are_set_in_the_package(self):
         # a default that no package code overrides is a fixed value in
         # disguise: it belongs in a module constant
-        found = _unset_defaults(Path(config.__file__).parent)
+        found = _unset_defaults(Path(cli.__file__).parent)
         assert found == UNSET_DEFAULTS
 
     def test_unset_default_scan(self, tmp_path):
@@ -922,7 +995,7 @@ class TestImportHygiene:
     def test_no_unused_imports(self):
         # no linter is installed, so the check is an ast scan of the
         # package and of the tests
-        files = [*sorted(Path(config.__file__).parent.glob("*.py")),
+        files = [*sorted(Path(cli.__file__).parent.glob("*.py")),
                  *sorted(Path(__file__).parent.glob("*.py"))]
         found = {f"{path.parent.name}/{path.name}": names for path in files
                  if (names := _unused_imports(path))}

@@ -104,15 +104,20 @@ class TestBeta:
             make_scaled_beta(shape)
 
     def test_largest_shapes_in_range(self):
-        # 1/B(510, 510) ~ 4^510 still fits a float, as does a near 1e-307
+        # 1/B(510, 510) ~ 4^510 still fits a float; 2^-53 is the least shape
+        # where a - 1 stays above -1
         assert make_scaled_beta(510).exact is not None
-        assert make_scaled_beta(Fraction(1, 10 ** 307)).exact is None
+        assert make_scaled_beta(Fraction(1, 2 ** 53)).exact is None
 
     def test_bad_shape(self):
         with pytest.raises(DomainError):
             make_scaled_beta(0)
         with pytest.raises(DomainError):
             make_scaled_beta(Fraction(-1, 2))
+        # a - 1 rounds to -1, whose weight (1 - s²)^-1 no rule integrates
+        with pytest.raises(DomainError,
+                           match=r"beta shape 5\.55112e-17 is at most 2\^-54"):
+            make_scaled_beta(Fraction(1, 2 ** 54))
 
 
 class TestMixture:
