@@ -51,6 +51,11 @@ SERIES_METHOD = "parseval-series"
 
 # p²/φ = p² exp(log sqrt(2 pi) + x²/2)
 _CHI2_KERNEL = (0.5 * math.log(2.0 * math.pi), 0.0, 0.5)
+# every density with a rule sum has a finite total, so an infinite one
+# means the integrand left the float range
+_DIRECT_OVERFLOW = ("direct integral is not finite, but the density is "
+                    "bounded with compact support, or a beta of shape above "
+                    "1/2: p^2/phi left the float range")
 
 # the series ladder: first rung, tail bound that stops it, and the amplitude
 # below which the window certifies neither decay nor growth
@@ -100,19 +105,13 @@ def _direct_result(total: float, err: float) -> Chi2Result:
     """``total - 1`` for ``total = ∫ p²/φ``, which is at least
     ``(∫ p)² = 1`` for every density (Cauchy-Schwarz): a total below 1 by
     more than its error estimate means the sum missed mass, and a shortfall
-    within the estimate is clamped to 0.  Every density with a rule sum has
-    a finite total, so an infinite one means the integrand left the float
-    range.  The subtraction adds one rounding of the result."""
+    within the estimate is clamped to 0.  The subtraction adds one rounding
+    of the result."""
     if total < 1.0 - err:
         raise AccuracyError(
             f"direct integral {total:.6g} +- {err:.3g} is below 1, the "
             "least value of the integral of p^2/phi for any density",
             value=total - 1.0, error_estimate=err)
-    if not math.isfinite(total):
-        raise AccuracyError(
-            "direct integral is not finite, but the density is bounded with "
-            "compact support, or a beta of shape above 1/2: p^2/phi left "
-            "the float range", value=total - 1.0, error_estimate=err)
     value = max(total - 1.0, 0.0)
     return Chi2Result(value, DIRECT_METHOD, None, err + _EPS * value)
 
@@ -325,7 +324,8 @@ def chi2_direct(density: StandardizedDensity) -> Chi2Result:
     panels = density.panels()
     if not 2.0 * panels.lam > -1.0:
         return Chi2Result(math.inf, DIRECT_METHOD, None, math.inf)
-    return _direct_result(*rule_sum(panels, 2, _CHI2_KERNEL, None))
+    return _direct_result(*rule_sum(panels, 2, _CHI2_KERNEL, None,
+                                    _DIRECT_OVERFLOW))
 
 
 def chi2_series(profile: HermiteProfile) -> Chi2Result:

@@ -3,9 +3,12 @@
 A density is handed in as :class:`Panels`: on panel ``k``,
 ``x = center[k] + half[k] s`` for ``s`` in ``[-1, 1]``, and the density of
 ``x`` is ``(1 - s²)^lam q_k(s)``.  :func:`rule_sum` integrates
-``p(x)^power h(x)`` for a positive kernel ``h = exp(a + b x + c x²)``,
-``c >= 0``, by the Gauss-Jacobi rule of the weight ``(1 - s²)^(power lam)``
-on every panel: one vectorized sum, with no callback per node.
+``p(x)^power h(x)`` for a stack of positive kernels
+``h = exp(a + b x + c x²)``, ``c >= 0``, by the Gauss-Jacobi rule of the
+weight ``(1 - s²)^(power lam)`` on every panel: one vectorized pass for the
+whole stack, with no callback per node, and one ``fsum`` and one stated
+error per kernel.  The direct route sums one kernel, an MGF grid one kernel
+per point.
 :func:`moment_rule` builds the series route's Gauss rule from the same panels.
 
 The error it states is a truncation bound plus a rounding term.  For a rule
@@ -30,10 +33,9 @@ to the weight's mass.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,8 +59,18 @@ _RHO = np.array([1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0,
 _LOG_RHO = np.log(_RHO)
 _SEMI_MAJOR = (_RHO + 1.0 / _RHO) / 2.0
 _LOG_GEOMETRIC = np.log1p(-1.0 / _RHO)
+# log((1 + R)/2): a degree's growth of the Bernstein bound on the ellipse
+_LOG_Q_GROWTH = np.log((1.0 + _SEMI_MAJOR) / 2.0)
 
+_NODE_COUNTS = np.array(NODE_COUNTS)
 _EPS = float(np.finfo(float).eps)
+
+# a stack of kernels is summed a chunk at a time, with at most this many
+# elements in each (kernels, panels, nodes) or (kernels, panels, rho) array
+# of a chunk: 8 MiB of floats.  Unchunked, the CLI's largest grid, 2e5
+# points, would peak near 1.4 GB on the 12 panels of uniform n = 12 (7 kB
+# a point) and more on densities with more panels
+_CHUNK_ELEMENTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -204,31 +216,75 @@ def truncation_bound(log_mu_m: np.ndarray, rho: np.ndarray,
                       - np.log1p(-1.0 / rho))
 
 
-def _log_mu_m(panels: Panels, power: int, kernel: tuple[float, float, float],
-              log_mass: float) -> np.ndarray:
-    """``log(mu M)`` per panel and ``rho``: the rule's mass, the panel
-    length, ``|q|^power`` and the kernel's real part on the ellipse."""
-    a, b, c = kernel
+def _log_mu_m(panels: Panels, kernels: np.ndarray,
+              log_mu_q: np.ndarray) -> np.ndarray:
+    """``log(mu M)`` per kernel, panel and ``rho``, from ``log_mu_q``, the
+    log of the rule's mass times the panel length and ``|q|^power`` per
+    panel and ``rho``, and the kernel's real part on the ellipse."""
+    a, b, c = (kernels[:, j, None, None] for j in range(3))
     center, half = panels.center[:, None], panels.half[:, None]
     reach = np.abs(center) + half * _SEMI_MAJOR
-    return (log_mass + np.log(half)
-            + power * (np.log(panels.coef_sum)[:, None]
-                       + panels.degree[:, None]
-                       * np.log((1.0 + _SEMI_MAJOR) / 2.0))
-            + a + b * center + abs(b) * half * _SEMI_MAJOR + c * reach * reach)
+    return (log_mu_q + a + b * center + np.abs(b) * half * _SEMI_MAJOR
+            + c * reach * reach)
 
 
-def rule_sum(panels: Panels, power: int, kernel: tuple[float, float, float],
-             nodes: int | None) -> tuple[float, float]:
-    """``∫ p(x)^power exp(a + b x + c x²) dx`` with ``(a, b, c) = kernel``,
-    ``c >= 0``, by the ``nodes``-point rule on every panel, and its stated
-    error: the truncation bound at the best ``rho`` of each panel, plus
-    rounding.
+class _Rule(NamedTuple):
+    """The kernel-free parts of an ``n``-point sum on every panel: the
+    nodes ``x``, ``log(half w q^power)``, the rounding of a term in ulps
+    apart from its kernel's, and the refusal of a ``q`` below zero (or
+    nan) at a node, ``None`` if every ``q >= 0``."""
 
-    With ``nodes`` ``None``, the node count is the least in ``NODE_COUNTS``
-    for which each panel's truncation bound at its best ``rho`` is at most
-    ``TARGET / panels``, chosen before any node is evaluated; past the last
-    count, ``AccuracyError``.
+    x: np.ndarray
+    log_factors: np.ndarray
+    ulps: np.ndarray
+    refusal: str | None
+
+
+def _rule(panels: Panels, power: int, lam: float, mass_ulps: float,
+          n: int) -> _Rule:
+    """The :class:`_Rule` of ``n`` nodes; under the caller's ``errstate``,
+    since a zero ``q`` has the logarithm ``-inf``."""
+    s, w = jacobi_rule(n, lam)
+    q = panels.values(s)
+    # a density that evaluates below zero (or to nan) at a node, where
+    # every catalog density is >= 0, cannot carry a certified value
+    refusal = (None if (q >= 0.0).all() else
+               f"density evaluated to {np.min(q):.3e} at a rule node")
+    log_half = np.log(panels.half)[:, None]
+    log_q = np.log(q)
+    log_w = np.log(w)
+    ulps = (np.abs(log_half) + np.abs(log_w) + mass_ulps
+            + power * (np.abs(log_q) + 2.0 * (panels.degree[:, None] + 4)
+                       + panels.value_ulps))
+    log_factors = log_half + log_w + power * log_q
+    # a zero q, or a weight that underflowed to zero, gives a zero term: its
+    # infinite logarithm counts nothing
+    ulps[log_factors == -np.inf] = 0.0
+    return _Rule(panels.center[:, None] + panels.half[:, None] * s,
+                 log_factors, ulps, refusal)
+
+
+def rule_sum(panels: Panels, power: int, kernels, nodes: int | None,
+             overflow: str = "the rule sum left the float range"
+             ) -> tuple[float, float] | tuple[list[float], list[float]]:
+    """``∫ p(x)^power exp(a + b x + c x²) dx`` for each kernel
+    ``(a, b, c)``, ``c >= 0``, by the ``nodes``-point rule on every panel,
+    and its stated error: the truncation bound at the best ``rho`` of each
+    panel, plus rounding.
+
+    ``kernels`` is one kernel, which gives ``(total, error)``, or a stack
+    of shape ``(T, 3)``, which gives the lists ``(totals, errors)`` in
+    order.  Each kernel gets its own node count, its own ``fsum`` and its
+    own error; the kernels of one node count share one rule and one
+    ``values`` pass, and their terms are one ``exp`` over a ``(kernels,
+    panels, nodes)`` array.  A stack is summed a chunk at a time, with at
+    most ``_CHUNK_ELEMENTS`` elements, or one kernel's, in each array of a
+    chunk.
+
+    With ``nodes`` ``None``, a kernel's node count is the least in
+    ``NODE_COUNTS`` for which each panel's truncation bound at its best
+    ``rho`` is at most ``TARGET / panels``, chosen before any node is
+    evaluated; past the last count, ``AccuracyError``.
 
     Every term is ``exp`` of a sum of logarithms; the rounding term allows
     each term ``eps`` times the magnitude of that sum (the error a
@@ -236,53 +292,110 @@ def rule_sum(panels: Panels, power: int, kernel: tuple[float, float, float],
     its panel for the node, the ulps of :class:`Panels` per factor of
     ``q``, those of the rule's mass (:func:`weight_mass`) for its weight,
     and one ulp of the total for the sum, which ``fsum`` rounds once.  A
-    ``q`` below zero at a node raises ``AccuracyError``.
+    ``q`` below zero at a node raises ``AccuracyError``, and so does a
+    total outside the float range, with the message ``overflow`` formatted
+    with the kernel's ``a``, ``b`` and ``c``.  A stack raises the refusal
+    of its first refused kernel: the one its kernels, summed one at a time
+    in order, would raise first.
     """
-    a, b, c = kernel
     lam = power * panels.lam
     if not lam > -1.0:
         raise DomainError(f"the weight (1 - s²)^{lam:g} is not integrable: "
                           "its exponent must exceed -1")
     mass, mass_ulps = weight_mass(lam + 1.0)
-    log_mu_m = _log_mu_m(panels, power, kernel, math.log(mass))
-    if nodes is None:
-        share = math.log(TARGET / len(panels.center))
-        need = float(np.max(np.min(
-            (math.log(4.0) + log_mu_m - _LOG_GEOMETRIC - share)
-            / (2.0 * _LOG_RHO), axis=1)))
-        if not need <= NODE_COUNTS[-1]:
-            raise AccuracyError(
-                f"the rule sum's bound needs {need:.3g} nodes per panel, "
-                f"more than {NODE_COUNTS[-1]}")
-        nodes = NODE_COUNTS[bisect_left(NODE_COUNTS, need)]
-    bound = float(np.sum(np.min(truncation_bound(log_mu_m, _RHO, nodes),
-                                axis=1)))
-
-    center, half = panels.center, panels.half
-    s, w = jacobi_rule(nodes, lam)
-    x = center[:, None] + half[:, None] * s
-    q = panels.values(s)
-    if not np.all(q >= 0.0):
-        # a density that evaluates below zero (or to nan) at a node, where
-        # every catalog density is >= 0, cannot carry a certified value
-        raise AccuracyError(
-            f"density evaluated to {np.min(q):.3e} at a rule node")
-    # |a + b x + c x²| at most over the panel
-    span = np.abs(center) + half
-    kernel_mag = (abs(a) + abs(b) * span + c * span * span)[:, None]
-    log_half = np.log(half)[:, None]
+    stack = np.asarray(kernels, dtype=float)
+    single = stack.ndim == 1
+    stack = stack.reshape(-1, 3)
+    count = len(panels.center)
+    share = math.log(TARGET / count)
+    chunk = max(1, _CHUNK_ELEMENTS
+                // (count * max(nodes or NODE_COUNTS[-1], len(_RHO))))
+    log_mu_q = (math.log(mass) + np.log(panels.half)[:, None]
+                + power * (np.log(panels.coef_sum)[:, None]
+                           + panels.degree[:, None] * _LOG_Q_GROWTH))
+    span = (np.abs(panels.center) + panels.half)[:, None]
+    rules: dict[int, _Rule] = {}
+    totals: list[float] = []
+    errors: list[float] = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_q = np.log(q)
-        log_w = np.log(w)
-        terms = np.exp(log_half + log_w + power * log_q
-                       + (a + b * x + c * x * x))
-        ulps = (np.abs(log_half) + np.abs(log_w) + 3.0 * kernel_mag
-                + power * (np.abs(log_q) + 2.0 * (panels.degree[:, None] + 4)
-                           + panels.value_ulps)
-                + mass_ulps)
-        # a zero q gives a zero term: its infinite logarithm counts nothing
-        rounding = _EPS * float(np.sum(np.where(terms > 0.0, terms * ulps,
-                                                0.0)))
-    # fsum rounds the sum once: half an ulp, inside the one ulp added here
-    total = math.fsum(terms.ravel())
-    return total, bound + rounding + _EPS * total
+        for start in range(0, len(stack), chunk):
+            part = stack[start:start + chunk]
+            log_mu_m = _log_mu_m(panels, part, log_mu_q)
+            if nodes is None:
+                counts, refusal = _node_counts(log_mu_m, share)
+            else:
+                counts, refusal = [nodes] * len(part), None
+            for n in dict.fromkeys(counts):
+                if n not in rules:
+                    rules[n] = _rule(panels, power, lam, mass_ulps, n)
+                if rules[n].refusal is not None:
+                    counts, refusal = counts[:counts.index(n)], rules[n].refusal
+                    break
+            # the kernels before the first refused one, by node count
+            totals += [0.0] * len(counts)
+            errors += [0.0] * len(counts)
+            groups = dict.fromkeys(counts)
+            for n in groups:
+                # a single node count takes the chunk's rows as a view
+                idx = (slice(None, len(counts)) if len(groups) == 1
+                       else np.flatnonzero(np.equal(counts, n)))
+                positions = (range(len(counts)) if len(groups) == 1
+                             else idx.tolist())
+                for i, total, error in zip(positions, *_group_sums(
+                        rules[n], part[idx], log_mu_m[idx], n, span)):
+                    totals[start + i], errors[start + i] = total, error
+            for i in range(start, len(totals)):
+                if not math.isfinite(totals[i]):
+                    a, b, c = stack[i].tolist()
+                    raise AccuracyError(overflow.format(a=a, b=b, c=c),
+                                        value=totals[i],
+                                        error_estimate=errors[i])
+            if refusal is not None:
+                raise AccuracyError(refusal)
+    if single:
+        return totals[0], errors[0]
+    return totals, errors
+
+
+def _node_counts(log_mu_m: np.ndarray,
+                 share: float) -> tuple[list[int], str | None]:
+    """The node count of each kernel from ``log(mu M)`` up to the first
+    kernel whose bound needs more than the last count, and the refusal of
+    that kernel, ``None`` if none does: the least count whose truncation
+    bound on each panel at its best ``rho`` is at most ``exp(share)``."""
+    need = ((math.log(4.0) + log_mu_m - _LOG_GEOMETRIC - share)
+            / (2.0 * _LOG_RHO)).min(axis=2).max(axis=1)
+    fits = need <= NODE_COUNTS[-1]
+    refused = len(need) if fits.all() else int(fits.argmin())
+    counts = _NODE_COUNTS[_NODE_COUNTS.searchsorted(need[:refused])].tolist()
+    if refused == len(need):
+        return counts, None
+    return counts, (f"the rule sum's bound needs {need[refused]:.3g} nodes "
+                    f"per panel, more than {NODE_COUNTS[-1]}")
+
+
+def _group_sums(rule: _Rule, kernels: np.ndarray, log_mu_m: np.ndarray,
+                nodes: int, span: np.ndarray) -> tuple[list[float], list[float]]:
+    """The totals and stated errors of kernels that share the ``nodes``-point
+    rule, their terms one ``exp`` over a ``(kernels, panels, nodes)`` array;
+    ``span`` is ``|center| + half`` per panel."""
+    a, b, c = (kernels[:, j, None, None] for j in range(3))
+    bound = truncation_bound(log_mu_m, _RHO, nodes).min(axis=2).sum(axis=1)
+    # |a + b x + c x²| at most over each panel
+    kernel_mag = np.abs(a) + (np.abs(b) + c * span) * span
+    terms = np.exp(rule.log_factors + (a + b * rule.x + c * rule.x * rule.x))
+    rounding = _EPS * (terms * (rule.ulps + 3.0 * kernel_mag)).sum(axis=(1, 2))
+    totals = [_fsum(row) for row in terms.reshape(len(terms), -1).tolist()]
+    # fsum rounds each sum once: half an ulp, inside the one ulp added here
+    return totals, [bound_k + rounding_k + _EPS * total for
+                    bound_k, rounding_k, total in
+                    zip(bound.tolist(), rounding.tolist(), totals)]
+
+
+def _fsum(terms: list[float]) -> float:
+    """``math.fsum``, or ``inf`` for finite terms whose sum passes the
+    float range, where ``fsum`` raises ``OverflowError``."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf

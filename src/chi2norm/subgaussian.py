@@ -4,7 +4,8 @@ A small chi-square divergence forces ``E exp(tY) < exp(t^2)``.  How
 small depends on which moments vanish: each variant minimizes
 ``expm1(x/2)^2`` over a denominator that drops the matched terms of
 ``e^x``.  The direct MGF routines provide the test side on catalog
-densities, each MGF one Gauss-rule sum with a stated error bound.
+densities: the MGFs of a whole grid of ``t`` are one Gauss-rule pass, each
+with its own stated error bound.
 """
 
 from __future__ import annotations
@@ -129,22 +130,46 @@ def threshold(variant: str) -> ThresholdResult:
     return ThresholdResult(variant, objective(variant, xmin), xmin)
 
 
-def _mgf_sum(density: StandardizedDensity, t: float) -> tuple[float, float]:
-    """``E exp(tY)`` and its stated error, as one Gauss-rule sum over the
-    density's panels; the normal's is ``exp(t²/2)``, to one rounding."""
-    if math.isnan(t):
-        raise DomainError("t must be a real number")
+def _exp(x: float, what: str, t: float) -> float:
+    """``exp(x)``, refused with ``AccuracyError`` naming ``t`` when it
+    leaves the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise AccuracyError(f"{what} at t = {t:g} left the float range",
+                            value=math.inf) from None
+
+
+def _check_finite(ts) -> None:
+    for t in ts:
+        if not math.isfinite(t):
+            raise DomainError("t must be a finite real number")
+
+
+def _mgf_sums(density: StandardizedDensity,
+              ts: list[float]) -> tuple[list[float], list[float]]:
+    """``E exp(tY)`` and its stated error at each ``t``, as one Gauss-rule
+    pass over the density's panels for the whole grid; the normal's is
+    ``exp(t²/2)``, to one rounding.  A refusal is the one the points would
+    raise first one at a time, in order."""
+    _check_finite(ts)
     if density.is_standard_normal:
-        value = math.exp(0.5 * t * t)
-        return value, _EPS * value * (1.0 + t * t)
+        values = [_exp(0.5 * t * t, "E exp(tY)", t) for t in ts]
+        return values, [_EPS * v * (1.0 + t * t) for v, t in zip(values, ts)]
+    if not len(ts):
+        return [], []
     if density.panels is None:
         raise DomainError(f"{density.description}: no rule for the MGF")
-    value, err = rule_sum(density.panels(), 1, (0.0, t, 0.0), None)
-    if not math.isfinite(value):
-        raise AccuracyError(
-            f"E exp(tY) at t = {t:g} left the float range",
-            value=value, error_estimate=err)
-    return value, err
+    kernels = np.zeros((len(ts), 3))
+    kernels[:, 1] = ts
+    return rule_sum(density.panels(), 1, kernels, None,
+                    "E exp(tY) at t = {b:g} left the float range")
+
+
+def _mgf_sum(density: StandardizedDensity, t: float) -> tuple[float, float]:
+    """``E exp(tY)`` and its stated error at one ``t``."""
+    values, errors = _mgf_sums(density, [t])
+    return values[0], errors[0]
 
 
 def mgf(density: StandardizedDensity, t: float) -> float:
@@ -156,15 +181,28 @@ def mgf(density: StandardizedDensity, t: float) -> float:
 
 def mgf_check(density: StandardizedDensity,
               t_grid: list[float]) -> list[float]:
-    """Margins ``exp(t^2) - E exp(tY)`` on a grid of nonzero ``t``.
+    """Margins ``exp(t^2) - E exp(tY)`` on a grid of nonzero ``t``, the
+    MGF one Gauss-rule pass for the whole grid.
 
     All-positive output means the subgaussian condition holds at the
     sampled points; this is a diagnostic, not a proof over all ``t``.
     """
     for t in t_grid:
-        if t == 0.0 or math.isnan(t):
-            raise DomainError("grid points must be nonzero reals")
-    return [math.exp(t * t) - mgf(density, t) for t in t_grid]
+        if t == 0.0 or not math.isfinite(t):
+            raise DomainError("grid points must be nonzero finite reals")
+    bounds, refusal = [], None
+    for t in t_grid:
+        try:
+            bounds.append(_exp(t * t, "exp(t²)", t))
+        except AccuracyError as exc:
+            refusal = exc
+            break
+    # the points before the first whose exp(t²) leaves the float range are
+    # summed first: one of them may refuse first, as point by point
+    values, _ = _mgf_sums(density, t_grid[:len(bounds)])
+    if refusal is not None:
+        raise refusal
+    return [bound - value for bound, value in zip(bounds, values)]
 
 
 def hermite_mgf_identity_check(density: StandardizedDensity,
@@ -176,8 +214,8 @@ def hermite_mgf_identity_check(density: StandardizedDensity,
     function sum of the profile's coefficients; the direct route
     integrates.  Agreement is limited by the profile's truncation tail.
     """
-    if math.isnan(t):
-        raise DomainError("t must be a real number")
+    _check_finite([t])
+    gaussian = _exp(0.5 * t * t, "exp(t²/2)", t)
     terms = []
     log_t = math.log(abs(t)) if t != 0.0 else -math.inf
     for n in range(profile.truncation_order + 1):
@@ -189,5 +227,5 @@ def hermite_mgf_identity_check(density: StandardizedDensity,
             sign = -1.0 if (t < 0.0 and n % 2 == 1) else 1.0
             scale = sign * math.exp(n * log_t - 0.5 * math.lgamma(n + 1.0))
         terms.append(profile[n] * scale)
-    series = math.exp(0.5 * t * t) * math.fsum(terms)
+    series = gaussian * math.fsum(terms)
     return series, mgf(density, t)

@@ -14,15 +14,20 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from chi2norm.densities import StandardizedDensity
-from chi2norm.errors import DomainError
+from chi2norm.densities import StandardizedDensity, _wrap_exact
+from chi2norm.errors import AccuracyError, DomainError
 from chi2norm.piecewise import PiecewisePolyDensity
+from chi2norm.quadrature import (_LOG_GEOMETRIC, _LOG_RHO, _RHO, _SEMI_MAJOR,
+                                 NODE_COUNTS, TARGET, Panels, jacobi_rule,
+                                 truncation_bound, weight_mass)
 
 # C(1/2) of the basic set, attained at s = 6
 C_BASIC_HALF = 2.1326596308470269
 
 # chi² of the standardized sum of two uniforms
 CHI2_UNIFORM_SUM_2 = 0.032032844541205434
+
+_EPS = float(np.finfo(float).eps)
 
 
 def hermite_coeffs(n: int) -> tuple[int, ...]:
@@ -88,6 +93,114 @@ def mixed_degrees() -> PiecewisePolyDensity:
         scale_sq=Fraction(3, 2),
         shift=Fraction(5, 2),
     )
+
+
+def lopsided() -> StandardizedDensity:
+    """Density 2t on [0, 1], standardized: the asymmetric case."""
+    d = PiecewisePolyDensity(
+        knots=(Fraction(0), Fraction(1)),
+        pieces=((Fraction(0), Fraction(2)),),
+        scale_sq=Fraction(18),
+        shift=Fraction(2, 3),
+    )
+    return _wrap_exact(d, "lopsided")
+
+
+def rule_sum_loop(panels: Panels, power: int,
+                  kernel: tuple[float, float, float],
+                  nodes: int | None) -> tuple[float, float]:
+    """One kernel's rule sum and stated error by one ``(panels, nodes)``
+    pass: the sum the package ran for each kernel before it took a stack of
+    them, kept as the bitwise reference for the stack's values (its errors
+    add the same ulps in another order).  A sum past the float range reads
+    ``inf``, as in the package, where ``fsum`` raised."""
+    a, b, c = kernel
+    lam = power * panels.lam
+    if not lam > -1.0:
+        raise DomainError(f"the weight (1 - s²)^{lam:g} is not integrable: "
+                          "its exponent must exceed -1")
+    mass, mass_ulps = weight_mass(lam + 1.0)
+    center, half = panels.center[:, None], panels.half[:, None]
+    reach = np.abs(center) + half * _SEMI_MAJOR
+    log_mu_m = (math.log(mass) + np.log(half)
+                + power * (np.log(panels.coef_sum)[:, None]
+                           + panels.degree[:, None]
+                           * np.log((1.0 + _SEMI_MAJOR) / 2.0))
+                + a + b * center + abs(b) * half * _SEMI_MAJOR
+                + c * reach * reach)
+    if nodes is None:
+        share = math.log(TARGET / len(panels.center))
+        need = float(np.max(np.min(
+            (math.log(4.0) + log_mu_m - _LOG_GEOMETRIC - share)
+            / (2.0 * _LOG_RHO), axis=1)))
+        if not need <= NODE_COUNTS[-1]:
+            raise AccuracyError(
+                f"the rule sum's bound needs {need:.3g} nodes per panel, "
+                f"more than {NODE_COUNTS[-1]}")
+        nodes = min(n for n in NODE_COUNTS if n >= need)
+    bound = float(np.sum(np.min(truncation_bound(log_mu_m, _RHO, nodes),
+                                axis=1)))
+    center, half = panels.center, panels.half
+    s, w = jacobi_rule(nodes, lam)
+    x = center[:, None] + half[:, None] * s
+    q = panels.values(s)
+    if not np.all(q >= 0.0):
+        raise AccuracyError(
+            f"density evaluated to {np.min(q):.3e} at a rule node")
+    span = np.abs(center) + half
+    kernel_mag = (abs(a) + abs(b) * span + c * span * span)[:, None]
+    log_half = np.log(half)[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_q = np.log(q)
+        log_w = np.log(w)
+        terms = np.exp(log_half + log_w + power * log_q
+                       + (a + b * x + c * x * x))
+        ulps = (np.abs(log_half) + np.abs(log_w) + 3.0 * kernel_mag
+                + power * (np.abs(log_q) + 2.0 * (panels.degree[:, None] + 4)
+                           + panels.value_ulps)
+                + mass_ulps)
+        rounding = _EPS * float(np.sum(np.where(terms > 0.0, terms * ulps,
+                                                0.0)))
+    try:
+        total = math.fsum(terms.ravel())
+    except OverflowError:
+        # finite terms whose sum passes the float range: refused as one
+        total = math.inf
+    return total, bound + rounding + _EPS * total
+
+
+def _exp_loop(x: float, what: str, t: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise AccuracyError(f"{what} at t = {t:g} left the float range",
+                            value=math.inf) from None
+
+
+def mgf_loop(density: StandardizedDensity, t: float) -> float:
+    """``E exp(tY)`` at one ``t`` by :func:`rule_sum_loop`."""
+    if not math.isfinite(t):
+        raise DomainError("t must be a finite real number")
+    if density.is_standard_normal:
+        return _exp_loop(0.5 * t * t, "E exp(tY)", t)
+    if density.panels is None:
+        raise DomainError(f"{density.description}: no rule for the MGF")
+    value, err = rule_sum_loop(density.panels(), 1, (0.0, t, 0.0), None)
+    if not math.isfinite(value):
+        raise AccuracyError(f"E exp(tY) at t = {t:g} left the float range",
+                            value=value, error_estimate=err)
+    return value
+
+
+def mgf_check_loop(density: StandardizedDensity,
+                   t_grid: list[float]) -> list[float]:
+    """The margins ``exp(t²) - E exp(tY)`` one point at a time: the
+    reference for the grid's one pass, its values and its refusals."""
+    for t in t_grid:
+        if t == 0.0 or not math.isfinite(t):
+            raise DomainError("grid points must be nonzero finite reals")
+    return [_exp_loop(t * t, "exp(t²)", t) - mgf_loop(density, t)
+            for t in t_grid]
 
 
 def check_standardized(density: StandardizedDensity,

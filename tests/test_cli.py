@@ -84,6 +84,32 @@ class TestExitCodes:
         assert message.startswith("density evaluated to -")
         assert message.endswith(" at a rule node")
 
+    @pytest.mark.parametrize("dist,t_max", [("uniform", "30"),
+                                            ("normal", "40")])
+    def test_margin_beyond_float_range_is_accuracy(self, capsys, dist,
+                                                   t_max):
+        # exp(t²) leaves the float range above |t| = 26.6: refused at the
+        # grid's first point, -t_max, not a raw OverflowError
+        code, out, err = invoke(capsys, "subgaussian", "check", "--dist",
+                                dist, "--t-max", t_max, "--t-steps", "1")
+        assert code == EXIT_ACCURACY
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"]["type"] == "AccuracyError"
+        assert record["error"]["message"] == (
+            f"exp(t²) at t = -{t_max} left the float range")
+
+    def test_mgf_sum_beyond_float_range_is_accuracy(self, capsys):
+        # the far component's terms are finite at |t| = 5.93, their sum is
+        # not: refused, not a raw OverflowError from fsum
+        code, out, err = invoke(capsys, "subgaussian", "check", "--dist",
+                                "mixture:1:1,1/10000:100", "--t-max", "5.93",
+                                "--t-steps", "1")
+        assert code == EXIT_ACCURACY
+        assert out == ""
+        assert json.loads(err)["error"]["message"] == (
+            "E exp(tY) at t = -5.93 left the float range")
+
     def test_uniform_sum_direct_certifies(self, capsys):
         # the n = 10 uniform sum's pdf stays positive up to its support
         # ends, so the direct route certifies

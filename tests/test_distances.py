@@ -41,7 +41,7 @@ from chi2norm.piecewise import PiecewisePolyDensity
 from chi2norm.quadrature import hermite_rule, moment_node_counts, moment_rule
 from chi2norm.verify import _A4_UNIFORM as A4_UNIFORM
 from chi2norm.verify import _CHI2_UNIFORM as CHI2_UNIFORM
-from conftest import hermite_coeffs, hermite_moment, mixed_degrees
+from conftest import hermite_coeffs, hermite_moment, lopsided, mixed_degrees
 
 # sum of squared exact Hermite coefficients to order 256, from the jumps
 CHI2_UNIFORM_SUM = {8: 0.000965595004459, 11: 0.000503817190453}
@@ -61,17 +61,6 @@ SUMS_34 = ([("uniform", n) for n in range(2, 13)]
 
 CATALOG = ("uniform", "normal", "beta:2", "beta:3", "beta:3/4",
            "mixture:1:1,1:2", "mixture:1:1,1:1/2", "mixture:1:1,3:1/2,1:3/2")
-
-
-def lopsided() -> StandardizedDensity:
-    # density 2t on [0, 1], standardized: the asymmetric case
-    d = PiecewisePolyDensity(
-        knots=(Fraction(0), Fraction(1)),
-        pieces=((Fraction(0), Fraction(2)),),
-        scale_sq=Fraction(18),
-        shift=Fraction(2, 3),
-    )
-    return _wrap_exact(d, "lopsided")
 
 
 def beta_even_moment(shape: Fraction, k: int) -> Fraction:

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from chi2norm.densities import make_normal, make_uniform, normalized_sum_density
+from chi2norm import quadrature
+from chi2norm.densities import (StandardizedDensity, from_name, make_normal,
+                                make_uniform, normalized_sum_density)
 from chi2norm.distances import hermite_profile
-from chi2norm.errors import DomainError
+from chi2norm.errors import AccuracyError, DomainError
+from chi2norm.quadrature import Panels, rule_sum
 from chi2norm.subgaussian import (
     VARIANTS,
     ThresholdResult,
@@ -20,6 +24,7 @@ from chi2norm.subgaussian import (
     threshold,
 )
 from chi2norm.verify import _THRESHOLDS
+from conftest import lopsided, mgf_check_loop, rule_sum_loop
 
 # independently located minima (scan + golden section at 1e-12,
 # cross-checked against a 1e6-point brute grid)
@@ -141,6 +146,25 @@ class TestMgf:
         with pytest.raises(DomainError):
             mgf(make_uniform(), math.nan)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf])
+    def test_infinite_t_is_refused(self, t):
+        for density in (make_uniform(), make_normal()):
+            with pytest.raises(DomainError, match="finite"):
+                mgf(density, t)
+
+    def test_sum_past_float_range_is_accuracy(self):
+        # at t = 5.93 every term of the far component is finite, but their
+        # sum passes the float range: fsum raised a raw OverflowError
+        with pytest.raises(AccuracyError, match=(
+                r"E exp\(tY\) at t = 5.93 left the float range")):
+            mgf(_catalog("mixture:1:1,1/10000:100"), 5.93)
+
+    def test_normal_beyond_float_range_is_accuracy(self):
+        # exp(t²/2) passes the float range above |t| = 37.7
+        with pytest.raises(AccuracyError,
+                           match=r"E exp\(tY\) at t = 40 left the float range"):
+            mgf(make_normal(), 40.0)
+
 
 class TestMgfCheck:
     def test_uniform_margins_positive(self):
@@ -173,6 +197,157 @@ class TestMgfCheck:
             mgf_check(make_uniform(), [1.0, 0.0])
         with pytest.raises(DomainError):
             mgf_check(make_uniform(), [math.nan])
+        for t in (math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                mgf_check(make_normal(), [1.0, t])
+
+    @pytest.mark.parametrize("density", [make_uniform(), make_normal()])
+    def test_margin_beyond_float_range_is_accuracy(self, density):
+        # exp(t²) passes the float range above |t| = 26.6
+        with pytest.raises(AccuracyError,
+                           match=r"exp\(t²\) at t = 30 left the float range"):
+            mgf_check(density, [1.0, 30.0])
+
+
+def _catalog(name: str) -> StandardizedDensity:
+    base, _, n = name.partition("#")
+    density = lopsided() if base == "lopsided" else from_name(base)
+    return normalized_sum_density(density, int(n)) if n else density
+
+
+# catalog densities and sums: one panel, a Jacobi weight near 0 and away
+# from it, a mixture's three panels, and sums of up to 12 panels
+GRID_DENSITIES = ["uniform", "beta:2", "beta:3/4", "beta:1342/1000",
+                  "mixture:1:1,1:2", "uniform#3", "uniform#12", "lopsided#4"]
+# |t| from 1e-4 to 26 takes node counts from 4 to 96
+MIXED_GRID = [1e-4, -3e-3, 0.05, -0.4, 1.0, -2.5, 4.0, -7.5, 12.0, -18.0,
+              26.0, -26.0, 0.7]
+BENCH_GRID = [10.0 * j / 40 for j in range(-40, 41) if j != 0]
+
+
+def _assert_same_sums(panels: Panels, grid: list[float]) -> None:
+    kernels = np.zeros((len(grid), 3))
+    kernels[:, 1] = grid
+    totals, errors = rule_sum(panels, 1, kernels, None)
+    assert len(totals) == len(errors) == len(grid)
+    for t, total, err in zip(grid, totals, errors):
+        want, want_err = rule_sum_loop(panels, 1, (0.0, t, 0.0), None)
+        assert total.hex() == want.hex(), t
+        # the stack adds the same ulps to the rounding term in another order
+        assert abs(err - want_err) <= 4 * np.finfo(float).eps * want_err, t
+
+
+class TestGridPass:
+    """One Gauss-rule pass per grid against the sums one point at a time."""
+
+    @pytest.mark.parametrize("name", GRID_DENSITIES)
+    @pytest.mark.parametrize("grid", [[], [1.5], MIXED_GRID, BENCH_GRID],
+                             ids=["empty", "one", "mixed", "bench"])
+    def test_batch_equals_loop(self, name, grid):
+        density = _catalog(name)
+        got = mgf_check(density, grid)
+        assert [m.hex() for m in got] == [m.hex() for m in
+                                          mgf_check_loop(density, grid)]
+        _assert_same_sums(density.panels(), grid)
+
+    @pytest.mark.parametrize("name", GRID_DENSITIES)
+    def test_chunks_equal_loop(self, name, monkeypatch):
+        # chunks of 7 kernels: the grid crosses chunk boundaries in the
+        # middle of node-count groups
+        density = _catalog(name)
+        panels = density.panels()
+        monkeypatch.setattr(quadrature, "_CHUNK_ELEMENTS",
+                            7 * quadrature.NODE_COUNTS[-1] * len(panels.center))
+        grid = MIXED_GRID + BENCH_GRID[::3]
+        assert [m.hex() for m in mgf_check(density, grid)] == [
+            m.hex() for m in mgf_check_loop(density, grid)]
+        _assert_same_sums(panels, grid)
+
+    def test_single_kernel_gives_one_sum(self):
+        panels = make_uniform().panels()
+        total, err = rule_sum(panels, 1, (0.0, 1.5, 0.0), None)
+        assert isinstance(total, float) and isinstance(err, float)
+        assert (total, err) == tuple(
+            v[0] for v in rule_sum(panels, 1, [(0.0, 1.5, 0.0)], None))
+
+    def test_empty_grid_without_panels(self):
+        # as point by point: nothing is summed, so nothing is refused
+        bare = StandardizedDensity(symmetric=True, description="bare")
+        assert mgf_check(bare, []) == []
+        with pytest.raises(DomainError, match="no rule"):
+            mgf_check(bare, [1.0])
+
+
+def _negative_tails() -> StandardizedDensity:
+    # q = 1/2 - 0.6 s² on one panel: positive at the 4 nodes of a small t,
+    # negative at the outer nodes of the 6 and more of a larger one
+    panels = Panels(np.zeros(1), np.ones(1), np.full(1, 2.0), np.full(1, 1.1),
+                    lambda s: (0.5 - 0.6 * s * s)[None, :])
+    return StandardizedDensity(symmetric=True, description="negative-tails",
+                               panels=lambda: panels)
+
+
+class TestGridRefusals:
+    """A grid refuses with what its points, one at a time, raise first."""
+
+    @pytest.mark.parametrize("density,grid", [
+        # node counts: the far component needs 7e6 nodes at t = 1e-3
+        (_catalog("mixture:1/100000000000000000000:10000000000,1:1"),
+         [1e-25, -1e-25, 1e-3, 1e-25]),
+        # E exp(tY) leaves the float range at t = 10 (its terms) and at
+        # t = 5.93 (their sum) before t = 20 needs 1380 nodes
+        (_catalog("mixture:1:1,1/10000:100"), [0.5, 2.0, 10.0, 20.0]),
+        (_catalog("mixture:1:1,1/10000:100"), [0.5, 5.93, 20.0]),
+        (_catalog("mixture:1:1,1/10000:100"), [20.0, 10.0]),
+        # exp(t²) leaves the float range at t = 30, after the point whose
+        # MGF does, and before it
+        (_catalog("mixture:1:1,1/10000:100"), [0.5, 10.0, 30.0]),
+        (_catalog("mixture:1:1,1/10000:100"), [0.5, 30.0, 10.0]),
+        (make_uniform(), [1.0, 2.0, 30.0, -1.0]),
+        (make_normal(), [1.0, -27.0]),
+        # q below zero at a node of a later point, before exp(t²) refuses
+        (_negative_tails(), [0.01, -0.02, 5.0, 30.0]),
+        (_negative_tails(), [0.01, 30.0, 5.0]),
+    ])
+    def test_same_refusal_as_loop(self, density, grid):
+        with pytest.raises(Exception) as want:
+            mgf_check_loop(density, grid)
+        with pytest.raises(type(want.value)) as got:
+            mgf_check(density, grid)
+        assert str(got.value) == str(want.value)
+
+    def test_refusal_in_a_later_chunk(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_CHUNK_ELEMENTS",
+                            2 * quadrature.NODE_COUNTS[-1] * 3)
+        density = _catalog("mixture:1:1,1/10000:100")
+        grid = [0.5, 1.0, 2.0, 5.0, 0.25, 10.0, 20.0]
+        with pytest.raises(AccuracyError) as got:
+            mgf_check(density, grid)
+        assert str(got.value) == "E exp(tY) at t = 10 left the float range"
+
+    def test_peak_memory_does_not_grow_with_the_grid(self, monkeypatch):
+        # past the chunk budget only each point's own bookkeeping grows (its
+        # t, sums and margin), not its (panels, nodes) arrays: 12 panels of
+        # at least 8 nodes are 768 bytes a point per array
+        density = _catalog("uniform#12")
+        panels = len(density.panels().center)
+
+        def growth(budget: int) -> float:
+            monkeypatch.setattr(quadrature, "_CHUNK_ELEMENTS", budget)
+            peaks = []
+            for length in (100, 400):
+                grid = np.linspace(0.5, 8.0, length).tolist()
+                tracemalloc.start()
+                try:
+                    mgf_check(density, grid)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return (peaks[1] - peaks[0]) / 300
+
+        assert growth(4 * quadrature.NODE_COUNTS[-1] * panels) < 256
+        # and the measure sees the arrays when one chunk holds the grid
+        assert growth(2 ** 40) > 1024
 
 
 class TestHermiteMgfIdentity:
@@ -203,3 +378,10 @@ class TestHermiteMgfIdentity:
         with pytest.raises(DomainError):
             hermite_mgf_identity_check(make_uniform(), uniform_profile,
                                        math.nan)
+        for t in (math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                hermite_mgf_identity_check(make_uniform(), uniform_profile, t)
+
+    def test_beyond_float_range_is_accuracy(self, uniform_profile):
+        with pytest.raises(AccuracyError, match="at t = 40 left the float"):
+            hermite_mgf_identity_check(make_uniform(), uniform_profile, 40.0)
