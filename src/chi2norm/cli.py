@@ -302,10 +302,13 @@ def _cmd_plotdata(args: argparse.Namespace) -> tuple[Report, int]:
     if args.x_max <= 0.0 or not math.isfinite(args.x_max):
         raise DomainError("--x-max must be positive and finite")
     _check_grid_steps("--steps", args.steps)
-    rows = []
-    for i in range(args.steps + 1):
-        x = args.x_max * i / args.steps
-        rows.append((x, g(x), g_sym(x)))
+    # x_max * i passes the float range for x_max near the largest float:
+    # the grid is taken at x_max / 2^e and scaled back, both exact, so each
+    # x is x_max * i / steps as if the range had no end; the last is x_max
+    e = max(math.frexp(args.x_max)[1] - 900, 0)
+    scaled = math.ldexp(args.x_max, -e)
+    xs = [math.ldexp(scaled * i / args.steps, e) for i in range(args.steps)]
+    rows = [(x, g(x), g_sym(x)) for x in (*xs, args.x_max)]
     return Report("weight functions", ("x", "g", "g_sym"),
                   tuple(rows), ()), EXIT_OK
 

@@ -170,7 +170,8 @@ def _gauss_rows(density: StandardizedDensity, top: int):
 def _jump_rows(density: StandardizedDensity, top: int):
     """Row source from the derivative jumps of an exact density, or ``None``
     when it has none in the float range or its degree ``d`` reaches
-    ``MAX_ORDER``.
+    ``MAX_ORDER``.  Both are read from the jump table, so a normalized sum
+    builds no ``Fraction`` pieces here.
 
     Integrating by parts ``d + 1`` times, with ``h_m`` integrating to
     ``h_{m+1} / sqrt(m + 1)``, gives
@@ -182,8 +183,8 @@ def _jump_rows(density: StandardizedDensity, top: int):
     the least that the Gauss rule of degree ``top`` with its ``N`` nodes
     could state, the source gives up and returns ``None``."""
     exact = density.exact
-    # d is the largest piece degree, read before any jump is converted
-    if (exact is None or max(map(len, exact.pieces)) > MAX_ORDER
+    # d is the top jump degree, read before any jump is converted
+    if (exact is None or exact.degree >= MAX_ORDER
             or exact.x_jumps is None):
         return None
     knots, jump = exact.x_jumps

@@ -1,7 +1,7 @@
 """Exact piecewise-polynomial densities over rational arithmetic.
 
-A density is stored in an internal coordinate ``t`` where every knot and
-every polynomial coefficient is a :class:`~fractions.Fraction`; the actual
+A density lives in an internal coordinate ``t`` where every knot and every
+polynomial coefficient is rational, a :class:`~fractions.Fraction`; the actual
 variable is ``x = c (t - shift)`` with ``c = sqrt(scale_sq)`` and
 ``scale_sq`` rational.  Keeping the single irrational factor symbolic until
 evaluation means convolution, moments, and standardization checks are exact,
@@ -21,20 +21,22 @@ the jump of the ``j``-th derivative at knot ``t_i``.  In that form
 * the mirror image about ``s`` has the jumps ``(-1)^(j+1) J[t_i][j]`` at
   ``2s - t_i``, which is the symmetry test.
 
-One running sum over the sorted origins builds the monomial ``pieces`` from
-the jumps.  The panels, a density's one float view and all that the
-quadrature reads of it, take each piece in Bernstein form, converted
-exactly and rounded once.  :attr:`~PiecewisePolyDensity.x_jumps` gives
-the jumps themselves as floats, in the actual variable, for Hermite
-moments taken by parts.
+A normalized sum or a convolution is held as its jump table alone.  Its
+monomial ``knots`` and ``pieces`` are built on first read, by one running
+sum over the sorted origins, and nothing on the float path reads them.
+The panels, a density's one float view and all that the quadrature reads
+of it, come from the jump table by one running pass too: each piece in
+Bernstein form, converted exactly and rounded once.
+:attr:`~PiecewisePolyDensity.x_jumps` gives the jumps themselves as
+floats, in the actual variable, for Hermite moments taken by parts.
 
 The exact kernels (Taylor shifts, jump products, the running sum, moments
 and the Bernstein conversion) run on Python ``int`` numerators over one
 common denominator, which needs no gcd and no allocation per operation.
 The jump table holds the knots as integers over one knot denominator and
 the jumps as integers over one jump denominator.  ``Fraction`` objects are
-built only at the public boundary: the ``knots`` and ``pieces`` of a new
-density and the central moments, each reduced once.  Every Bernstein
+built only at the public boundary: the ``knots`` and ``pieces`` when they
+are read, and the central moments, each reduced once.  Every Bernstein
 coefficient is one int/int true division, which Python rounds correctly,
 so it equals ``float`` of the exact rational.
 
@@ -71,6 +73,22 @@ class Jumps(NamedTuple):
     knot_den: int
     jump_den: int
     table: dict[int, list[int]]
+
+    @property
+    def degree(self) -> int:
+        """The top derivative order with a jump: the top piece degree."""
+        return max(map(len, self.table.values())) - 1
+
+    @classmethod
+    def reduced(cls, knot_den: int, jump_den: int,
+                table: dict[int, list[int]]) -> "Jumps":
+        """``table`` in the form a density's own table takes: lists trimmed,
+        both denominators reduced, so equal jumps give equal tables."""
+        k = math.gcd(knot_den, *table)
+        g = math.gcd(jump_den, *(x for jo in table.values() for x in jo))
+        return cls(knot_den // k, jump_den // g,
+                   {o // k: _trim([x // g for x in jo])
+                    for o, jo in table.items()})
 
 
 def _over_common(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -126,15 +144,15 @@ def _jump_product(f: dict[int, list[int]],
 
 
 def _pieces(jumps: Jumps) -> tuple[tuple[Fraction, ...], tuple[Poly, ...]]:
-    """Knots and monomial pieces: the piece after knot ``t`` is the running
-    sum of ``sum_k J[s][k] (t - s)^k / k!`` over the knots ``s <= t``.
+    """Knots and monomial pieces, built on the first read of either: the
+    piece after knot ``t`` is the running sum of ``sum_k J[s][k] (t - s)^k / k!`` over the knots ``s <= t``.
 
     With ``K`` the knot and ``D`` the jump denominator, and ``d`` the top
     degree, the sum runs over the common denominator ``D K^d d!``: the term
     of origin ``o`` is ``sum_k J_k (d!/k!) K^(d-k) (K t - o)^k``."""
     kden, jden, table = jumps
     origins = sorted(table)
-    deg = max(map(len, table.values())) - 1
+    deg = jumps.degree
     facts = [math.factorial(k) for k in range(deg + 1)]
     den = jden * kden ** deg * facts[deg]
     acc = [0] * (deg + 1)
@@ -174,7 +192,9 @@ class PiecewisePolyDensity:
     ``pieces[i]`` holds the coefficients (constant term first) valid on
     ``[knots[i], knots[i+1])`` in the internal coordinate.  The density of
     the actual variable ``x = sqrt(scale_sq) (t - shift)`` is
-    ``f(t) / sqrt(scale_sq)``.
+    ``f(t) / sqrt(scale_sq)``.  A normalized sum or a convolution builds its
+    ``knots`` and ``pieces`` on first read; ``==``, ``hash`` and ``repr``
+    read them like any field.
     """
 
     knots: tuple[Fraction, ...]
@@ -189,6 +209,26 @@ class PiecewisePolyDensity:
             raise DomainError("knots must be strictly increasing")
         if self.scale_sq <= 0:
             raise DomainError("scale_sq must be positive")
+
+    @classmethod
+    def _from_jumps(cls, jumps: Jumps, scale_sq: Fraction,
+                    shift: Fraction) -> "PiecewisePolyDensity":
+        """The density of a jump product, held as ``jumps`` (in the form
+        :meth:`Jumps.reduced` gives); its knots and pieces are built on
+        first read."""
+        out = object.__new__(cls)
+        vars(out).update(scale_sq=scale_sq, shift=shift, _jumps=jumps)
+        return out
+
+    def __getattr__(self, name: str):
+        # reached only for a name found nowhere else: the knots and pieces
+        # of a density built by _from_jumps, before their first read
+        if name not in ("knots", "pieces") or "_jumps" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        knots, pieces = _pieces(self._jumps)
+        vars(self).update(knots=knots, pieces=pieces)
+        return vars(self)[name]
 
     # -- exact queries -------------------------------------------------
 
@@ -218,10 +258,7 @@ class PiecewisePolyDensity:
             table[o] = [c * lift * math.factorial(j)
                         for j, c in enumerate(_pshift(diff, o, kden))]
             left = right
-        jden = pden * kden ** deg
-        g = math.gcd(jden, *(x for jo in table.values() for x in jo))
-        return Jumps(kden, jden // g,
-                     {o: [x // g for x in jo] for o, jo in table.items()})
+        return Jumps.reduced(kden, pden * kden ** deg, table)
 
     def _moments(self, m: int) -> list[Fraction]:
         """Exact ``E[(T - shift)^k]`` for ``k = 0..m`` in one pass over the
@@ -233,8 +270,8 @@ class PiecewisePolyDensity:
         ``J_j (-1)^(j+1) e^(k+j+1) L^(d-j) (k+d+1)! / (k+j+1)!``.
         """
         c = self.shift
-        kden, jden, table = self._jumps
-        deg = max(map(len, table.values())) - 1
+        kden, jden, table = jumps = self._jumps
+        deg = jumps.degree
         lden = kden * c.denominator
         facts = [math.factorial(i) for i in range(m + deg + 2)]
         acc = [0] * (m + 1)
@@ -291,14 +328,22 @@ class PiecewisePolyDensity:
 
     # -- float-facing interface ---------------------------------------
 
+    @property
+    def degree(self) -> int:
+        """The top degree of the pieces, read from the jump table."""
+        return self._jumps.degree
+
     @cached_property
     def scale(self) -> float:
         return math.sqrt(float(self.scale_sq))
 
     @cached_property
     def _offsets(self) -> list[float]:
-        """``knot - shift`` for every knot, each rounded once."""
-        return [float(k - self.shift) for k in self.knots]
+        """``knot - shift`` for every knot, each one int/int division of
+        the exact rational."""
+        kden, _, table = self._jumps
+        num, den = self.shift.numerator, self.shift.denominator
+        return [(o * den - num * kden) / (kden * den) for o in sorted(table)]
 
     @cached_property
     def _bernstein(self) -> list[tuple[float, tuple[float, ...]]]:
@@ -309,21 +354,41 @@ class PiecewisePolyDensity:
         interval (Farouki & Rajan, CAGD 1987); every catalog sum has
         ``beta_k >= 0``, so :meth:`panel_values` cancels nothing and is >= 0.
 
-        With the knots ``o / K`` and a piece's coefficients over ``P``, the
-        ``q_j`` are integers over ``P K^(2d)``: the shift to ``a`` brings
-        ``K^d`` and each ``h^j = (b - a)^j / K^j`` is lifted to ``K^d``."""
-        kden, origins = _over_common(self.knots)
-        table = []
-        for piece, a, b in zip(self.pieces, origins, origins[1:]):
-            pden, nums = _over_common(piece)
-            d = len(nums) - 1
-            q = [c * (b - a) ** j * kden ** (d - j)
-                 for j, c in enumerate(_pshift(nums, a, kden))]
-            den = pden * kden ** (2 * d)
-            beta = [sum(math.comb(d - j, k - j) * q[j] for j in range(k + 1))
-                    / den for k in range(d + 1)]
-            table.append(((b - a) / kden, tuple(beta)))
-        return table
+        One running pass over the jump table, in integers.  With ``K`` the
+        knot and ``D`` the jump denominator and ``d`` the top degree, the
+        piece after origin ``o`` is ``p(K t - o) / (D K^d d!)`` with
+        ``p(u) = sum_{s <= o} sum_k J[s][k] (d!/k!) K^(d-k) (u + o - s)^k``:
+        each knot Taylor-shifts ``p`` by the gap from the last one and adds
+        its own jumps.  On a piece of width ``w / K``, ``q_j = p_j w^j``, and
+        ``d`` rounds of running sums over a shrinking prefix of ``q`` give the
+        ``beta_k``: the Taylor shift by 1 of ``q`` reversed, read in reverse,
+        which takes additions only."""
+        kden, jden, table = jumps = self._jumps
+        origins = sorted(table)
+        deg = jumps.degree
+        facts = [math.factorial(k) for k in range(deg + 1)]
+        lifts = [facts[deg] // facts[k] * kden ** (deg - k)
+                 for k in range(deg + 1)]
+        den = jden * kden ** deg * facts[deg]
+        p = [0] * (deg + 1)
+        out = []
+        for last, o, b in zip((origins[0], *origins), origins, origins[1:]):
+            # p(u + gap): _pshift's synthetic division, without the scaling
+            # that q = 1 makes a multiplication by 1 per coefficient
+            gap = o - last
+            for i in range(deg):
+                for j in range(deg - 1, i - 1, -1):
+                    p[j] += gap * p[j + 1]
+            for k, x in enumerate(table[o]):
+                p[k] += x * lifts[k]
+            w = b - o
+            beta = _trim([c * w ** j for j, c in enumerate(p)])
+            d = len(beta) - 1
+            for i in range(d):
+                for k in range(1, d - i + 1):
+                    beta[k] += beta[k - 1]
+            out.append((w / kden, tuple(c / den for c in beta)))
+        return out
 
     @cached_property
     def x_jumps(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -338,7 +403,7 @@ class PiecewisePolyDensity:
         to a relative 0.75 eps."""
         _, jden, table = self._jumps
         p, q = self.scale_sq.numerator, self.scale_sq.denominator
-        out = np.zeros((len(table), max(map(len, table.values()))))
+        out = np.zeros((len(table), self.degree + 1))
         try:
             for row, o in zip(out, sorted(table)):
                 for j, x in enumerate(table[o]):
@@ -393,8 +458,8 @@ class PiecewisePolyDensity:
         """Density of the sum of independent variables, same scale required.
 
         The cached jumps of both densities are brought to one knot
-        denominator, their lcm, and multiplied; the product is turned back
-        into pieces.
+        denominator, their lcm, and multiplied; the product is the new
+        density's jump table.
         """
         if self.scale_sq != other.scale_sq:
             raise DomainError("convolution requires matching scale_sq")
@@ -402,17 +467,16 @@ class PiecewisePolyDensity:
         kden = math.lcm(kf, kg)
         f = {o * (kden // kf): jo for o, jo in f.items()}
         g = {o * (kden // kg): jo for o, jo in g.items()}
-        knots, polys = _pieces(Jumps(kden, df * dg, _jump_product(f, g)))
-        return PiecewisePolyDensity(knots, polys, self.scale_sq,
-                                    self.shift + other.shift)
+        return self._from_jumps(
+            Jumps.reduced(kden, df * dg, _jump_product(f, g)),
+            self.scale_sq, self.shift + other.shift)
 
     def normalized_sum(self, n: int) -> "PiecewisePolyDensity":
         """Density of ``(X_1 + ... + X_n) / sqrt(n)`` for iid copies.
 
         The ``n - 1`` jump products run in a plain loop (binary powering
-        measured slower in this form), pieces are built once, and the
-        product becomes the new density's jump table, which is not rebuilt
-        from the pieces.
+        measured slower in this form), and the product is the new density's
+        jump table.
         """
         if n < 1:
             raise DomainError("n must be >= 1")
@@ -420,16 +484,5 @@ class PiecewisePolyDensity:
         acc = base
         for _ in range(n - 1):
             acc = _jump_product(acc, base)
-        knots, polys = _pieces(Jumps(kden, jden ** n, acc))
-        out = PiecewisePolyDensity(knots, polys, self.scale_sq / n,
-                                   self.shift * n)
-        # the product is the sum's own jump table once it is put in the
-        # form _jumps builds: lists trimmed, the knot denominator reduced.
-        # The jumps need no reduction: for a prime p dividing jden, the
-        # base's jumps are not all 0 mod p, and the jump product is a
-        # polynomial product, which has no zero divisors mod p
-        k = math.gcd(kden, *acc)
-        vars(out)["_jumps"] = Jumps(kden // k, jden ** n,
-                                    {o // k: _trim(jo[:])
-                                     for o, jo in acc.items()})
-        return out
+        return self._from_jumps(Jumps.reduced(kden, jden ** n, acc),
+                                self.scale_sq / n, self.shift * n)

@@ -184,8 +184,12 @@ def mgf_check(density: StandardizedDensity,
     """Margins ``exp(t^2) - E exp(tY)`` on a grid of nonzero ``t``, the
     MGF one Gauss-rule pass for the whole grid.
 
-    All-positive output means the subgaussian condition holds at the
-    sampled points; this is a diagnostic, not a proof over all ``t``.
+    Each margin's error is the MGF's stated error plus the rounding of
+    ``exp(t^2)``: one ulp, and ``t^2`` ulps for its rounded argument.  A
+    margin within its error has no certified sign and is
+    refused with ``AccuracyError`` naming its ``t``, after the sums' own
+    refusals.  All-positive output means the subgaussian condition holds at
+    the sampled points; this is a diagnostic, not a proof over all ``t``.
     """
     for t in t_grid:
         if t == 0.0 or not math.isfinite(t):
@@ -199,10 +203,20 @@ def mgf_check(density: StandardizedDensity,
             break
     # the points before the first whose exp(t²) leaves the float range are
     # summed first: one of them may refuse first, as point by point
-    values, _ = _mgf_sums(density, t_grid[:len(bounds)])
+    values, errors = _mgf_sums(density, t_grid[:len(bounds)])
+    margins = [bound - value for bound, value in zip(bounds, values)]
+    for t, margin, bound, error in zip(t_grid, margins, bounds, errors):
+        error += _EPS * bound * (1.0 + t * t)
+        # the float difference has the sign of the exact one, and is beyond
+        # a float error only when the exact one is
+        if not abs(margin) > error:
+            raise AccuracyError(
+                f"the margin at t = {t:g} is {margin:.3g}, within its error "
+                f"{error:.3g}: its sign is not certified",
+                value=margin, error_estimate=error)
     if refusal is not None:
         raise refusal
-    return [bound - value for bound, value in zip(bounds, values)]
+    return margins
 
 
 def hermite_mgf_identity_check(density: StandardizedDensity,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 from scipy.integrate import quad
@@ -79,6 +81,60 @@ def moment_t(d: PiecewisePolyDensity, k: int) -> Fraction:
     ``sum_i C(k, i) E[(T - shift)^i] shift^(k-i)`` of the central moments."""
     return sum((math.comb(k, i) * d.central_moment(i) * d.shift ** (k - i)
                 for i in range(k + 1)), Fraction(0))
+
+
+def _pshift(a: list[int], p: int, q: int) -> list[int]:
+    """``q^d a(p/q + z)`` for ``a`` of degree ``d``, with ``z`` scaled by
+    ``q``: a Taylor shift by ``p`` of the ``a_j q^(d-j)``."""
+    d = len(a) - 1
+    out = [c * q ** (d - j) for j, c in enumerate(a)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            out[j] += p * out[j + 1]
+    return [c * q ** i for i, c in enumerate(out)]
+
+
+def _over_common(values) -> tuple[int, list[int]]:
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def bernstein_from_pieces(
+        d: PiecewisePolyDensity) -> list[tuple[float, tuple[float, ...]]]:
+    """Per piece, its width and Bernstein coefficients, converted from the
+    ``Fraction`` pieces: each piece is shifted to its left knot and summed
+    by binomials, ``beta_k = sum_{j<=k} C(d-j, k-j) q_j``.  The conversion
+    the package ran before it read the jump table in one pass, kept as the
+    bitwise reference for it."""
+    kden, origins = _over_common(d.knots)
+    table = []
+    for piece, a, b in zip(d.pieces, origins, origins[1:]):
+        pden, nums = _over_common(piece)
+        deg = len(nums) - 1
+        q = [c * (b - a) ** j * kden ** (deg - j)
+             for j, c in enumerate(_pshift(nums, a, kden))]
+        den = pden * kden ** (2 * deg)
+        beta = [sum(math.comb(deg - j, k - j) * q[j] for j in range(k + 1))
+                / den for k in range(deg + 1)]
+        table.append(((b - a) / kden, tuple(beta)))
+    return table
+
+
+def panels_from_pieces(d: PiecewisePolyDensity):
+    """The runs of one degree (degree, widths, offsets, coefficients) and
+    the panel layout, from :func:`bernstein_from_pieces` and the offsets
+    ``float(knot - shift)`` of the ``Fraction`` knots."""
+    offsets = [float(k - d.shift) for k in d.knots]
+    kept = [(len(beta) - 1, width, off, beta) for (width, beta), off
+            in zip(bernstein_from_pieces(d), offsets) if any(beta)]
+    runs = [(deg, *(np.array(c) for c in list(zip(*run))[1:]))
+            for deg, run in groupby(kept, key=itemgetter(0))]
+    width, off, degree, coef_sum = (np.concatenate(c) for c in zip(*(
+        (width, off, np.full(len(width), deg), np.sum(np.abs(beta), axis=1))
+        for deg, width, off, beta in runs)))
+    layout = (d.scale * (off + width / 2.0), d.scale * width / 2.0, degree,
+              coef_sum / d.scale)
+    return runs, layout
 
 
 def mixed_degrees() -> PiecewisePolyDensity:

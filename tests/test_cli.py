@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import csv
 import graphlib
@@ -465,6 +466,28 @@ class TestSubgaussianCommand:
                             "uniform", "--t-max", "-1", "--t-steps", "4")
         assert code == EXIT_USAGE
 
+    def test_margin_within_its_error_is_accuracy(self, capsys):
+        # at |t| = 1e-8 the margin, about t²/2 = 5e-17, is below the MGF's
+        # stated error of about 5e-15: its sign is refused, not guessed
+        code, out, err = invoke(capsys, "subgaussian", "check", "--dist",
+                                "uniform", "--t-max", "1e-8", "--t-steps",
+                                "1")
+        assert code == EXIT_ACCURACY
+        assert out == ""
+        message = json.loads(err)["error"]["message"]
+        assert message.startswith("the margin at t = -1e-08 is ")
+        assert message.endswith(": its sign is not certified")
+
+    def test_margin_beyond_its_error_is_certified(self, capsys):
+        # at |t| = 1e-6 the margin, 5.0e-13, is a hundred times its error
+        code, out, _ = invoke(capsys, "subgaussian", "check", "--dist",
+                              "uniform", "--t-max", "1e-6", "--t-steps", "1",
+                              "--format", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert [row[2] for row in payload["rows"]] == [True, True]
+        assert payload["all_positive"] is True
+
 
 class TestVerifyCommand:
     def test_tier_one(self, capsys):
@@ -526,6 +549,31 @@ class TestPlotdata:
                               "--format", "json")
         assert code == EXIT_OK
         assert json.loads(out)["columns"] == ["x", "g", "g_sym"]
+
+    def test_grid_near_the_float_limit_stays_finite(self, capsys):
+        # x_max * i passes the float range before the division by steps
+        code, out, _ = invoke(capsys, "plotdata", "--x-max", "1e308",
+                              "--steps", "3")
+        assert code == EXIT_OK
+        xs = [row[0] for row in list(csv.reader(io.StringIO(out)))[1:]]
+        assert xs == ["0", "3.33333333333e+307", "6.66666666667e+307",
+                      "1e+308"]
+
+    @pytest.mark.parametrize("x_max,steps", [
+        (0.1, 3), (20.0, 200), (2.0 ** 1000, 7), (sys.float_info.max, 1000)])
+    def test_grid_is_x_max_i_over_steps_ending_at_x_max(self, x_max, steps):
+        # each x is x_max * i / steps, rounded as if the float range had no
+        # end (taken here at the scale 2^-200, which is exact), and the
+        # last is x_max itself, where 0.1 * 3 / 3 reads 0.10000000000000002
+        report, code = cli._cmd_plotdata(
+            argparse.Namespace(x_max=x_max, steps=steps))
+        assert code == EXIT_OK
+        xs = [row[0] for row in report.rows]
+        scaled = x_max * 2.0 ** -200
+        assert xs[:-1] == [scaled * i / steps * 2.0 ** 200
+                           for i in range(steps)]
+        assert xs[-1] == x_max
+        assert all(map(math.isfinite, xs))
 
 
 # the package modules each module may import; the table has no cycle, so a

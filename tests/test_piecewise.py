@@ -12,12 +12,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from chi2norm.densities import from_name
+from chi2norm import piecewise
+from chi2norm.densities import from_name, normalized_sum_density
+from chi2norm.distances import chi2_both
 from chi2norm.errors import DomainError
 from chi2norm.piecewise import PiecewisePolyDensity
 from chi2norm.quadrature import (Panels, jacobi_rule, moment_node_counts,
                                  moment_rule)
-from conftest import hermite_moment, mixed_degrees, moment_t
+from conftest import (bernstein_from_pieces, hermite_moment, mixed_degrees,
+                      moment_t, panels_from_pieces)
 
 
 def unit_box() -> PiecewisePolyDensity:
@@ -41,6 +44,27 @@ def lopsided() -> PiecewisePolyDensity:
         pieces=((Fraction(0), Fraction(2)),),
         scale_sq=Fraction(18),
         shift=Fraction(2, 3),
+    )
+
+
+def gapped() -> PiecewisePolyDensity:
+    # mass 1/2 on [0, 1] and on [2, 3], nothing in between
+    half = Fraction(1, 2)
+    return PiecewisePolyDensity(
+        knots=(Fraction(0), Fraction(1), Fraction(2), Fraction(3)),
+        pieces=((half,), (Fraction(0),), (half,)),
+        scale_sq=Fraction(12, 13),
+        shift=Fraction(3, 2),
+    )
+
+
+def split_box() -> PiecewisePolyDensity:
+    # the unit box with a knot at 1/2, where nothing jumps
+    return PiecewisePolyDensity(
+        knots=(Fraction(0), Fraction(1, 2), Fraction(1)),
+        pieces=((Fraction(1),), (Fraction(1),)),
+        scale_sq=Fraction(12),
+        shift=Fraction(1, 2),
     )
 
 
@@ -346,14 +370,7 @@ class TestExactConvolution:
                                                    f.scale_sq / 3)
 
     def test_gapped_support_mass_and_moments(self):
-        # mass 1/2 on [0, 1] and on [2, 3], nothing in between
-        half = Fraction(1, 2)
-        f = PiecewisePolyDensity(
-            knots=(Fraction(0), Fraction(1), Fraction(2), Fraction(3)),
-            pieces=((half,), (Fraction(0),), (half,)),
-            scale_sq=Fraction(12, 13),
-            shift=Fraction(3, 2),
-        )
+        f = gapped()
         assert f.is_standardized()
         assert f.normalized_sum(1) == f
         box = rescaled(unit_box(), f.scale_sq)
@@ -368,12 +385,7 @@ class TestExactConvolution:
 
     def test_knot_without_jump_is_kept(self):
         # every pairwise knot sum is a knot, also where the density is smooth
-        split = PiecewisePolyDensity(
-            knots=(Fraction(0), Fraction(1, 2), Fraction(1)),
-            pieces=((Fraction(1),), (Fraction(1),)),
-            scale_sq=Fraction(12),
-            shift=Fraction(1, 2),
-        )
+        split = split_box()
         d = split.convolve(split)
         assert d.knots == tuple(Fraction(i, 2) for i in range(5))
         assert d.pieces == ((Fraction(0), Fraction(1)),) * 2 \
@@ -560,6 +572,103 @@ class TestSeededJumps:
         rebuilt = PiecewisePolyDensity(d.knots, d.pieces, d.scale_sq, d.shift)
         assert "_jumps" not in vars(rebuilt)
         assert d._jumps == rebuilt._jumps
+
+
+def base(name: str) -> PiecewisePolyDensity:
+    return {"lopsided": lopsided, "gapped": gapped, "split": split_box,
+            "mixed-degrees": mixed_degrees}.get(
+        name, lambda: from_name(name).exact)()
+
+
+def hexes(table) -> list[str]:
+    return [x.hex() for width, beta in table for x in (width, *beta)]
+
+
+class TestBernsteinReference:
+    """The panels, built from the jump table in one pass, bit for bit
+    against the conversion from the ``Fraction`` pieces."""
+
+    @pytest.mark.parametrize("name,n", [
+        *SUMS_34, *(("lopsided", n) for n in range(1, 6)),
+        *(("mixture:1:1/2", n) for n in range(1, 5)),
+        # an interior zero piece, a knot without a jump, and pieces of
+        # degree 0 to 2 around a zero piece; n = 1 is the density as built
+        *((name, n) for name in ("gapped", "split", "mixed-degrees")
+          for n in (1, 2, 3))])
+    def test_panels_equal_reference(self, name, n):
+        d = base(name)
+        if n > 1:
+            d = d.normalized_sum(n)
+        layout, runs, table = d.panel_layout, d._runs, d._bernstein
+        assert ("pieces" in vars(d)) == (n == 1)
+        want_runs, want_layout = panels_from_pieces(d)
+        assert hexes(table) == hexes(bernstein_from_pieces(d))
+        assert [a.tobytes() for a in layout] == [
+            a.tobytes() for a in want_layout]
+        assert [r[0] for r in runs] == [r[0] for r in want_runs]
+        for got, want in zip(runs, want_runs):
+            assert [a.tobytes() for a in got[1:]] == [
+                a.tobytes() for a in want[1:]]
+
+
+class TestLazyPieces:
+    """A normalized sum or a convolution is its jump table until its
+    ``Fraction`` knots or pieces are read."""
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        calls = []
+        real = piecewise._pieces
+
+        def counted(jumps):
+            calls.append(jumps)
+            return real(jumps)
+
+        monkeypatch.setattr(piecewise, "_pieces", counted)
+        return calls
+
+    @staticmethod
+    def check_read(d: PiecewisePolyDensity, product, calls: list) -> None:
+        # one build on the first read, then fields like any other
+        assert (d.knots, d.pieces) == ref_pieces(product)
+        rebuilt = PiecewisePolyDensity(d.knots, d.pieces, d.scale_sq, d.shift)
+        assert len(calls) == 1
+        assert d == rebuilt and rebuilt == d
+        assert repr(d) == repr(rebuilt)
+        assert hash(d) == hash(rebuilt)
+        assert dataclasses.replace(d) == d
+
+    @pytest.mark.parametrize("name,n", [
+        ("uniform", 12), ("beta:2", 6), ("mixture:1:1,1:2", 6)])
+    def test_divergence_builds_no_pieces(self, monkeypatch, name, n):
+        calls = self.spy(monkeypatch)
+        density = normalized_sum_density(from_name(name), n)
+        chi2_both(density)
+        assert calls == []
+        product = acc = ref_jumps(from_name(name).exact)
+        for _ in range(n - 1):
+            product = ref_jump_product(product, acc)
+        self.check_read(density.exact, product, calls)
+
+    def test_convolution_builds_no_pieces(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        f = from_name("mixture:1:1,1:2").exact
+        g = from_name("mixture:2:1/2,3:2").exact
+        h = f.convolve(g)
+        h.panel_layout, h.x_jumps, h.degree
+        # two symmetric summands at one scale: the variance doubles
+        assert h.is_symmetric() and not h.is_standardized()
+        assert calls == []
+        self.check_read(h, ref_jump_product(ref_jumps(f), ref_jumps(g)),
+                        calls)
+
+    def test_sum_of_lazy_sums(self, monkeypatch):
+        # a product of lazy factors reads their jump tables only
+        calls = self.spy(monkeypatch)
+        half = unit_box().normalized_sum(2)
+        whole = half.convolve(half)
+        assert calls == []
+        assert whole == rescaled(unit_box().normalized_sum(4), Fraction(6))
 
 
 class TestValidation:

@@ -17,6 +17,7 @@ from chi2norm.quadrature import Panels, rule_sum
 from chi2norm.subgaussian import (
     VARIANTS,
     ThresholdResult,
+    _mgf_sums,
     hermite_mgf_identity_check,
     mgf,
     mgf_check,
@@ -200,6 +201,29 @@ class TestMgfCheck:
         for t in (math.inf, -math.inf):
             with pytest.raises(DomainError, match="finite"):
                 mgf_check(make_normal(), [1.0, t])
+
+    @pytest.mark.parametrize("density", [make_uniform(), make_normal()])
+    def test_margin_within_its_error_is_accuracy(self, density):
+        # at t = 1e-8 the margin, about t²/2, is below one ulp of exp(t²)
+        # plus the MGF's stated error: its sign is not certified either way
+        with pytest.raises(AccuracyError,
+                           match=r"^the margin at t = 1e-08 is .* its sign "
+                                 r"is not certified$") as got:
+            mgf_check(density, [1.0, 1e-8, 2.0])
+        (value,), (err,) = _mgf_sums(density, [1e-8])
+        bound = math.exp(1e-16)
+        assert got.value.value == bound - value
+        assert got.value.error_estimate == (
+            err + np.finfo(float).eps * bound * (1.0 + 1e-16))
+        assert abs(got.value.value) <= got.value.error_estimate
+
+    def test_margin_error_is_the_mgf_error_plus_one_rounding(self):
+        # t = 1e-6: the margin is 5.0e-13, its error about 5e-15
+        uni = make_uniform()
+        (m,) = mgf_check(uni, [1e-6])
+        (value,), (err,) = _mgf_sums(uni, [1e-6])
+        assert m == math.exp(1e-12) - value
+        assert m > 50 * (err + np.finfo(float).eps)
 
     @pytest.mark.parametrize("density", [make_uniform(), make_normal()])
     def test_margin_beyond_float_range_is_accuracy(self, density):
