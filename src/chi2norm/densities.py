@@ -74,7 +74,7 @@ def _wrap_exact(d: PiecewisePolyDensity, description: str,
 
 def make_uniform() -> StandardizedDensity:
     """Uniform on ``[-sqrt(3), sqrt(3)]``."""
-    d = PiecewisePolyDensity(
+    d = PiecewisePolyDensity.from_pieces(
         knots=(Fraction(0), Fraction(1)),
         pieces=((Fraction(1),),),
         scale_sq=Fraction(12),
@@ -113,7 +113,7 @@ def make_scaled_beta(shape: float | Fraction) -> StandardizedDensity:
         coeffs = [Fraction(0)] * (2 * ai - 1)
         for j in range(ai):
             coeffs[ai - 1 + j] = norm * math.comb(ai - 1, j) * (-1) ** j
-        d = PiecewisePolyDensity(
+        d = PiecewisePolyDensity.from_pieces(
             knots=(Fraction(0), Fraction(1)),
             pieces=(tuple(coeffs),),
             scale_sq=scale_sq,
@@ -173,7 +173,7 @@ def make_mixture(components: Sequence[tuple[Fraction | float, Fraction | float]]
                for v in (1 / variance, *(level for level, in pieces))):
         raise DomainError("mixture out of range: its scale or a density "
                           "level leaves the float range")
-    d = PiecewisePolyDensity(
+    d = PiecewisePolyDensity.from_pieces(
         knots=tuple(knots),
         pieces=tuple(pieces),
         scale_sq=1 / variance,

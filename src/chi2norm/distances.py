@@ -170,8 +170,8 @@ def _gauss_rows(density: StandardizedDensity, top: int):
 def _jump_rows(density: StandardizedDensity, top: int):
     """Row source from the derivative jumps of an exact density, or ``None``
     when it has none in the float range or its degree ``d`` reaches
-    ``MAX_ORDER``.  Both are read from the jump table, so a normalized sum
-    builds no ``Fraction`` pieces here.
+    ``MAX_ORDER``.  Both are read from the jump table, the density's one
+    exact form.
 
     Integrating by parts ``d + 1`` times, with ``h_m`` integrating to
     ``h_{m+1} / sqrt(m + 1)``, gives

@@ -21,12 +21,12 @@ the jump of the ``j``-th derivative at knot ``t_i``.  In that form
 * the mirror image about ``s`` has the jumps ``(-1)^(j+1) J[t_i][j]`` at
   ``2s - t_i``, which is the symmetry test.
 
-A normalized sum or a convolution is held as its jump table alone.  Its
-monomial ``knots`` and ``pieces`` are built on first read, by one running
-sum over the sorted origins, and nothing on the float path reads them.
-The panels, a density's one float view and all that the quadrature reads
-of it, come from the jump table by one running pass too: each piece in
-Bernstein form, converted exactly and rounded once.
+A density is held as its jump table alone:
+:meth:`~PiecewisePolyDensity.from_pieces` converts monomial pieces into it
+once, and a convolution or a normalized sum is a jump product.  The
+panels, a density's one float view and all that the quadrature reads of
+it, come from the jump table by one running pass: each piece in Bernstein
+form, converted exactly and rounded once.
 :attr:`~PiecewisePolyDensity.x_jumps` gives the jumps themselves as
 floats, in the actual variable, for Hermite moments taken by parts.
 
@@ -35,8 +35,7 @@ and the Bernstein conversion) run on Python ``int`` numerators over one
 common denominator, which needs no gcd and no allocation per operation.
 The jump table holds the knots as integers over one knot denominator and
 the jumps as integers over one jump denominator.  ``Fraction`` objects are
-built only at the public boundary: the ``knots`` and ``pieces`` when they
-are read, and the central moments, each reduced once.  Every Bernstein
+built only for the central moments, each reduced once.  Every Bernstein
 coefficient is one int/int true division, which Python rounds correctly,
 so it equals ``float`` of the exact rational.
 
@@ -62,13 +61,12 @@ from .errors import DomainError
 
 __all__ = ["PiecewisePolyDensity"]
 
-Poly = tuple[Fraction, ...]
 
 class Jumps(NamedTuple):
     """Derivative jumps in integers: ``J[o / knot_den][j]`` is
-    ``table[o][j] / jump_den``.  In a density's own table each list is
-    trimmed of trailing zeros but keeps at least one entry, so every knot
-    has a key."""
+    ``table[o][j] / jump_den``.  In a density's own table the origins
+    ascend and each list is trimmed of trailing zeros but keeps at least
+    one entry, so every knot has a key."""
 
     knot_den: int
     jump_den: int
@@ -79,16 +77,21 @@ class Jumps(NamedTuple):
         """The top derivative order with a jump: the top piece degree."""
         return max(map(len, self.table.values())) - 1
 
+    def __hash__(self) -> int:
+        return hash((self.knot_den, self.jump_den, frozenset(
+            (o, tuple(jo)) for o, jo in self.table.items())))
+
     @classmethod
     def reduced(cls, knot_den: int, jump_den: int,
                 table: dict[int, list[int]]) -> "Jumps":
-        """``table`` in the form a density's own table takes: lists trimmed,
-        both denominators reduced, so equal jumps give equal tables."""
+        """``table`` in the form a density's own table takes: origins
+        sorted, lists trimmed, both denominators reduced, so equal jumps
+        give equal tables and equal reprs."""
         k = math.gcd(knot_den, *table)
         g = math.gcd(jump_den, *(x for jo in table.values() for x in jo))
         return cls(knot_den // k, jump_den // g,
                    {o // k: _trim([x // g for x in jo])
-                    for o, jo in table.items()})
+                    for o, jo in sorted(table.items())})
 
 
 def _over_common(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -143,30 +146,6 @@ def _jump_product(f: dict[int, list[int]],
     return out
 
 
-def _pieces(jumps: Jumps) -> tuple[tuple[Fraction, ...], tuple[Poly, ...]]:
-    """Knots and monomial pieces, built on the first read of either: the
-    piece after knot ``t`` is the running sum of ``sum_k J[s][k] (t - s)^k / k!`` over the knots ``s <= t``.
-
-    With ``K`` the knot and ``D`` the jump denominator, and ``d`` the top
-    degree, the sum runs over the common denominator ``D K^d d!``: the term
-    of origin ``o`` is ``sum_k J_k (d!/k!) K^(d-k) (K t - o)^k``."""
-    kden, jden, table = jumps
-    origins = sorted(table)
-    deg = jumps.degree
-    facts = [math.factorial(k) for k in range(deg + 1)]
-    den = jden * kden ** deg * facts[deg]
-    acc = [0] * (deg + 1)
-    pieces = []
-    for o in origins[:-1]:
-        jo = table[o]
-        lift = kden ** (deg + 1 - len(jo)) * facts[deg]
-        taylor = [x * lift // facts[k] for k, x in enumerate(jo)]
-        for i, c in enumerate(_pshift(taylor, -o, kden)):
-            acc[i] += c
-        pieces.append(tuple(Fraction(c, den) for c in _trim(acc[:])))
-    return tuple(Fraction(o, kden) for o in origins), tuple(pieces)
-
-
 def _bernstein_at(d: int, beta: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """The Bernstein forms of degree ``d`` with coefficients ``beta`` (one
     row per piece) at ``s = (1 + xi) / 2``, shape ``(pieces, len(xi))``, in
@@ -187,70 +166,53 @@ def _bernstein_at(d: int, beta: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PiecewisePolyDensity:
-    """Piecewise polynomial density with an exact symbolic scale.
+    """Piecewise polynomial density with an exact symbolic scale, held as
+    its derivative jumps ``jumps`` in the internal coordinate ``t``, in the
+    form :meth:`Jumps.reduced` gives.
 
-    ``pieces[i]`` holds the coefficients (constant term first) valid on
-    ``[knots[i], knots[i+1])`` in the internal coordinate.  The density of
-    the actual variable ``x = sqrt(scale_sq) (t - shift)`` is
-    ``f(t) / sqrt(scale_sq)``.  A normalized sum or a convolution builds its
-    ``knots`` and ``pieces`` on first read; ``==``, ``hash`` and ``repr``
-    read them like any field.
+    The density of the actual variable ``x = sqrt(scale_sq) (t - shift)``
+    is ``f(t) / sqrt(scale_sq)``.  Equal densities have equal tables, so
+    ``==``, ``hash`` and ``repr`` read the fields.  :meth:`from_pieces`
+    builds one from monomial pieces; the jump table is shared by every
+    query and product, so nothing may mutate it.
     """
 
-    knots: tuple[Fraction, ...]
-    pieces: tuple[Poly, ...]
+    jumps: Jumps
     scale_sq: Fraction
     shift: Fraction
 
     def __post_init__(self) -> None:
-        if len(self.knots) < 2 or len(self.pieces) != len(self.knots) - 1:
-            raise DomainError("knots and pieces lengths are inconsistent")
-        if any(b <= a for a, b in zip(self.knots, self.knots[1:])):
-            raise DomainError("knots must be strictly increasing")
         if self.scale_sq <= 0:
             raise DomainError("scale_sq must be positive")
 
     @classmethod
-    def _from_jumps(cls, jumps: Jumps, scale_sq: Fraction,
+    def from_pieces(cls, knots: Sequence[Fraction],
+                    pieces: Sequence[Sequence[Fraction]], scale_sq: Fraction,
                     shift: Fraction) -> "PiecewisePolyDensity":
-        """The density of a jump product, held as ``jumps`` (in the form
-        :meth:`Jumps.reduced` gives); its knots and pieces are built on
-        first read."""
-        out = object.__new__(cls)
-        vars(out).update(scale_sq=scale_sq, shift=shift, _jumps=jumps)
-        return out
+        """The density that is the polynomial ``pieces[i]`` (coefficients,
+        constant term first) on ``[knots[i], knots[i+1])`` and zero outside.
 
-    def __getattr__(self, name: str):
-        # reached only for a name found nowhere else: the knots and pieces
-        # of a density built by _from_jumps, before their first read
-        if name not in ("knots", "pieces") or "_jumps" not in vars(self):
-            raise AttributeError(f"{type(self).__name__!r} object has no "
-                                 f"attribute {name!r}")
-        knots, pieces = _pieces(self._jumps)
-        vars(self).update(knots=knots, pieces=pieces)
-        return vars(self)[name]
-
-    # -- exact queries -------------------------------------------------
-
-    @cached_property
-    def _jumps(self) -> Jumps:
-        """Jumps ``J[t][j]`` of the ``j``-th derivative at every knot ``t``.
-
-        ``J[t][j]`` is ``j!`` times the ``j``-th coefficient of the Taylor
-        shift to ``t`` of (right piece - left piece), with zero outside the
-        support.  Every knot gets an entry, even one with no jump, so every
-        pairwise knot sum of a convolution stays a knot.  The pieces share
-        one denominator ``P`` and the knots one ``K``; with ``d`` the top
-        degree the jumps are over ``P K^d``, then reduced by their common
-        gcd.  The cached table is shared by every query and product, so
-        nothing may mutate it.
+        Its jump ``J[t][j]`` is ``j!`` times the ``j``-th coefficient of the
+        Taylor shift to ``t`` of (right piece - left piece).  Every knot gets
+        an entry, even one with no jump, so every pairwise knot sum of a
+        convolution stays a knot.  The pieces share one denominator ``P`` and
+        the knots one ``K``; with ``d`` the top degree the jumps are over
+        ``P K^d``, then reduced by their common gcd.
         """
-        kden, origins = _over_common(self.knots)
-        pden, flat = _over_common([c for p in self.pieces for c in p])
-        deg = max(map(len, self.pieces)) - 1
+        if len(knots) < 2 or len(pieces) != len(knots) - 1:
+            raise DomainError("knots and pieces lengths are inconsistent")
+        if any(b <= a for a, b in zip(knots, knots[1:])):
+            raise DomainError("knots must be strictly increasing")
+        if not all(pieces):
+            raise DomainError("every piece needs at least one coefficient")
+        if not any(c for p in pieces for c in p):
+            raise DomainError("the pieces are all zero: no density")
+        kden, origins = _over_common(knots)
+        pden, flat = _over_common([c for p in pieces for c in p])
+        deg = max(map(len, pieces)) - 1
         table: dict[int, list[int]] = {}
         left: list[int] = []
-        for o, size in zip(origins, (*map(len, self.pieces), 0)):
+        for o, size in zip(origins, (*map(len, pieces), 0)):
             right, flat = flat[:size], flat[size:]
             diff = _trim([r - l for r, l in zip_longest(right, left,
                                                         fillvalue=0)])
@@ -258,7 +220,10 @@ class PiecewisePolyDensity:
             table[o] = [c * lift * math.factorial(j)
                         for j, c in enumerate(_pshift(diff, o, kden))]
             left = right
-        return Jumps.reduced(kden, pden * kden ** deg, table)
+        return cls(Jumps.reduced(kden, pden * kden ** deg, table), scale_sq,
+                   shift)
+
+    # -- exact queries -------------------------------------------------
 
     def _moments(self, m: int) -> list[Fraction]:
         """Exact ``E[(T - shift)^k]`` for ``k = 0..m`` in one pass over the
@@ -270,7 +235,7 @@ class PiecewisePolyDensity:
         ``J_j (-1)^(j+1) e^(k+j+1) L^(d-j) (k+d+1)! / (k+j+1)!``.
         """
         c = self.shift
-        kden, jden, table = jumps = self._jumps
+        kden, jden, table = jumps = self.jumps
         deg = jumps.degree
         lden = kden * c.denominator
         facts = [math.factorial(i) for i in range(m + deg + 2)]
@@ -316,7 +281,7 @@ class PiecewisePolyDensity:
     def is_symmetric(self) -> bool:
         """Exact mirror symmetry about the shift point: the jumps at
         ``2 shift - t`` are ``(-1)^(j+1)`` times the jumps at ``t``."""
-        kden, _, table = self._jumps
+        kden, _, table = self.jumps
         mirror = 2 * self.shift * kden
         if mirror.denominator != 1:
             return False  # no knot o / K mirrors to a knot
@@ -331,7 +296,7 @@ class PiecewisePolyDensity:
     @property
     def degree(self) -> int:
         """The top degree of the pieces, read from the jump table."""
-        return self._jumps.degree
+        return self.jumps.degree
 
     @cached_property
     def scale(self) -> float:
@@ -341,9 +306,9 @@ class PiecewisePolyDensity:
     def _offsets(self) -> list[float]:
         """``knot - shift`` for every knot, each one int/int division of
         the exact rational."""
-        kden, _, table = self._jumps
+        kden, _, table = self.jumps
         num, den = self.shift.numerator, self.shift.denominator
-        return [(o * den - num * kden) / (kden * den) for o in sorted(table)]
+        return [(o * den - num * kden) / (kden * den) for o in table]
 
     @cached_property
     def _bernstein(self) -> list[tuple[float, tuple[float, ...]]]:
@@ -363,8 +328,8 @@ class PiecewisePolyDensity:
         ``d`` rounds of running sums over a shrinking prefix of ``q`` give the
         ``beta_k``: the Taylor shift by 1 of ``q`` reversed, read in reverse,
         which takes additions only."""
-        kden, jden, table = jumps = self._jumps
-        origins = sorted(table)
+        kden, jden, table = jumps = self.jumps
+        origins = list(table)
         deg = jumps.degree
         facts = [math.factorial(k) for k in range(deg + 1)]
         lifts = [facts[deg] // facts[k] * kden ** (deg - k)
@@ -401,12 +366,12 @@ class PiecewisePolyDensity:
         ``J[t][j] / c^(j+1)`` with ``c^2 = scale_sq`` rational: each entry is
         the signed root of one exact rational, ``J[t][j]^2 / scale_sq^(j+1)``,
         to a relative 0.75 eps."""
-        _, jden, table = self._jumps
+        _, jden, table = self.jumps
         p, q = self.scale_sq.numerator, self.scale_sq.denominator
         out = np.zeros((len(table), self.degree + 1))
         try:
-            for row, o in zip(out, sorted(table)):
-                for j, x in enumerate(table[o]):
+            for row, jo in zip(out, table.values()):
+                for j, x in enumerate(jo):
                     if x:
                         root = _root_float(x * x * q ** (j + 1),
                                            jden * jden * p ** (j + 1))
@@ -457,17 +422,17 @@ class PiecewisePolyDensity:
     def convolve(self, other: "PiecewisePolyDensity") -> "PiecewisePolyDensity":
         """Density of the sum of independent variables, same scale required.
 
-        The cached jumps of both densities are brought to one knot
-        denominator, their lcm, and multiplied; the product is the new
-        density's jump table.
+        The jumps of both densities are brought to one knot denominator,
+        their lcm, and multiplied; the product is the new density's jump
+        table.
         """
         if self.scale_sq != other.scale_sq:
             raise DomainError("convolution requires matching scale_sq")
-        (kf, df, f), (kg, dg, g) = self._jumps, other._jumps
+        (kf, df, f), (kg, dg, g) = self.jumps, other.jumps
         kden = math.lcm(kf, kg)
         f = {o * (kden // kf): jo for o, jo in f.items()}
         g = {o * (kden // kg): jo for o, jo in g.items()}
-        return self._from_jumps(
+        return PiecewisePolyDensity(
             Jumps.reduced(kden, df * dg, _jump_product(f, g)),
             self.scale_sq, self.shift + other.shift)
 
@@ -480,9 +445,9 @@ class PiecewisePolyDensity:
         """
         if n < 1:
             raise DomainError("n must be >= 1")
-        kden, jden, base = self._jumps
+        kden, jden, base = self.jumps
         acc = base
         for _ in range(n - 1):
             acc = _jump_product(acc, base)
-        return self._from_jumps(Jumps.reduced(kden, jden ** n, acc),
-                                self.scale_sq / n, self.shift * n)
+        return PiecewisePolyDensity(Jumps.reduced(kden, jden ** n, acc),
+                                    self.scale_sq / n, self.shift * n)

@@ -83,6 +83,58 @@ def moment_t(d: PiecewisePolyDensity, k: int) -> Fraction:
                 for i in range(k + 1)), Fraction(0))
 
 
+# Fraction reference: the exact kernels as they ran on Fraction objects
+# before the integer tables.  The package must agree Fraction for Fraction.
+
+def ref_trim(c: list[Fraction]) -> tuple[Fraction, ...]:
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def ref_padd(a, b):
+    n = max(len(a), len(b))
+    return ref_trim([(a[i] if i < len(a) else Fraction(0))
+                     + (b[i] if i < len(b) else Fraction(0)) for i in range(n)])
+
+
+def ref_pshift(a, c: Fraction):
+    """``a(c + z)`` as a polynomial in ``z`` (repeated synthetic division)."""
+    out = list(a)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += c * out[j + 1]
+    return ref_trim(out)
+
+
+def ref_pieces(jumps):
+    """Knots and monomial pieces of the jumps ``{t: [J[t][j]]}``: the piece
+    after knot ``t`` is the running sum of ``sum_k J[s][k] (z - s)^k / k!``
+    over the knots ``s <= t``."""
+    knots = tuple(sorted(jumps))
+    acc = (Fraction(0),)
+    pieces = []
+    for t in knots[:-1]:
+        taylor = ref_trim([c / math.factorial(k)
+                           for k, c in enumerate(jumps[t])])
+        acc = ref_padd(acc, ref_pshift(taylor, -t))
+        pieces.append(acc)
+    return knots, tuple(pieces)
+
+
+def jumps_as_fractions(d: PiecewisePolyDensity) -> dict[Fraction, list[Fraction]]:
+    kden, jden, table = d.jumps
+    return {Fraction(o, kden): [Fraction(x, jden) for x in jo]
+            for o, jo in table.items()}
+
+
+def pieces_of(d: PiecewisePolyDensity):
+    """The ``Fraction`` knots and monomial pieces of ``d``, each piece
+    trimmed of trailing zeros, read from its jump table by
+    :func:`ref_pieces`."""
+    return ref_pieces(jumps_as_fractions(d))
+
+
 def _pshift(a: list[int], p: int, q: int) -> list[int]:
     """``q^d a(p/q + z)`` for ``a`` of degree ``d``, with ``z`` scaled by
     ``q``: a Taylor shift by ``p`` of the ``a_j q^(d-j)``."""
@@ -102,13 +154,14 @@ def _over_common(values) -> tuple[int, list[int]]:
 def bernstein_from_pieces(
         d: PiecewisePolyDensity) -> list[tuple[float, tuple[float, ...]]]:
     """Per piece, its width and Bernstein coefficients, converted from the
-    ``Fraction`` pieces: each piece is shifted to its left knot and summed
-    by binomials, ``beta_k = sum_{j<=k} C(d-j, k-j) q_j``.  The conversion
-    the package ran before it read the jump table in one pass, kept as the
-    bitwise reference for it."""
-    kden, origins = _over_common(d.knots)
+    ``Fraction`` pieces of :func:`pieces_of`: each piece is shifted to its
+    left knot and summed by binomials, ``beta_k = sum_{j<=k} C(d-j, k-j)
+    q_j``.  The conversion the package ran before it read the jump table in
+    one pass, kept as the bitwise reference for it."""
+    knots, pieces = pieces_of(d)
+    kden, origins = _over_common(knots)
     table = []
-    for piece, a, b in zip(d.pieces, origins, origins[1:]):
+    for piece, a, b in zip(pieces, origins, origins[1:]):
         pden, nums = _over_common(piece)
         deg = len(nums) - 1
         q = [c * (b - a) ** j * kden ** (deg - j)
@@ -124,7 +177,7 @@ def panels_from_pieces(d: PiecewisePolyDensity):
     """The runs of one degree (degree, widths, offsets, coefficients) and
     the panel layout, from :func:`bernstein_from_pieces` and the offsets
     ``float(knot - shift)`` of the ``Fraction`` knots."""
-    offsets = [float(k - d.shift) for k in d.knots]
+    offsets = [float(k - d.shift) for k in pieces_of(d)[0]]
     kept = [(len(beta) - 1, width, off, beta) for (width, beta), off
             in zip(bernstein_from_pieces(d), offsets) if any(beta)]
     runs = [(deg, *(np.array(c) for c in list(zip(*run))[1:]))
@@ -140,7 +193,7 @@ def panels_from_pieces(d: PiecewisePolyDensity):
 def mixed_degrees() -> PiecewisePolyDensity:
     """Pieces of degree 0, 1 and 2, one of them zero: two runs of one
     degree around the zero piece, which gets no panel."""
-    return PiecewisePolyDensity(
+    return PiecewisePolyDensity.from_pieces(
         knots=tuple(Fraction(k) for k in range(7)),
         pieces=((Fraction(1, 4),), (Fraction(0),), (Fraction(1, 8),),
                 (Fraction(1, 8), Fraction(1, 16)),
@@ -153,7 +206,7 @@ def mixed_degrees() -> PiecewisePolyDensity:
 
 def lopsided() -> StandardizedDensity:
     """Density 2t on [0, 1], standardized: the asymmetric case."""
-    d = PiecewisePolyDensity(
+    d = PiecewisePolyDensity.from_pieces(
         knots=(Fraction(0), Fraction(1)),
         pieces=((Fraction(0), Fraction(2)),),
         scale_sq=Fraction(18),

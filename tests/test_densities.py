@@ -11,7 +11,6 @@ import pytest
 from chi2norm.densities import (
     MAX_SUM_TERMS,
     StandardizedDensity,
-    _wrap_exact,
     from_name,
     make_mixture,
     make_normal,
@@ -22,18 +21,7 @@ from chi2norm.densities import (
 from chi2norm.distances import hermite_profile
 from chi2norm.errors import CapacityError, DomainError
 from chi2norm.piecewise import PiecewisePolyDensity
-from conftest import check_standardized
-
-
-def make_lopsided():
-    # density 2t on [0, 1], standardized and not symmetric
-    d = PiecewisePolyDensity(
-        knots=(Fraction(0), Fraction(1)),
-        pieces=((Fraction(0), Fraction(2)),),
-        scale_sq=Fraction(18),
-        shift=Fraction(2, 3),
-    )
-    return _wrap_exact(d, "lopsided")
+from conftest import check_standardized, lopsided
 
 
 def value_at(density: StandardizedDensity, x: float) -> float:
@@ -192,7 +180,7 @@ class TestNormalizedSum:
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("make", [make_uniform, lambda: make_scaled_beta(2),
-                                      make_lopsided],
+                                      lopsided],
                              ids=["uniform", "beta:2", "lopsided"])
     def test_inherited_symmetry_is_exact(self, make, n):
         d = normalized_sum_density(make(), n)

@@ -112,7 +112,7 @@ def jump_rounding_bound(density: StandardizedDensity, order: int) -> float:
     # sqrt(s) for even j, unnormalized He_n from numpy's recurrence over
     # sqrt(n!), and sqrt(m!/(m+j+1)!) from log-gamma
     exact = density.exact
-    kden, jden, table = exact._jumps
+    kden, jden, table = exact.jumps
     s, c = exact.scale_sq, exact.scale
     origins = sorted(table)
     deg = max(map(len, table.values())) - 1

@@ -12,19 +12,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from chi2norm import piecewise
-from chi2norm.densities import from_name, normalized_sum_density
-from chi2norm.distances import chi2_both
+from chi2norm.densities import from_name
 from chi2norm.errors import DomainError
 from chi2norm.piecewise import PiecewisePolyDensity
 from chi2norm.quadrature import (Panels, jacobi_rule, moment_node_counts,
                                  moment_rule)
-from conftest import (bernstein_from_pieces, hermite_moment, mixed_degrees,
-                      moment_t, panels_from_pieces)
+from conftest import (bernstein_from_pieces, hermite_moment,
+                      jumps_as_fractions, lopsided, mixed_degrees, moment_t,
+                      panels_from_pieces, pieces_of, ref_padd, ref_pieces,
+                      ref_pshift)
 
 
 def unit_box() -> PiecewisePolyDensity:
-    return PiecewisePolyDensity(
+    return PiecewisePolyDensity.from_pieces(
         knots=(Fraction(0), Fraction(1)),
         pieces=((Fraction(1),),),
         scale_sq=Fraction(12),
@@ -33,24 +33,14 @@ def unit_box() -> PiecewisePolyDensity:
 
 
 def rescaled(d: PiecewisePolyDensity, scale_sq: Fraction) -> PiecewisePolyDensity:
-    # the same pieces read at another scale
-    return PiecewisePolyDensity(d.knots, d.pieces, scale_sq, d.shift)
-
-
-def lopsided() -> PiecewisePolyDensity:
-    # density 2t on [0, 1], standardized
-    return PiecewisePolyDensity(
-        knots=(Fraction(0), Fraction(1)),
-        pieces=((Fraction(0), Fraction(2)),),
-        scale_sq=Fraction(18),
-        shift=Fraction(2, 3),
-    )
+    # the same jumps read at another scale
+    return dataclasses.replace(d, scale_sq=scale_sq)
 
 
 def gapped() -> PiecewisePolyDensity:
     # mass 1/2 on [0, 1] and on [2, 3], nothing in between
     half = Fraction(1, 2)
-    return PiecewisePolyDensity(
+    return PiecewisePolyDensity.from_pieces(
         knots=(Fraction(0), Fraction(1), Fraction(2), Fraction(3)),
         pieces=((half,), (Fraction(0),), (half,)),
         scale_sq=Fraction(12, 13),
@@ -60,7 +50,7 @@ def gapped() -> PiecewisePolyDensity:
 
 def split_box() -> PiecewisePolyDensity:
     # the unit box with a knot at 1/2, where nothing jumps
-    return PiecewisePolyDensity(
+    return PiecewisePolyDensity.from_pieces(
         knots=(Fraction(0), Fraction(1, 2), Fraction(1)),
         pieces=((Fraction(1),), (Fraction(1),)),
         scale_sq=Fraction(12),
@@ -79,7 +69,8 @@ SUMS_34 = ([("uniform", n) for n in range(2, 13)]
 
 
 def build(name: str, n: int) -> PiecewisePolyDensity:
-    return {"lopsided": lopsided, "mixed-degrees": mixed_degrees}.get(
+    return {"lopsided": lambda: lopsided().exact,
+            "mixed-degrees": mixed_degrees}.get(
         name, lambda: from_name(name).exact.normalized_sum(n))()
 
 
@@ -91,33 +82,11 @@ def piece_value(piece: tuple[Fraction, ...], t: Fraction) -> Fraction:
 
 
 def exact_value(d: PiecewisePolyDensity, t: Fraction) -> Fraction:
-    """``f(t)`` in the internal coordinate, in exact arithmetic."""
-    idx = min(max(bisect_right(d.knots, t) - 1, 0), len(d.pieces) - 1)
-    return piece_value(d.pieces[idx], t)
-
-
-# Fraction reference: the exact kernels as they ran on Fraction objects
-# before the integer tables.  The package must agree Fraction for Fraction.
-
-def ref_trim(c: list[Fraction]) -> tuple[Fraction, ...]:
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def ref_padd(a, b):
-    n = max(len(a), len(b))
-    return ref_trim([(a[i] if i < len(a) else Fraction(0))
-                     + (b[i] if i < len(b) else Fraction(0)) for i in range(n)])
-
-
-def ref_pshift(a, c: Fraction):
-    """``a(c + z)`` as a polynomial in ``z`` (repeated synthetic division)."""
-    out = list(a)
-    for i in range(len(out) - 1):
-        for j in range(len(out) - 2, i - 1, -1):
-            out[j] += c * out[j + 1]
-    return ref_trim(out)
+    """``f(t)`` in the internal coordinate, in exact arithmetic, from the
+    reference pieces."""
+    knots, pieces = pieces_of(d)
+    idx = min(max(bisect_right(knots, t) - 1, 0), len(pieces) - 1)
+    return piece_value(pieces[idx], t)
 
 
 def ref_jump_product(f, g):
@@ -135,26 +104,16 @@ def ref_jump_product(f, g):
     return out
 
 
-def ref_jumps(d: PiecewisePolyDensity) -> dict[Fraction, list[Fraction]]:
+def ref_jumps(knots, pieces) -> dict[Fraction, list[Fraction]]:
+    """Jumps of the density that is ``pieces[i]`` on ``[knots[i],
+    knots[i+1])``: the Taylor shift to each knot of (right - left)."""
     out = {}
     left = (Fraction(0),)
-    for t, right in zip(d.knots, (*d.pieces, (Fraction(0),))):
+    for t, right in zip(knots, (*pieces, (Fraction(0),))):
         taylor = ref_pshift(ref_padd(right, tuple(-c for c in left)), t)
         out[t] = [c * math.factorial(j) for j, c in enumerate(taylor)]
         left = right
     return out
-
-
-def ref_pieces(jumps):
-    knots = tuple(sorted(jumps))
-    acc = (Fraction(0),)
-    pieces = []
-    for t in knots[:-1]:
-        taylor = ref_trim([c / math.factorial(k)
-                           for k, c in enumerate(jumps[t])])
-        acc = ref_padd(acc, ref_pshift(taylor, -t))
-        pieces.append(acc)
-    return knots, tuple(pieces)
 
 
 def ref_moment(jumps, k: int, c: Fraction) -> Fraction:
@@ -167,20 +126,13 @@ def ref_moment(jumps, k: int, c: Fraction) -> Fraction:
     return acc * math.factorial(k)
 
 
-def jumps_as_fractions(d: PiecewisePolyDensity) -> dict[Fraction, list[Fraction]]:
-    kden, jden, table = d._jumps
-    return {Fraction(o, kden): [Fraction(x, jden) for x in jo]
-            for o, jo in table.items()}
-
-
 def assert_matches_reference(d: PiecewisePolyDensity, product) -> None:
-    """``d`` against the Fraction kernels: its knots and pieces against the
-    pieces of the reference jump ``product``, its jumps and its moments of
-    order <= 8 against the reference read of its own pieces."""
-    assert (d.knots, d.pieces) == ref_pieces(product)
-    assert all(type(c) is Fraction
-               for c in (*d.knots, *(c for p in d.pieces for c in p)))
-    jumps = ref_jumps(d)
+    """``d`` against the Fraction kernels: its pieces against the pieces of
+    the reference jump ``product``, its jumps and its moments of order <= 8
+    against the reference read of those pieces."""
+    knots, pieces = ref_pieces(product)
+    assert pieces_of(d) == (knots, pieces)
+    jumps = ref_jumps(knots, pieces)
     assert jumps_as_fractions(d) == jumps
     exact = [d.central_moment(0), *(moment_t(d, k) for k in range(9)),
              *(d.central_moment(k) for k in range(9))]
@@ -203,8 +155,9 @@ class TestExactQueries:
         # each clause alone: mass 2, mean 1/3 instead of the shift 1/2, and
         # variance 1/12 against scale_sq 13
         box = unit_box()
-        assert not dataclasses.replace(
-            box, pieces=((Fraction(2),),)).is_standardized()
+        assert not PiecewisePolyDensity.from_pieces(
+            (Fraction(0), Fraction(1)), ((Fraction(2),),), box.scale_sq,
+            box.shift).is_standardized()
         assert not dataclasses.replace(
             box, shift=Fraction(1, 3)).is_standardized()
         assert not dataclasses.replace(
@@ -224,13 +177,13 @@ class TestExactQueries:
 
     def test_symmetry_detection(self):
         assert unit_box().is_symmetric()
-        assert lopsided().is_standardized()
-        assert not lopsided().is_symmetric()
+        assert lopsided().exact.is_standardized()
+        assert not lopsided().exact.is_symmetric()
 
     def test_symmetry_needs_mirrored_jumps(self):
         # the knots mirror about the shift, the pieces do not
         half = Fraction(1, 2)
-        d = PiecewisePolyDensity(
+        d = PiecewisePolyDensity.from_pieces(
             knots=(Fraction(0), half, Fraction(1)),
             pieces=((half,), (Fraction(3, 2),)),
             scale_sq=Fraction(12),
@@ -241,7 +194,7 @@ class TestExactQueries:
 
     def test_lopsided_moments_match_closed_form(self):
         # E[T^k] = int_0^1 2 t^(k+1) dt = 2/(k+2)
-        d = lopsided()
+        d = lopsided().exact
         for k in range(9):
             assert moment_t(d, k) == Fraction(2, k + 2)
 
@@ -257,8 +210,8 @@ class TestExactQueries:
 
 
 class TestEvaluation:
-    """``panel_values``, the float view of the pieces that every route
-    reads, against the exact pieces."""
+    """``panel_values``, the float view of the density that every route
+    reads, against its exact pieces."""
 
     def test_box_density_value(self):
         values = unit_box().panel_values(np.array([-1.0, -0.5, 0.0, 0.3, 1.0]))
@@ -277,16 +230,17 @@ class TestEvaluation:
         xi = np.concatenate((jacobi_rule(32, 0.0)[0],
                              np.linspace(-1.0, 1.0, 21)))
         got = d.panel_values(xi)
-        kept = [i for i, piece in enumerate(d.pieces) if any(piece)]
+        knots, pieces = pieces_of(d)
+        kept = [i for i, piece in enumerate(pieces) if any(piece)]
         degrees = d.panel_layout[2]
         assert got.shape == (len(kept), len(xi))
         with mp.workdps(40):
             scale = mp.sqrt(mp.mpf(d.scale_sq.numerator)
                             / d.scale_sq.denominator)
             for row, i, degree in zip(got, kept, degrees):
-                a, b = d.knots[i], d.knots[i + 1]
+                a, b = knots[i], knots[i + 1]
                 for value, s in zip(row.tolist(), xi.tolist()):
-                    f = piece_value(d.pieces[i],
+                    f = piece_value(pieces[i],
                                     a + (b - a) * (1 + Fraction(s)) / 2)
                     if f == 0:
                         assert value == 0.0
@@ -308,11 +262,11 @@ class TestConvolution:
         assert moment_t(d, 1) == 1
         # variance doubles under convolution
         assert d.central_moment(2) == Fraction(2, 12)
-        knots = d.knots
+        knots, pieces = pieces_of(d)
         assert knots == (Fraction(0), Fraction(1), Fraction(2))
         # pieces are t and 2 - t
-        assert d.pieces[0] == (Fraction(0), Fraction(1))
-        assert d.pieces[1] == (Fraction(2), Fraction(-1))
+        assert pieces[0] == (Fraction(0), Fraction(1))
+        assert pieces[1] == (Fraction(2), Fraction(-1))
 
     def test_normalized_sum_matches_irwin_hall(self):
         # closed form for the sum of n unit boxes, in the internal
@@ -346,9 +300,9 @@ class TestExactConvolution:
     def test_irwin_hall_pieces_exact(self):
         # on [i, i+1): sum_{k<=i} (-1)^k C(n,k) (t-k)^(n-1) / (n-1)!
         for n in range(2, 13):
-            d = unit_box().normalized_sum(n)
-            assert d.knots == tuple(Fraction(i) for i in range(n + 1))
-            for i, piece in enumerate(d.pieces):
+            knots, pieces = pieces_of(unit_box().normalized_sum(n))
+            assert knots == tuple(Fraction(i) for i in range(n + 1))
+            for i, piece in enumerate(pieces):
                 coeffs = [Fraction(0)] * n
                 for k in range(i + 1):
                     w = Fraction((-1) ** k * math.comb(n, k),
@@ -386,9 +340,9 @@ class TestExactConvolution:
     def test_knot_without_jump_is_kept(self):
         # every pairwise knot sum is a knot, also where the density is smooth
         split = split_box()
-        d = split.convolve(split)
-        assert d.knots == tuple(Fraction(i, 2) for i in range(5))
-        assert d.pieces == ((Fraction(0), Fraction(1)),) * 2 \
+        knots, pieces = pieces_of(split.convolve(split))
+        assert knots == tuple(Fraction(i, 2) for i in range(5))
+        assert pieces == ((Fraction(0), Fraction(1)),) * 2 \
             + ((Fraction(2), Fraction(-1)),) * 2
 
     @pytest.mark.parametrize("name,n,digest", [
@@ -403,7 +357,7 @@ class TestExactConvolution:
         # digests recorded with the pairwise-overlap integral: the jump
         # form agrees with it Fraction for Fraction
         d = from_name(name).exact.normalized_sum(n)
-        text = repr((d.knots, d.pieces)).encode()
+        text = repr(pieces_of(d)).encode()
         assert hashlib.sha256(text).hexdigest() == digest
 
 
@@ -474,7 +428,7 @@ class TestGaussRule:
     @pytest.mark.parametrize("degree", [0, 8, 40, 256])
     def test_rule_size_without_building(self, degree):
         cases = [panels(d) for d in (
-            mixed_degrees(), lopsided(),
+            mixed_degrees(), lopsided().exact,
             *(from_name(name).exact.normalized_sum(n) for name, n in SUMS_34))]
         for p in (*cases, from_name("beta:3/4").panels()):
             want = int(np.sum(moment_node_counts(p, degree)))
@@ -490,7 +444,7 @@ class TestFloatJumps:
         d = build(name, n)
         knots, jumps = d.x_jumps
         assert knots.tolist() == [d.scale * float(k - d.shift)
-                                  for k in d.knots]
+                                  for k in pieces_of(d)[0]]
         exact = jumps_as_fractions(d)
         assert jumps.shape == (len(exact), max(map(len, exact.values())))
         for row, (_, jt) in zip(jumps, sorted(exact.items())):
@@ -511,7 +465,7 @@ class TestFloatJumps:
         wide = from_name("mixture:1:1e-200,1:1").exact
         assert wide.x_jumps is not None
         assert wide.normalized_sum(2).x_jumps is None
-        faint = PiecewisePolyDensity(
+        faint = PiecewisePolyDensity.from_pieces(
             knots=(Fraction(0), Fraction(1)),
             pieces=((Fraction(1, 10 ** 320),),),
             scale_sq=Fraction(1), shift=Fraction(0))
@@ -524,7 +478,7 @@ class TestFractionReference:
 
     @staticmethod
     def check_sum(base: PiecewisePolyDensity, n: int) -> None:
-        product = acc = ref_jumps(base)
+        product = acc = ref_jumps(*pieces_of(base))
         for _ in range(n - 1):
             product = ref_jump_product(product, acc)
         assert_matches_reference(base.normalized_sum(n), product)
@@ -535,21 +489,21 @@ class TestFractionReference:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_lopsided_sums(self, n):
-        self.check_sum(lopsided(), n)
+        self.check_sum(lopsided().exact, n)
 
     def test_knot_denominators_brought_to_lcm(self):
         f = from_name("mixture:1:1,1:2").exact
         g = from_name("mixture:2:1/2,3:2").exact
         assert f.scale_sq == g.scale_sq == Fraction(6, 5)
-        assert f._jumps.knot_den != g._jumps.knot_den
+        assert f.jumps.knot_den != g.jumps.knot_den
         for a, b in ((f, g), (g, f)):
-            assert_matches_reference(
-                a.convolve(b), ref_jump_product(ref_jumps(a), ref_jumps(b)))
+            assert_matches_reference(a.convolve(b), ref_jump_product(
+                ref_jumps(*pieces_of(a)), ref_jumps(*pieces_of(b))))
 
     def test_moment_cache_is_order_independent(self):
         # the central moments are cached and grown on demand
         d = from_name("beta:2").exact.normalized_sum(4)
-        jumps = ref_jumps(d)
+        jumps = jumps_as_fractions(d)
         for k in (7, 0, 30, 3, 31, 64):
             assert d.central_moment(k) == ref_moment(jumps, k, d.shift), k
         assert hermite_moment(d, 12) == hermite_moment(
@@ -558,25 +512,29 @@ class TestFractionReference:
 
 class TestSeededJumps:
     """A normalized sum keeps the jump product as its own table, which must
-    equal the table rebuilt from its pieces: trimmed, with both
-    denominators reduced (the box of half-width 1/2 has knots over 2 and its
-    even sums over 1)."""
+    equal the table that ``from_pieces`` builds from its reference pieces:
+    origins sorted, lists trimmed, both denominators reduced (the box of
+    half-width 1/2 has knots over 2 and its even sums over 1).  ``==``,
+    ``hash`` and ``repr`` read that table with the scale and the shift."""
 
     @pytest.mark.parametrize("name,n", [
         *SUMS_34, *(("lopsided", n) for n in range(1, 6)),
         *(("mixture:1:1/2", n) for n in range(1, 5))])
     def test_seeded_table_equals_rebuilt(self, name, n):
-        base = lopsided() if name == "lopsided" else from_name(name).exact
-        d = base.normalized_sum(n)
-        assert "_jumps" in vars(d)
-        rebuilt = PiecewisePolyDensity(d.knots, d.pieces, d.scale_sq, d.shift)
-        assert "_jumps" not in vars(rebuilt)
-        assert d._jumps == rebuilt._jumps
+        base = lopsided() if name == "lopsided" else from_name(name)
+        d = base.exact.normalized_sum(n)
+        rebuilt = PiecewisePolyDensity.from_pieces(*pieces_of(d), d.scale_sq,
+                                                   d.shift)
+        assert d == rebuilt and rebuilt == d
+        assert repr(d) == repr(rebuilt)
+        assert hash(d) == hash(rebuilt)
+        assert dataclasses.replace(d) == d
+        assert dataclasses.replace(d, shift=d.shift + 1) != d
 
 
 def base(name: str) -> PiecewisePolyDensity:
-    return {"lopsided": lopsided, "gapped": gapped, "split": split_box,
-            "mixed-degrees": mixed_degrees}.get(
+    return {"lopsided": lambda: lopsided().exact, "gapped": gapped,
+            "split": split_box, "mixed-degrees": mixed_degrees}.get(
         name, lambda: from_name(name).exact)()
 
 
@@ -586,7 +544,7 @@ def hexes(table) -> list[str]:
 
 class TestBernsteinReference:
     """The panels, built from the jump table in one pass, bit for bit
-    against the conversion from the ``Fraction`` pieces."""
+    against the conversion from the reference ``Fraction`` pieces."""
 
     @pytest.mark.parametrize("name,n", [
         *SUMS_34, *(("lopsided", n) for n in range(1, 6)),
@@ -600,7 +558,6 @@ class TestBernsteinReference:
         if n > 1:
             d = d.normalized_sum(n)
         layout, runs, table = d.panel_layout, d._runs, d._bernstein
-        assert ("pieces" in vars(d)) == (n == 1)
         want_runs, want_layout = panels_from_pieces(d)
         assert hexes(table) == hexes(bernstein_from_pieces(d))
         assert [a.tobytes() for a in layout] == [
@@ -611,79 +568,75 @@ class TestBernsteinReference:
                 a.tobytes() for a in want[1:]]
 
 
-class TestLazyPieces:
-    """A normalized sum or a convolution is its jump table until its
-    ``Fraction`` knots or pieces are read."""
+class TestIdentity:
+    """A density is its reduced jump table, however it was built."""
 
-    @staticmethod
-    def spy(monkeypatch) -> list:
-        calls = []
-        real = piecewise._pieces
-
-        def counted(jumps):
-            calls.append(jumps)
-            return real(jumps)
-
-        monkeypatch.setattr(piecewise, "_pieces", counted)
-        return calls
-
-    @staticmethod
-    def check_read(d: PiecewisePolyDensity, product, calls: list) -> None:
-        # one build on the first read, then fields like any other
-        assert (d.knots, d.pieces) == ref_pieces(product)
-        rebuilt = PiecewisePolyDensity(d.knots, d.pieces, d.scale_sq, d.shift)
-        assert len(calls) == 1
-        assert d == rebuilt and rebuilt == d
-        assert repr(d) == repr(rebuilt)
-        assert hash(d) == hash(rebuilt)
-        assert dataclasses.replace(d) == d
-
-    @pytest.mark.parametrize("name,n", [
-        ("uniform", 12), ("beta:2", 6), ("mixture:1:1,1:2", 6)])
-    def test_divergence_builds_no_pieces(self, monkeypatch, name, n):
-        calls = self.spy(monkeypatch)
-        density = normalized_sum_density(from_name(name), n)
-        chi2_both(density)
-        assert calls == []
-        product = acc = ref_jumps(from_name(name).exact)
-        for _ in range(n - 1):
-            product = ref_jump_product(product, acc)
-        self.check_read(density.exact, product, calls)
-
-    def test_convolution_builds_no_pieces(self, monkeypatch):
-        calls = self.spy(monkeypatch)
+    def test_convolution(self):
         f = from_name("mixture:1:1,1:2").exact
         g = from_name("mixture:2:1/2,3:2").exact
         h = f.convolve(g)
-        h.panel_layout, h.x_jumps, h.degree
         # two symmetric summands at one scale: the variance doubles
         assert h.is_symmetric() and not h.is_standardized()
-        assert calls == []
-        self.check_read(h, ref_jump_product(ref_jumps(f), ref_jumps(g)),
-                        calls)
+        knots, pieces = ref_pieces(ref_jump_product(
+            ref_jumps(*pieces_of(f)), ref_jumps(*pieces_of(g))))
+        rebuilt = PiecewisePolyDensity.from_pieces(knots, pieces, h.scale_sq,
+                                                   h.shift)
+        assert h == rebuilt
+        assert repr(h) == repr(rebuilt)
+        assert hash(h) == hash(rebuilt)
 
-    def test_sum_of_lazy_sums(self, monkeypatch):
-        # a product of lazy factors reads their jump tables only
-        calls = self.spy(monkeypatch)
+    def test_pieces_as_built(self):
+        # the reference reads back the pieces each density was built from
+        assert pieces_of(lopsided().exact) == ((0, 1), ((0, 2),))
+        assert pieces_of(gapped()) == ((0, 1, 2, 3), ((Fraction(1, 2),), (0,),
+                                                      (Fraction(1, 2),)))
+        assert pieces_of(mixed_degrees()) == (tuple(range(7)), (
+            (Fraction(1, 4),), (0,), (Fraction(1, 8),),
+            (Fraction(1, 8), Fraction(1, 16)),
+            (Fraction(1, 16), Fraction(1, 32)),
+            (Fraction(1, 4), 0, Fraction(-1, 64))))
+
+    def test_sum_of_sums(self):
         half = unit_box().normalized_sum(2)
         whole = half.convolve(half)
-        assert calls == []
         assert whole == rescaled(unit_box().normalized_sum(4), Fraction(6))
+
+    def test_trailing_zero_coefficient(self):
+        # a trailing zero coefficient leaves the density, and so its table,
+        # as it is
+        padded = PiecewisePolyDensity.from_pieces(
+            (Fraction(0), Fraction(1)), ((Fraction(1), Fraction(0)),),
+            Fraction(12), Fraction(1, 2))
+        assert padded == unit_box()
+        assert hash(padded) == hash(unit_box())
 
 
 class TestValidation:
+    @staticmethod
+    def build(knots, pieces, scale_sq=Fraction(1)) -> PiecewisePolyDensity:
+        return PiecewisePolyDensity.from_pieces(
+            tuple(map(Fraction, knots)),
+            tuple(tuple(map(Fraction, p)) for p in pieces), scale_sq,
+            Fraction(0))
+
     def test_bad_knots(self):
         with pytest.raises(DomainError):
-            PiecewisePolyDensity((Fraction(1), Fraction(0)),
-                                 ((Fraction(1),),), Fraction(1), Fraction(0))
+            self.build((1, 0), ((1,),))
 
     def test_mismatched_pieces(self):
         with pytest.raises(DomainError):
-            PiecewisePolyDensity((Fraction(0), Fraction(1)),
-                                 ((Fraction(1),), (Fraction(1),)),
-                                 Fraction(1), Fraction(0))
+            self.build((0, 1), ((1,), (1,)))
 
     def test_nonpositive_scale(self):
         with pytest.raises(DomainError):
-            PiecewisePolyDensity((Fraction(0), Fraction(1)),
-                                 ((Fraction(1),),), Fraction(0), Fraction(0))
+            self.build((0, 1), ((1,),), Fraction(0))
+        with pytest.raises(DomainError):
+            dataclasses.replace(unit_box(), scale_sq=Fraction(-12))
+
+    def test_empty_piece(self):
+        with pytest.raises(DomainError):
+            self.build((0, 1), ((),))
+
+    def test_all_zero_pieces(self):
+        with pytest.raises(DomainError):
+            self.build((0, 1, 2), ((0, 0), (0,)))

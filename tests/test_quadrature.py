@@ -24,6 +24,7 @@ from chi2norm.errors import AccuracyError, DomainError
 from chi2norm.quadrature import (hermite_rule, jacobi_rule, rule_sum,
                                  truncation_bound)
 from chi2norm.subgaussian import _mgf_sum
+from conftest import pieces_of
 
 SUMS_34 = ([("uniform", n) for n in range(2, 13)]
            + [(name, n) for name in ("beta:2", "beta:3", "mixture:1:1,1:2",
@@ -61,7 +62,8 @@ def mp_chi2_pieces(exact) -> mp.mpf:
     with mp.workdps(40):
         s, shift = mp_frac(exact.scale_sq), mp_frac(exact.shift)
         total = mp.mpf(0)
-        for lo, hi, piece in zip(exact.knots, exact.knots[1:], exact.pieces):
+        knots, pieces = pieces_of(exact)
+        for lo, hi, piece in zip(knots, knots[1:], pieces):
             coeffs = [mp_frac(c) for c in reversed(piece)]
             total += mp.quad(lambda t: mp.polyval(coeffs, t) ** 2
                              * mp.exp(s * (t - shift) ** 2 / 2),
