@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -412,29 +413,45 @@ def _scan_max(index_set: IndexSet, p: float, s_cap: int) -> tuple[float, int]:
     operations.  The row at the peak of ``h0`` gives a lower bound on the
     maximum; every ``s`` whose ``h0`` falls below that bound (less a
     1e-10 relative margin for rounding) is certified without its series.
+    ``h0`` is evaluated on a prefix ``s = 1..m``, ``m`` first ``8/p`` and
+    doubling toward ``s_cap``, until ``_dominated_beyond`` at ``m`` rules
+    out every later ``s``; the peak of ``h0`` then lies in the prefix.
     The series rows run only from the first to the last ``s`` that
     survives, a window of width ``O(1/sqrt(p))``, so no unimodality is
     assumed.
     """
-    env = _h0_rows(index_set, np.arange(1, s_cap + 1, dtype=float), p)
-    s_peak = int(np.argmax(env)) + 1
-    floor, _ = _scan_rows(index_set, p, s_peak, s_peak)
+    m = min(s_cap, math.ceil(8.0 / p))
+    env = _h0_rows(index_set, np.arange(1, m + 1, dtype=float), p)
+    while True:
+        s_peak = int(np.argmax(env)) + 1
+        floor, _ = _scan_rows(index_set, p, s_peak, s_peak)
+        cut = floor * (1.0 - 1e-10)
+        if m == s_cap or _dominated_beyond(index_set, p, m) < cut:
+            break
+        grown = min(s_cap, 2 * m)
+        env = np.concatenate((env, _h0_rows(
+            index_set, np.arange(m + 1, grown + 1, dtype=float), p)))
+        m = grown
     if floor > env[s_peak - 1]:
         raise AccuracyError(
             f"row h={floor} at s={s_peak} exceeds its envelope "
             f"{env[s_peak - 1]}")
-    live = np.flatnonzero(env >= floor * (1.0 - 1e-10))
+    live = np.flatnonzero(env >= cut)
     return _scan_rows(index_set, p, int(live[0]) + 1, int(live[-1]) + 1)
 
 
-def _dominated_beyond(index_set: IndexSet, p: float, s_cap: int) -> float:
-    """Upper bound on ``h(s, p)`` valid for every ``s >= s_cap``."""
-    base = 1.0 / (1.0 - p) + 1.0 / (p * s_cap)
-    if index_set.kind == "basic":
-        return base
-    # the reflected part is below (1-p)^s (3 + 2/(ps)) for s >= s_cap,
-    # which is under 1e-8 whenever p * s_cap >= 20
-    return 0.5 * base + 1e-8
+def _dominated_beyond(index_set: IndexSet, p: float, s: int) -> float:
+    """Upper bound on ``h0(s', p)``, and so on ``h(s', p)``, for every
+    ``s' >= s``; it falls as ``s`` grows.
+
+    ``h0`` of the basic set is ``1/(1-p) + 1/(ps)`` less the positive
+    ``(1-p)^s (2 + 1/(ps))``.  Twice the symmetric ``h0`` is
+    ``1/(1-p) + (1 - r^s)/(ps) - 4(1-p)^s + r^s/(1+p)`` with
+    ``r = (1-p)/(1+p)``, and ``r^s/(1+p) <= (1-p)^s``, so half the basic
+    bound covers it.
+    """
+    base = 1.0 / (1.0 - p) + 1.0 / (p * s)
+    return base if index_set.kind == "basic" else 0.5 * base
 
 
 def C_of_p(index_set: IndexSet, p: float,
@@ -445,12 +462,16 @@ def C_of_p(index_set: IndexSet, p: float,
     ``h0``, evaluating the series of ``h`` only in the window where ``h0``
     can still beat the maximum (see ``_scan_max``).  Beyond the cutoff,
     ``_dominated_beyond`` must fall below the maximum found; the cutoff,
-    first ``20/p``, doubles a few times if it does not.  The winner is
-    re-verified against the scalar ``h_exact`` route (``h_series`` past
+    first ``ceil(20/p)``, doubles a few times if it does not.  The winner
+    is re-verified against the scalar ``h_exact`` route (``h_series`` past
     ``MAX_EXPLICIT_S``).  Both the scan rows and ``h_series`` stop their
     series a dozen standard deviations past the mean of their weights
     and sum further only where their geometric tail certificates ask for
     it.
+
+    Each exact maximum is certified once per process: later calls at the
+    same set and ``p`` return the same estimate from a bounded memo.  A
+    refusal is not kept, so it is raised again on the next call.
     """
     if not (0.0 < p < 1.0):
         raise DomainError("p must lie in (0, 1)")
@@ -463,12 +484,20 @@ def C_of_p(index_set: IndexSet, p: float,
         return ConstantEstimate(p, index_set, value, CLOSED_FORM_UPPER)
     if method != EXACT_MAX:
         raise DomainError(f"unknown method {method!r}")
-    if p < 1e-5:
+    if not (1e-5 <= p <= 0.999):
         raise CapacityError(
-            "exact maximization certifies s up to a cutoff of 20/p and "
-            "is supported down to p=1e-5; below it use the closed-form "
-            "upper bound instead")
+            "exact maximization is supported for p in [1e-5, 0.999]; "
+            "outside it use the closed-form upper bound instead")
+    return _certified_max(index_set, p)
 
+
+# entries of the memo of exact maxima: both sets' levels 1/k for every
+# k <= bounds.MAX_BOUND_N (1000) fit twice over
+_MEMO_ENTRIES = 4096
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _certified_max(index_set: IndexSet, p: float) -> ConstantEstimate:
     s_cap = math.ceil(20.0 / p)
     for _ in range(7):
         best, best_s = _scan_max(index_set, p, s_cap)

@@ -4,7 +4,9 @@ Tier 1 re-derives fast identities (well under five seconds), tier 2
 recomputes the certified constants table (under thirty), tier 3 runs the
 convolution oracles for small sums and the bound-soundness comparisons
 (minutes).  Every check is deterministic, so repeated runs produce
-byte-identical reports.
+byte-identical reports.  A suite run in a process that has already
+certified a constant reads it from the memo of ``C_of_p``, with the same
+bits, instead of certifying it again.
 """
 
 from __future__ import annotations

@@ -14,8 +14,10 @@ from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
+from chi2norm import constants
 from chi2norm.densities import StandardizedDensity, _wrap_exact
 from chi2norm.errors import AccuracyError, DomainError
 from chi2norm.piecewise import PiecewisePolyDensity
@@ -30,6 +32,19 @@ C_BASIC_HALF = 2.1326596308470269
 CHI2_UNIFORM_SUM_2 = 0.032032844541205434
 
 _EPS = float(np.finfo(float).eps)
+
+
+@pytest.fixture(autouse=True)
+def fresh_constants_memo(request):
+    """Empty the memo of certified constants around every test that
+    monkeypatches, so no test reads, or leaves behind, a constant made
+    under a patch of a ``constants`` internal."""
+    if "monkeypatch" not in request.fixturenames:
+        yield
+        return
+    constants._certified_max.cache_clear()
+    yield
+    constants._certified_max.cache_clear()
 
 
 def hermite_coeffs(n: int) -> tuple[int, ...]:

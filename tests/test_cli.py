@@ -61,6 +61,23 @@ class TestExitCodes:
         assert record["error"]["kind"] == "accuracy"
         assert record["error"]["type"] == "CapacityError"
 
+    @pytest.mark.parametrize("p", ["0.9999", "0.999999"])
+    def test_p_near_one_is_capacity(self, capsys, p):
+        # exact maximization refuses above p = 0.999 before it builds a
+        # grid, naming the closed-form upper bound; 0.9999 once ran for
+        # minutes and 0.999999 died allocating one 591 MiB row
+        code, out, err = invoke(capsys, "constants", "--set", "basic",
+                                "--p", p)
+        assert code == EXIT_ACCURACY
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"]["kind"] == "accuracy"
+        assert record["error"]["type"] == "CapacityError"
+        assert "closed-form upper bound" in record["error"]["message"]
+        code, out, _ = invoke(capsys, "constants", "--set", "basic",
+                              "--p", p, "--method", "upper")
+        assert code == EXIT_OK
+
     def test_negative_density_is_accuracy(self, capsys, monkeypatch):
         # a density whose values go negative near its support ends, on one
         # panel [-1, 1]: the direct route refuses instead of raising a raw

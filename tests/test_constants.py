@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from chi2norm import constants
+from chi2norm import bounds, constants
 from chi2norm.constants import (
     BASIC_SET,
     CLOSED_FORM_UPPER,
@@ -32,6 +32,7 @@ from chi2norm.constants import (
 )
 from chi2norm.constants import (
     MAX_EXPLICIT_S,
+    _dominated_beyond,
     _h0_rows,
     _h12_closed,
     _scan_rows,
@@ -336,7 +337,8 @@ class TestCertifiedMaxima:
         seed = 45 if index_set.kind == "basic" else 46
         u = np.random.default_rng(seed).random()
         seeded = math.exp(math.log(1e-3) + u * (math.log(0.5) - math.log(1e-3)))
-        ps = [1.0 / n for n in range(2, 11)] + [0.5, 0.1, 0.01, 1e-3, seeded]
+        ps = [1.0 / n for n in range(2, 11)] + [0.5, 0.1, 0.01, 1e-3, seeded,
+                                                1e-4, 0.6, 0.9]
         for p in ps:
             est = C_of_p(index_set, p)
             full = _scan_rows(index_set, p, 1, math.ceil(20.0 / p))
@@ -372,6 +374,115 @@ class TestCertifiedMaxima:
             C_of_p(BASIC_SET, 5e-6)
         with pytest.raises(DomainError):
             constants_table(1, 4)
+
+    @pytest.mark.parametrize("p", [math.nextafter(0.999, 1.0), 0.9999,
+                                   0.999999])
+    def test_p_near_one_refused_before_any_grid(self, p, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an envelope was built")
+
+        monkeypatch.setattr(constants, "_h0_rows", refuse)
+        for index_set in (BASIC_SET, SYMMETRIC_SET):
+            with pytest.raises(CapacityError, match="closed-form upper"):
+                C_of_p(index_set, p)
+            # the closed-form upper bound stays available
+            assert C_of_p(index_set, p, CLOSED_FORM_UPPER).value > 0.0
+
+
+class TestEarlyStop:
+    P_GRID = sorted({*np.geomspace(1e-5, 0.5, 24).tolist(),
+                     *(1.0 - np.geomspace(0.5, 1e-3, 10)).tolist()})
+
+    @pytest.mark.parametrize("index_set", [BASIC_SET, SYMMETRIC_SET])
+    def test_tail_bound_covers_every_later_envelope(self, index_set):
+        for p in self.P_GRID:
+            n = math.ceil(32.0 / p)
+            s = np.arange(1, n + 1, dtype=float)
+            bound = _dominated_beyond(index_set, p, s)
+            assert np.all(np.diff(bound) < 0.0)
+            # the largest h0 over s' >= s, for each s of the range
+            later = np.maximum.accumulate(_h0_rows(index_set, s, p)[::-1])[::-1]
+            assert np.all(later <= bound), p
+            # far past the range h0 tends to 1/(1-p) (half that, symmetric)
+            far = n * 2.0 ** np.arange(1, 40)
+            assert np.all(_h0_rows(index_set, far, p)
+                          <= _dominated_beyond(index_set, p, far)), p
+
+    @pytest.mark.parametrize("p", [1e-3, 1e-4])
+    @pytest.mark.parametrize("index_set", [BASIC_SET, SYMMETRIC_SET])
+    def test_envelope_stops_short_of_the_cutoff(self, index_set, p,
+                                                monkeypatch):
+        evaluated = []
+
+        def spy(index_set, s, p):
+            evaluated.append(np.size(s))
+            return _h0_rows(index_set, s, p)
+
+        monkeypatch.setattr(constants, "_h0_rows", spy)
+        C_of_p(index_set, p)
+        assert 0 < sum(evaluated) < math.ceil(20.0 / p) / 2
+
+
+class TestMemo:
+    @staticmethod
+    def _count_scans(monkeypatch) -> list[tuple[float, int, int]]:
+        scans = []
+
+        def spy(index_set, p, s_lo, s_hi):
+            scans.append((p, s_lo, s_hi))
+            return _scan_rows(index_set, p, s_lo, s_hi)
+
+        monkeypatch.setattr(constants, "_scan_rows", spy)
+        return scans
+
+    def test_second_call_is_served(self, monkeypatch):
+        scans = self._count_scans(monkeypatch)
+        for index_set in (BASIC_SET, SYMMETRIC_SET):
+            first = C_of_p(index_set, 0.01)
+            done = len(scans)
+            assert done > 0
+            assert C_of_p(index_set, 0.01) is first
+            # an equal set built apart shares the entry
+            assert C_of_p(IndexSet(index_set.kind), 0.01) is first
+            assert len(scans) == done
+
+    def test_table_after_levels_scans_nothing(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_LEVEL_CONSTANTS",
+                            {"basic": [], "symmetric": []})
+        bounds.step_constants(10, False)
+        bounds.step_constants(10, True)
+        scans = self._count_scans(monkeypatch)
+        entries = constants_table(2, 10)
+        assert scans == []
+        assert [e.value for e in entries[:9]] == pytest.approx(
+            TABLE_BASIC, abs=1e-9)
+
+    def test_refusals_are_not_kept(self, monkeypatch):
+        calls = []
+
+        def refuse(index_set, p, s_cap):
+            calls.append(p)
+            raise AccuracyError("refused")
+
+        monkeypatch.setattr(constants, "_scan_max", refuse)
+        for _ in range(2):
+            with pytest.raises(AccuracyError, match="refused"):
+                C_of_p(BASIC_SET, 0.3)
+            with pytest.raises(CapacityError):
+                C_of_p(BASIC_SET, 0.9999)
+            with pytest.raises(CapacityError):
+                C_of_p(BASIC_SET, 5e-6)
+            with pytest.raises(DomainError):
+                C_of_p(BASIC_SET, 0.3, "scan")
+        assert calls == [0.3, 0.3]
+        # once the refusal is gone the constant is certified and kept
+        monkeypatch.undo()
+        est = C_of_p(BASIC_SET, 0.3)
+        assert C_of_p(BASIC_SET, 0.3) is est
+
+    def test_memo_holds_both_sets_at_every_level(self):
+        info = constants._certified_max.cache_info()
+        assert info.maxsize >= 2 * bounds.MAX_BOUND_N
 
 
 class TestAppendixMaxima:
