@@ -292,8 +292,7 @@ def corollary_bound(n: int, avg_chi2: float,
     2..n becomes the certified constant, so the finite-``n`` statement
     stays rigorous even where individual constants exceed ``theta``.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise DomainError("n must be an integer >= 2")
+    check_bound_n(n)
     if not (avg_chi2 >= 0.0) or math.isnan(avg_chi2):
         raise DomainError("average chi-square must be nonnegative")
     theta = _SYM_THETA if symmetric else _BASIC_THETA

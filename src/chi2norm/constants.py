@@ -463,8 +463,11 @@ def C_of_p(index_set: IndexSet, p: float,
     can still beat the maximum (see ``_scan_max``).  Beyond the cutoff,
     ``_dominated_beyond`` must fall below the maximum found; the cutoff,
     first ``ceil(20/p)``, doubles a few times if it does not.  The winner
-    is re-verified against the scalar ``h_exact`` route (``h_series`` past
-    ``MAX_EXPLICIT_S``).  Both the scan rows and ``h_series`` stop their
+    is re-verified at its ``s`` by ``h_exact``.  Its closed form holds only
+    where it keeps about eleven digits, for ``p`` of about 1/3 and above;
+    at every smaller ``p``, and past ``MAX_EXPLICIT_S``, the winner is
+    confirmed by ``h_series``, which sums the scan rows' own weights and
+    ratios at one ``s``.  Both the scan rows and ``h_series`` stop their
     series a dozen standard deviations past the mean of their weights
     and sum further only where their geometric tail certificates ask for
     it.

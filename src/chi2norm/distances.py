@@ -325,8 +325,8 @@ def chi2_direct(density: StandardizedDensity) -> Chi2Result:
     panels = density.panels()
     if not 2.0 * panels.lam > -1.0:
         return Chi2Result(math.inf, DIRECT_METHOD, None, math.inf)
-    return _direct_result(*rule_sum(panels, 2, _CHI2_KERNEL, None,
-                                    _DIRECT_OVERFLOW))
+    totals, errors = rule_sum(panels, 2, [_CHI2_KERNEL], _DIRECT_OVERFLOW)
+    return _direct_result(totals[0], errors[0])
 
 
 def chi2_series(profile: HermiteProfile) -> Chi2Result:

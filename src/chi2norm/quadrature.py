@@ -195,15 +195,24 @@ def moment_rule(panels: Panels,
     panel ``k``, the ``(degree[k] + degree) // 2 + 1`` nodes ``s`` of
     :func:`jacobi_rule` for ``(1 - s²)^lam`` at ``x = center[k] + half[k] s``,
     with the weights ``half[k] w q_k(s)``, in panel order.  The panels of
-    one node count share one ``values`` pass."""
+    one node count share one placement (:func:`_place`)."""
     counts = moment_node_counts(panels, degree).tolist()
-    rules = {n: jacobi_rule(n, panels.lam) for n in set(counts)}
-    values = {n: panels.values(s) for n, (s, _) in rules.items()}
-    parts = [(c + h * rules[n][0], h * rules[n][1] * values[n][k])
-             for k, (c, h, n) in enumerate(zip(panels.center, panels.half,
-                                               counts))]
+    placed = {n: _place(panels, n, panels.lam) for n in set(counts)}
+    parts = [(placed[n][0][k], h * placed[n][1] * placed[n][2][k])
+             for k, (h, n) in enumerate(zip(panels.half, counts))]
     nodes, weights = zip(*parts)
     return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _place(panels: Panels, n: int,
+           lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``n``-point rule of :func:`jacobi_rule` for ``(1 - s²)^lam``
+    placed on every panel: the nodes ``x = center + half s`` and the values
+    ``q = values(s)``, each of shape ``(panels, n)``, and the weights
+    ``w``; one ``values`` pass."""
+    s, w = jacobi_rule(n, lam)
+    return (panels.center[:, None] + panels.half[:, None] * s, w,
+            panels.values(s))
 
 
 def truncation_bound(log_mu_m: np.ndarray, rho: np.ndarray,
@@ -244,8 +253,7 @@ def _rule(panels: Panels, power: int, lam: float, mass_ulps: float,
           n: int) -> _Rule:
     """The :class:`_Rule` of ``n`` nodes; under the caller's ``errstate``,
     since a zero ``q`` has the logarithm ``-inf``."""
-    s, w = jacobi_rule(n, lam)
-    q = panels.values(s)
+    x, w, q = _place(panels, n, lam)
     # a density that evaluates below zero (or to nan) at a node, where
     # every catalog density is >= 0, cannot carry a certified value
     refusal = (None if (q >= 0.0).all() else
@@ -260,31 +268,25 @@ def _rule(panels: Panels, power: int, lam: float, mass_ulps: float,
     # a zero q, or a weight that underflowed to zero, gives a zero term: its
     # infinite logarithm counts nothing
     ulps[log_factors == -np.inf] = 0.0
-    return _Rule(panels.center[:, None] + panels.half[:, None] * s,
-                 log_factors, ulps, refusal)
+    return _Rule(x, log_factors, ulps, refusal)
 
 
-def rule_sum(panels: Panels, power: int, kernels, nodes: int | None,
-             overflow: str = "the rule sum left the float range"
-             ) -> tuple[float, float] | tuple[list[float], list[float]]:
+def rule_sum(panels: Panels, power: int, kernels,
+             overflow: str) -> tuple[list[float], list[float]]:
     """``∫ p(x)^power exp(a + b x + c x²) dx`` for each kernel
-    ``(a, b, c)``, ``c >= 0``, by the ``nodes``-point rule on every panel,
-    and its stated error: the truncation bound at the best ``rho`` of each
-    panel, plus rounding.
+    ``(a, b, c)``, ``c >= 0``, of the ``(T, 3)`` stack ``kernels``, and its
+    stated error: the truncation bound at the best ``rho`` of each panel,
+    plus rounding; the lists ``(totals, errors)``, in order.
 
-    ``kernels`` is one kernel, which gives ``(total, error)``, or a stack
-    of shape ``(T, 3)``, which gives the lists ``(totals, errors)`` in
-    order.  Each kernel gets its own node count, its own ``fsum`` and its
-    own error; the kernels of one node count share one rule and one
-    ``values`` pass, and their terms are one ``exp`` over a ``(kernels,
-    panels, nodes)`` array.  A stack is summed a chunk at a time, with at
-    most ``_CHUNK_ELEMENTS`` elements, or one kernel's, in each array of a
-    chunk.
-
-    With ``nodes`` ``None``, a kernel's node count is the least in
-    ``NODE_COUNTS`` for which each panel's truncation bound at its best
-    ``rho`` is at most ``TARGET / panels``, chosen before any node is
-    evaluated; past the last count, ``AccuracyError``.
+    Each kernel gets its own node count, its own ``fsum`` and its own
+    error; the kernels of one node count share one rule and one ``values``
+    pass, and their terms are one ``exp`` over a ``(kernels, panels,
+    nodes)`` array.  A stack is summed a chunk at a time, with at most
+    ``_CHUNK_ELEMENTS`` elements, or one kernel's, in each array of a
+    chunk.  A kernel's node count is the least in ``NODE_COUNTS`` for which
+    each panel's truncation bound at its best ``rho`` is at most
+    ``TARGET / panels``, chosen before any node is evaluated; past the last
+    count, ``AccuracyError``.
 
     Every term is ``exp`` of a sum of logarithms; the rounding term allows
     each term ``eps`` times the magnitude of that sum (the error a
@@ -304,12 +306,9 @@ def rule_sum(panels: Panels, power: int, kernels, nodes: int | None,
                           "its exponent must exceed -1")
     mass, mass_ulps = weight_mass(lam + 1.0)
     stack = np.asarray(kernels, dtype=float)
-    single = stack.ndim == 1
-    stack = stack.reshape(-1, 3)
     count = len(panels.center)
     share = math.log(TARGET / count)
-    chunk = max(1, _CHUNK_ELEMENTS
-                // (count * max(nodes or NODE_COUNTS[-1], len(_RHO))))
+    chunk = max(1, _CHUNK_ELEMENTS // (count * NODE_COUNTS[-1]))
     log_mu_q = (math.log(mass) + np.log(panels.half)[:, None]
                 + power * (np.log(panels.coef_sum)[:, None]
                            + panels.degree[:, None] * _LOG_Q_GROWTH))
@@ -321,10 +320,7 @@ def rule_sum(panels: Panels, power: int, kernels, nodes: int | None,
         for start in range(0, len(stack), chunk):
             part = stack[start:start + chunk]
             log_mu_m = _log_mu_m(panels, part, log_mu_q)
-            if nodes is None:
-                counts, refusal = _node_counts(log_mu_m, share)
-            else:
-                counts, refusal = [nodes] * len(part), None
+            counts, refusal = _node_counts(log_mu_m, share)
             for n in dict.fromkeys(counts):
                 if n not in rules:
                     rules[n] = _rule(panels, power, lam, mass_ulps, n)
@@ -334,14 +330,9 @@ def rule_sum(panels: Panels, power: int, kernels, nodes: int | None,
             # the kernels before the first refused one, by node count
             totals += [0.0] * len(counts)
             errors += [0.0] * len(counts)
-            groups = dict.fromkeys(counts)
-            for n in groups:
-                # a single node count takes the chunk's rows as a view
-                idx = (slice(None, len(counts)) if len(groups) == 1
-                       else np.flatnonzero(np.equal(counts, n)))
-                positions = (range(len(counts)) if len(groups) == 1
-                             else idx.tolist())
-                for i, total, error in zip(positions, *_group_sums(
+            for n in dict.fromkeys(counts):
+                idx = np.flatnonzero(np.equal(counts, n))
+                for i, total, error in zip(idx.tolist(), *_group_sums(
                         rules[n], part[idx], log_mu_m[idx], n, span)):
                     totals[start + i], errors[start + i] = total, error
             for i in range(start, len(totals)):
@@ -352,8 +343,6 @@ def rule_sum(panels: Panels, power: int, kernels, nodes: int | None,
                                         error_estimate=errors[i])
             if refusal is not None:
                 raise AccuracyError(refusal)
-    if single:
-        return totals[0], errors[0]
     return totals, errors
 
 

@@ -162,21 +162,15 @@ def _mgf_sums(density: StandardizedDensity,
         raise DomainError(f"{density.description}: no rule for the MGF")
     kernels = np.zeros((len(ts), 3))
     kernels[:, 1] = ts
-    return rule_sum(density.panels(), 1, kernels, None,
+    return rule_sum(density.panels(), 1, kernels,
                     "E exp(tY) at t = {b:g} left the float range")
-
-
-def _mgf_sum(density: StandardizedDensity, t: float) -> tuple[float, float]:
-    """``E exp(tY)`` and its stated error at one ``t``."""
-    values, errors = _mgf_sums(density, [t])
-    return values[0], errors[0]
 
 
 def mgf(density: StandardizedDensity, t: float) -> float:
     """``E exp(tY)`` by a Gauss-rule sum against the density, within its
     stated error of the truncation target (1e-14, also relative since the
     MGF of a centered variable is at least 1) plus rounding."""
-    return _mgf_sum(density, t)[0]
+    return _mgf_sums(density, [t])[0][0]
 
 
 def mgf_check(density: StandardizedDensity,

@@ -231,8 +231,7 @@ def lopsided() -> StandardizedDensity:
 
 
 def rule_sum_loop(panels: Panels, power: int,
-                  kernel: tuple[float, float, float],
-                  nodes: int | None) -> tuple[float, float]:
+                  kernel: tuple[float, float, float]) -> tuple[float, float]:
     """One kernel's rule sum and stated error by one ``(panels, nodes)``
     pass: the sum the package ran for each kernel before it took a stack of
     them, kept as the bitwise reference for the stack's values (its errors
@@ -252,16 +251,15 @@ def rule_sum_loop(panels: Panels, power: int,
                            * np.log((1.0 + _SEMI_MAJOR) / 2.0))
                 + a + b * center + abs(b) * half * _SEMI_MAJOR
                 + c * reach * reach)
-    if nodes is None:
-        share = math.log(TARGET / len(panels.center))
-        need = float(np.max(np.min(
-            (math.log(4.0) + log_mu_m - _LOG_GEOMETRIC - share)
-            / (2.0 * _LOG_RHO), axis=1)))
-        if not need <= NODE_COUNTS[-1]:
-            raise AccuracyError(
-                f"the rule sum's bound needs {need:.3g} nodes per panel, "
-                f"more than {NODE_COUNTS[-1]}")
-        nodes = min(n for n in NODE_COUNTS if n >= need)
+    share = math.log(TARGET / len(panels.center))
+    need = float(np.max(np.min(
+        (math.log(4.0) + log_mu_m - _LOG_GEOMETRIC - share)
+        / (2.0 * _LOG_RHO), axis=1)))
+    if not need <= NODE_COUNTS[-1]:
+        raise AccuracyError(
+            f"the rule sum's bound needs {need:.3g} nodes per panel, "
+            f"more than {NODE_COUNTS[-1]}")
+    nodes = min(n for n in NODE_COUNTS if n >= need)
     bound = float(np.sum(np.min(truncation_bound(log_mu_m, _RHO, nodes),
                                 axis=1)))
     center, half = panels.center, panels.half
@@ -309,7 +307,7 @@ def mgf_loop(density: StandardizedDensity, t: float) -> float:
         return _exp_loop(0.5 * t * t, "E exp(tY)", t)
     if density.panels is None:
         raise DomainError(f"{density.description}: no rule for the MGF")
-    value, err = rule_sum_loop(density.panels(), 1, (0.0, t, 0.0), None)
+    value, err = rule_sum_loop(density.panels(), 1, (0.0, t, 0.0))
     if not math.isfinite(value):
         raise AccuracyError(f"E exp(tY) at t = {t:g} left the float range",
                             value=value, error_estimate=err)

@@ -318,6 +318,15 @@ class TestCorollaryBound:
                 t = theorem_bound(n, [avg] * n, False)
                 assert c.bound >= t.total * (1.0 - 1e-12)
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("avg", [0.1, 0.9, 1.8])
+    @pytest.mark.parametrize("n", [1001, 5000])
+    def test_capacity_before_the_threshold(self, n, avg, symmetric):
+        # past MAX_BOUND_N every average is refused alike, on either side
+        # of the threshold (0.82 basic, 1.69 symmetric)
+        with pytest.raises(CapacityError):
+            corollary_bound(n, avg, symmetric)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             corollary_bound(1, 0.1, False)

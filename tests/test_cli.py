@@ -952,14 +952,14 @@ def _unread_public_api(package: Path) -> list[str]:
     return sorted(q for q, name in wanted.items() if name not in read)
 
 
-def _unset_defaults(package: Path) -> list[str]:
-    """Defaulted parameters of the functions in a module's ``__all__``, and
-    of the public methods of its classes, that no call in ``package`` sets
-    by position or by keyword.  Calls are matched by the callee's name, so a
-    call to another function of the same name counts too."""
+def _public_calls(package: Path) -> tuple[dict[str, ast.FunctionDef],
+                                          dict[str, list[ast.Call]]]:
+    """The functions in a module's ``__all__`` and the public methods of its
+    classes, by qualified name, and every call in ``package`` by the
+    callee's name, so a call to another function of the same name counts
+    too."""
     wanted: dict[str, ast.FunctionDef] = {}
-    positional: dict[str, int] = {}
-    keywords: dict[str, set[str | None]] = {}
+    calls: dict[str, list[ast.Call]] = {}
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         exported = {e.value for node in tree.body
@@ -976,40 +976,103 @@ def _unset_defaults(package: Path) -> list[str]:
                            if isinstance(m, ast.FunctionDef)
                            and not m.name.startswith("_")}
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            n = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
-                 else len(node.args))
-            positional[name] = max(positional.get(name, 0), n)
-            # ``**kwargs`` shows up as a keyword without a name
-            keywords.setdefault(name, set()).update(
-                k.arg for k in node.keywords)
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id",
+                               getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    return wanted, calls
+
+
+def _slots(qual: str, fn: ast.FunctionDef) -> list[tuple[float, str, bool]]:
+    """Each parameter of ``fn`` but ``self`` as ``(position, name,
+    defaulted)``; a keyword-only parameter has no position (``inf``).  A
+    method call's first positional argument fills the parameter after
+    ``self``."""
+    skip = int(qual.count(".") == 2 and not any(
+        getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list))
+    params = [*fn.args.posonlyargs, *fn.args.args]
+    first = len(params) - len(fn.args.defaults)
+    return ([(i - skip, p.arg, i >= first) for i, p in enumerate(params)
+             if i >= skip]
+            + [(math.inf, p.arg, d is not None)
+               for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)])
+
+
+def _unset_defaults(package: Path) -> list[str]:
+    """Defaulted parameters of the functions in a module's ``__all__``, and
+    of the public methods of its classes, that no call in ``package`` sets
+    by position or by keyword (calls matched as in :func:`_public_calls`)."""
+    wanted, calls = _public_calls(package)
     found = []
     for qual, fn in wanted.items():
         name = qual.rsplit(".", 1)[1]
-        # a method call's first positional argument fills the parameter
-        # after ``self``
-        skip = int(qual.count(".") == 2 and not any(
-            getattr(d, "id", None) == "staticmethod"
-            for d in fn.decorator_list))
-        params = [*fn.args.posonlyargs, *fn.args.args]
-        first = len(params) - len(fn.args.defaults)
-        defaulted = [(i - skip, p.arg) for i, p in enumerate(params)
-                     if i >= first]
-        defaulted += [(math.inf, p.arg) for p, d in zip(fn.args.kwonlyargs,
-                                                        fn.args.kw_defaults)
-                      if d is not None]
-        given = keywords.get(name, set())
-        found += [f"{qual}({arg})" for pos, arg in defaulted
-                  if pos >= positional.get(name, 0)
+        positional = max(
+            (math.inf if any(isinstance(a, ast.Starred) for a in call.args)
+             else len(call.args) for call in calls.get(name, [])), default=0)
+        # ``**kwargs`` shows up as a keyword without a name
+        given = {k.arg for call in calls.get(name, []) for k in call.keywords}
+        found += [f"{qual}({arg})" for pos, arg, defaulted in _slots(qual, fn)
+                  if defaulted and pos >= positional
                   and arg not in given and None not in given]
     return sorted(found)
+
+
+def _fixed_arguments(package: Path) -> list[str]:
+    """Parameters of the functions in a module's ``__all__``, and of the
+    public methods of its classes, that two or more calls in ``package``
+    all pass as the same literal, by position or by keyword (calls matched
+    as in :func:`_public_calls`)."""
+    wanted, calls = _public_calls(package)
+    found = []
+    for qual, fn in wanted.items():
+        found_calls = calls.get(qual.rsplit(".", 1)[1], [])
+        if len(found_calls) < 2:
+            continue
+        found += [f"{qual}({arg})" for pos, arg, _ in _slots(qual, fn)
+                  if len(passed := {_literal(_argument(call, pos, arg))
+                                    for call in found_calls}) == 1
+                  and None not in passed]
+    return sorted(found)
+
+
+def _argument(call: ast.Call, pos: float, arg: str) -> ast.expr | None:
+    """What ``call`` passes for the parameter ``arg`` at ``pos``: ``None``
+    where it passes nothing, or where a ``*`` or ``**`` argument may."""
+    if (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg is None for k in call.keywords)):
+        return None
+    if pos < len(call.args):
+        return call.args[pos]
+    return next((k.value for k in call.keywords if k.arg == arg), None)
+
+
+def _literal(node: ast.expr | None) -> str | None:
+    """``ast.dump`` of a literal, so ``1`` and ``1.0`` differ; ``None`` for
+    anything else."""
+    if node is None:
+        return None
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return None
+    return ast.dump(node)
 
 
 # defaulted parameters that no package call sets: the console entry point
 # reads sys.argv when called without arguments
 UNSET_DEFAULTS = ["cli.main(argv)"]
+
+
+# parameters that every package call passes as one literal, each kept for
+# a caller outside the package
+FIXED_ARGUMENTS = {
+    "constants.constants_table(n_hi)":
+        "perfbench/ops.py passes it, as constants_table(2, 10), and the "
+        "benchmark's files are kept apart from the package's",
+    "constants.constants_table(n_lo)":
+        "perfbench/ops.py passes it, as constants_table(2, 10), and the "
+        "benchmark's files are kept apart from the package's",
+}
 
 
 # public names that no package module reads, each kept for a reader outside
@@ -1066,6 +1129,31 @@ class TestImportHygiene:
             "    def _inner(self, m=3): return self.read(m)\n",
             encoding="utf-8")
         assert _unset_defaults(tmp_path) == ["a.Box.read(j)", "a.f(spec)"]
+
+    def test_fixed_arguments_are_parameters_in_use(self):
+        # a parameter that every package call passes as one literal is a
+        # fixed value in disguise, like a default no call overrides
+        found = _fixed_arguments(Path(cli.__file__).parent)
+        assert found == sorted(FIXED_ARGUMENTS)
+
+    def test_fixed_argument_scan(self, tmp_path):
+        (tmp_path / "a.py").write_text(
+            '__all__ = ["Box", "f", "g", "one"]\n'
+            "def f(x, n, tol=1.0, *, spec=None): return x\n"
+            "def g(x, y): return f(x, 2, spec='s')\n"
+            "def one(z): return z\n"
+            "class Box:\n"
+            "    def read(self, k, j): return g(1, 2)\n",
+            encoding="utf-8")
+        (tmp_path / "b.py").write_text(
+            "from .a import Box, f, g, one\n"
+            "f(1, n=2, tol=3.0, spec='s')\n"
+            "g(*[1, 2]), g(1.0, 2)\n"
+            "one(1)\n"
+            "Box().read(3, 4), Box().read(3, 5)\n",
+            encoding="utf-8")
+        assert _fixed_arguments(tmp_path) == ["a.Box.read(k)", "a.f(n)",
+                                              "a.f(spec)"]
 
     def test_unread_public_api_scan(self, tmp_path):
         (tmp_path / "__init__.py").write_text(

@@ -620,7 +620,7 @@ class TestChi2Direct:
 
     def test_shortfall_within_error_is_clamped(self, monkeypatch):
         monkeypatch.setattr(distances, "rule_sum",
-                            lambda *args: (1.0 - 1e-13, 2e-13))
+                            lambda *args: ([1.0 - 1e-13], [2e-13]))
         res = chi2_direct(make_uniform())
         assert res.value == 0.0
         assert res.error_estimate == 2e-13

@@ -23,7 +23,7 @@ from chi2norm.distances import chi2_direct
 from chi2norm.errors import AccuracyError, DomainError
 from chi2norm.quadrature import (hermite_rule, jacobi_rule, rule_sum,
                                  truncation_bound)
-from chi2norm.subgaussian import _mgf_sum
+from chi2norm.subgaussian import _mgf_sums
 from conftest import pieces_of
 
 SUMS_34 = ([("uniform", n) for n in range(2, 13)]
@@ -150,23 +150,26 @@ class TestTruncationBound:
 class TestUniformMgf:
     @pytest.mark.parametrize("t", MGF_GRID)
     def test_covers_closed_form(self, t):
-        value, err = _mgf_sum(make_uniform(), t)
+        (value,), (err,) = _mgf_sums(make_uniform(), [t])
         exact = math.sinh(math.sqrt(3) * t) / (math.sqrt(3) * t)
         assert abs(value - exact) <= err
         assert err <= 1e-14 + 1e-13 * exact
 
     @pytest.mark.parametrize("t", [-1.5, 1.5])
-    def test_every_node_count_is_covered(self, t):
+    def test_every_node_count_is_covered(self, t, monkeypatch):
         # from one node up: at 8 nodes ∫_{-1}^{1} e^(aw) dw, a = 1.5 sqrt(3),
         # errs by 1.05e-11, which the often-quoted
         # (64/15) M rho^-2n / (rho² - 1) would put at 8.7e-13; the MGF is
-        # half that integral
+        # half that integral.  Each node count replaces the one rule_sum
+        # would choose, so the sum and its bound are the package's own
         panels = make_uniform().panels()
-        kernel = (0.0, t, 0.0)
         exact = float(mp.sinh(mp.sqrt(3) * t) / (mp.sqrt(3) * t))
         errors = []
         for nodes in range(1, 13):
-            value, err = rule_sum(panels, 1, kernel, nodes)
+            monkeypatch.setattr(quadrature, "_node_counts",
+                                lambda log_mu_m, share, n=nodes: ([n], None))
+            (value,), (err,) = rule_sum(panels, 1, [(0.0, t, 0.0)],
+                                        "overflow at t = {b:g}")
             assert abs(value - exact) <= err, nodes
             errors.append(abs(value - exact))
         assert errors[7] == pytest.approx(1.05e-11 / 2, rel=0.01)
@@ -181,7 +184,7 @@ class TestBetaMgf:
     @pytest.mark.parametrize("t", [-3.0, -0.4, 1.0, 2.5, 8.0])
     def test_covers_bessel_form(self, shape, t):
         # E e^(zU) = Γ(a + 1/2) (z/2)^(1/2 - a) I_(a-1/2)(z), z = t sqrt(2a+1)
-        value, err = _mgf_sum(make_scaled_beta(shape), t)
+        (value,), (err,) = _mgf_sums(make_scaled_beta(shape), [t])
         with mp.workdps(40):
             a = mp_frac(shape)
             z = abs(t) * mp.sqrt(2 * a + 1)
