@@ -138,8 +138,12 @@ def _emit(report: Report, fmt: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(
+                f"cannot write output {output!r}: {exc}") from None
 
 
 def _error_record(kind: str, exc: Exception) -> None:

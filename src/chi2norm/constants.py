@@ -406,40 +406,6 @@ def _scan_rows(index_set: IndexSet, p: float, s_lo: int,
     return best, best_s
 
 
-def _scan_max(index_set: IndexSet, p: float, s_cap: int) -> tuple[float, int]:
-    """Certified maximum of ``h(s, p)`` over ``s = 1..s_cap`` and its ``s``.
-
-    ``h <= h0`` for every ``s``, and ``h0`` costs a few elementwise
-    operations.  The row at the peak of ``h0`` gives a lower bound on the
-    maximum; every ``s`` whose ``h0`` falls below that bound (less a
-    1e-10 relative margin for rounding) is certified without its series.
-    ``h0`` is evaluated on a prefix ``s = 1..m``, ``m`` first ``8/p`` and
-    doubling toward ``s_cap``, until ``_dominated_beyond`` at ``m`` rules
-    out every later ``s``; the peak of ``h0`` then lies in the prefix.
-    The series rows run only from the first to the last ``s`` that
-    survives, a window of width ``O(1/sqrt(p))``, so no unimodality is
-    assumed.
-    """
-    m = min(s_cap, math.ceil(8.0 / p))
-    env = _h0_rows(index_set, np.arange(1, m + 1, dtype=float), p)
-    while True:
-        s_peak = int(np.argmax(env)) + 1
-        floor, _ = _scan_rows(index_set, p, s_peak, s_peak)
-        cut = floor * (1.0 - 1e-10)
-        if m == s_cap or _dominated_beyond(index_set, p, m) < cut:
-            break
-        grown = min(s_cap, 2 * m)
-        env = np.concatenate((env, _h0_rows(
-            index_set, np.arange(m + 1, grown + 1, dtype=float), p)))
-        m = grown
-    if floor > env[s_peak - 1]:
-        raise AccuracyError(
-            f"row h={floor} at s={s_peak} exceeds its envelope "
-            f"{env[s_peak - 1]}")
-    live = np.flatnonzero(env >= cut)
-    return _scan_rows(index_set, p, int(live[0]) + 1, int(live[-1]) + 1)
-
-
 def _dominated_beyond(index_set: IndexSet, p: float, s: int) -> float:
     """Upper bound on ``h0(s', p)``, and so on ``h(s', p)``, for every
     ``s' >= s``; it falls as ``s`` grows.
@@ -458,19 +424,14 @@ def C_of_p(index_set: IndexSet, p: float,
            method: str = EXACT_MAX) -> ConstantEstimate:
     """``max over s of h(s, p)``, or the explicit closed-form upper bound.
 
-    The exact maximization certifies ``s = 1..s_cap`` with the envelope
-    ``h0``, evaluating the series of ``h`` only in the window where ``h0``
-    can still beat the maximum (see ``_scan_max``).  Beyond the cutoff,
-    ``_dominated_beyond`` must fall below the maximum found; the cutoff,
-    first ``ceil(20/p)``, doubles a few times if it does not.  The winner
-    is re-verified at its ``s`` by ``h_exact``.  Its closed form holds only
-    where it keeps about eleven digits, for ``p`` of about 1/3 and above;
-    at every smaller ``p``, and past ``MAX_EXPLICIT_S``, the winner is
-    confirmed by ``h_series``, which sums the scan rows' own weights and
-    ratios at one ``s``.  Both the scan rows and ``h_series`` stop their
-    series a dozen standard deviations past the mean of their weights
-    and sum further only where their geometric tail certificates ask for
-    it.
+    ``_certified_max`` searches the exact maximum: the envelope ``h0``
+    rules out every ``s`` outside a window, the series of ``h`` is summed
+    inside it, and ``_dominated_beyond`` covers every ``s`` past the
+    cutoff.  The winner is re-verified at its ``s`` by ``h_exact``, whose
+    closed form holds where it keeps about eleven digits, for ``p`` of
+    about 1/3 and above; at every smaller ``p``, and past
+    ``MAX_EXPLICIT_S``, ``h_series`` confirms it on the scan rows' own
+    weights and ratios.
 
     Each exact maximum is certified once per process: later calls at the
     same set and ``p`` return the same estimate from a bounded memo.  A
@@ -501,15 +462,44 @@ _MEMO_ENTRIES = 4096
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
 def _certified_max(index_set: IndexSet, p: float) -> ConstantEstimate:
-    s_cap = math.ceil(20.0 / p)
-    for _ in range(7):
-        best, best_s = _scan_max(index_set, p, s_cap)
-        if best > _dominated_beyond(index_set, p, s_cap):
-            break
-        s_cap *= 2
-    else:
-        raise AccuracyError(
-            f"search cutoff could not be certified for p={p}")
+    """Certified maximum of ``h(s, p)`` over ``s >= 1``, and its ``s``.
+
+    ``h <= h0``, and ``h0`` is cheap: one prefix ``s = 1..m`` of it grows
+    in place, ``m`` doubling from ``8/p`` toward a cutoff ``cap``.  Every
+    ``s`` whose ``h0`` is below the series row at the prefix's peak (less
+    1e-10 relative, for rounding) is ruled out.  Once
+    ``_dominated_beyond(m)`` is below that cut too, or ``m == cap``, the
+    series rows run from the first to the last survivor, so no unimodality
+    is assumed.  If their best does not beat ``_dominated_beyond(m)``,
+    ``cap``, first ``ceil(20/p)``, doubles, at most six times, and the
+    window is summed whole again: a row's bits depend on its chunk.
+    """
+    cap = start = math.ceil(20.0 / p)
+    m = math.ceil(8.0 / p)
+    env = _h0_rows(index_set, np.arange(1, m + 1, dtype=float), p)
+    while True:
+        s_peak = int(np.argmax(env)) + 1
+        floor, _ = _scan_rows(index_set, p, s_peak, s_peak)
+        if floor > env[s_peak - 1]:
+            raise AccuracyError(
+                f"row h={floor} at s={s_peak} exceeds its envelope "
+                f"{env[s_peak - 1]}")
+        cut = floor * (1.0 - 1e-10)
+        beyond = _dominated_beyond(index_set, p, m)
+        if beyond < cut or m == cap:
+            live = np.flatnonzero(env >= cut)
+            best, best_s = _scan_rows(index_set, p, int(live[0]) + 1,
+                                      int(live[-1]) + 1)
+            if best > beyond:
+                break
+            if cap == 64 * start:
+                raise AccuracyError(
+                    f"search cutoff could not be certified for p={p}")
+            cap *= 2
+        grown = min(cap, 2 * m)
+        env = np.concatenate((env, _h0_rows(
+            index_set, np.arange(m + 1, grown + 1, dtype=float), p)))
+        m = grown
 
     point_route = h_exact if best_s <= MAX_EXPLICIT_S else h_series
     check = point_route(index_set, best_s, p)
@@ -535,6 +525,9 @@ class Table1Entry:
 
 def constants_table(n_lo: int = 2, n_hi: int = 10) -> list[Table1Entry]:
     """Exact-max constants at ``p = 1/n`` for both sets, basic rows first."""
+    if any(not isinstance(n, int) or isinstance(n, bool)
+           for n in (n_lo, n_hi)):
+        raise DomainError("n_lo and n_hi must be integers")
     if n_lo < 2 or n_hi < n_lo:
         raise DomainError("need 2 <= n_lo <= n_hi")
     out = []

@@ -194,6 +194,8 @@ def normalized_sum_density(base: StandardizedDensity, n: int) -> StandardizedDen
     ``X`` the characteristic function is analytic, so the sum's ``phi^n`` is
     even exactly when ``phi`` is, and no exact check of the sum is needed.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DomainError("n must be an integer")
     if n < 1:
         raise DomainError("n must be >= 1")
     if n > MAX_SUM_TERMS:

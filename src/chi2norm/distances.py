@@ -272,6 +272,8 @@ def _profile(density: StandardizedDensity, start: int, top: int,
     state no more rounding error than its Gauss rule of degree ``top``
     could, else from the start on that rule; the normal's is exact.  Each
     rung fills and reads only the Hermite rows it adds."""
+    if not isinstance(start, int) or isinstance(start, bool):
+        raise DomainError("order must be an integer")
     if start < 2:
         raise DomainError("order must be >= 2")
     if top > MAX_ORDER:

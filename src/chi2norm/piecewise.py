@@ -40,8 +40,10 @@ coefficient is one int/int true division, which Python rounds correctly,
 so it equals ``float`` of the exact rational.
 
 :meth:`~PiecewisePolyDensity.central_moment` is the one exact moment
-query; raw moments and Hermite moments follow from it by a binomial shift
-and by the integer Hermite coefficients.
+query.  :meth:`~PiecewisePolyDensity.is_standardized` reads it; the Hermite
+moments come from the jumps by parts or from a Gauss rule instead.  It is
+kept for an exact moment series of the MGF, which could certify a
+subgaussian margin at small ``|t|``.
 """
 
 from __future__ import annotations

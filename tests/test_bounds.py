@@ -20,6 +20,7 @@ from chi2norm.bounds import (
     theorem_bound,
     unroll_recurrence,
 )
+from chi2norm.constants import constants_table
 from chi2norm.densities import make_uniform, normalized_sum_density
 from chi2norm.distances import hermite_profile
 from chi2norm.errors import AccuracyError, CapacityError, DomainError
@@ -332,3 +333,21 @@ class TestCorollaryBound:
             corollary_bound(1, 0.1, False)
         with pytest.raises(DomainError):
             corollary_bound(3, -0.1, False)
+
+
+SIZE_ARGUMENTS = {
+    "normalized_sum_density-n":
+        lambda v: normalized_sum_density(make_uniform(), v),
+    "hermite_profile-order": lambda v: hermite_profile(make_uniform(), v),
+    "constants_table-n_lo": lambda v: constants_table(v, 10),
+    "constants_table-n_hi": lambda v: constants_table(2, v),
+    "check_bound_n-n": bounds.check_bound_n,
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 4.0, True,
+                                   pytest.param(np.int64(4), id="int64")])
+@pytest.mark.parametrize("call", SIZE_ARGUMENTS.values(), ids=SIZE_ARGUMENTS)
+def test_non_integer_size_is_refused(call, value):
+    with pytest.raises(DomainError, match="integer"):
+        call(value)

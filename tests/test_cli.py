@@ -877,6 +877,19 @@ class TestConfig:
         assert ("cannot read config ''"
                 in json.loads(err)["error"]["message"])
 
+    @pytest.mark.parametrize("target", ["missing/report.txt", "."])
+    def test_unwritable_output_is_usage(self, capsys, tmp_path, target):
+        # a missing directory, and a directory in place of a file
+        path = str(tmp_path / target)
+        code, out, err = invoke(capsys, "--output", path, "chi2", "--dist",
+                                "uniform")
+        assert code == EXIT_USAGE
+        assert out == ""
+        record = json.loads(err)["error"]
+        assert record["kind"] == "usage"
+        assert record["type"] == "DomainError"
+        assert record["message"].startswith(f"cannot write output {path!r}: ")
+
 
 def _unused_imports(path: Path) -> list[str]:
     """Names a module imports but never reads; ``__all__`` counts as a read."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -52,18 +53,23 @@ G_SYM_MAX_AT = 4.2971491262212127
 TABLE_BASIC_S = [6, 9, 12, 16, 19, 22, 26, 29, 32]
 TABLE_SYM_S = [7, 11, 16, 20, 25, 29, 33, 38, 42]
 
-# C(p) and its argmax above p = 1/2; from about p = 0.63 on, the scan rows
-# need a widened truncation edge
+# C(p) and its argmax above p = 1/2, pinned bit for bit; from about
+# p = 0.63 on, the scan rows need a widened truncation edge
 LARGE_P = [
-    (BASIC_SET, 0.6, 2.6188066241445163, 4),
-    (SYMMETRIC_SET, 0.6, 1.3006172289683282, 5),
-    (BASIC_SET, 0.9, 10.061997863344185, 2),
-    (SYMMETRIC_SET, 0.9, 5.0253940612648575, 2),
-    (BASIC_SET, 0.99, 100.01887447256965, 1),
-    (SYMMETRIC_SET, 0.99, 50.005002888992884, 1),
-    (BASIC_SET, 0.999, 1000.00409268322, 1),
-    (SYMMETRIC_SET, 0.999, 500.0016014133676, 1),
+    (BASIC_SET, 0.6, float.fromhex("0x1.4f350e329fdabp+1"), 4),
+    (SYMMETRIC_SET, 0.6, float.fromhex("0x1.4cf5402f087a2p+0"), 5),
+    (BASIC_SET, 0.9, float.fromhex("0x1.41fbe2f16f867p+3"), 2),
+    (SYMMETRIC_SET, 0.9, float.fromhex("0x1.41a00e69a94abp+2"), 2),
+    (BASIC_SET, 0.99, float.fromhex("0x1.901353d469a9fp+6"), 1),
+    (SYMMETRIC_SET, 0.99, float.fromhex("0x1.900a3ef464e13p+5"), 1),
+    (BASIC_SET, 0.999, float.fromhex("0x1.f400861bea4abp+9"), 1),
+    (SYMMETRIC_SET, 0.999, float.fromhex("0x1.f40068f3420a7p+8"), 1),
 ]
+
+# SHA-256 of one "set p.hex() value.hex() argmax_s" line per level
+# p = 1/k, k = 2..1000, basic lines first
+LEVELS_SHA256 = ("7c518be3fb7187649c33d048c24e75a6"
+                 "ad3f4fee82ab050172b9bf74f820c0c2")
 
 
 class TestAuxiliaryFunctions:
@@ -347,8 +353,18 @@ class TestCertifiedMaxima:
     @pytest.mark.parametrize("index_set, p, value, s_star", LARGE_P)
     def test_large_p_values(self, index_set, p, value, s_star):
         est = C_of_p(index_set, p)
-        assert abs(est.value - value) <= 1e-15 * value
+        assert est.value.hex() == value.hex()
         assert est.argmax_s == s_star
+
+    def test_levels_digest(self):
+        lines = []
+        for index_set in (BASIC_SET, SYMMETRIC_SET):
+            for k in range(2, 1001):
+                est = C_of_p(index_set, 1.0 / k)
+                lines.append(f"{index_set} {est.p.hex()} {est.value.hex()} "
+                             f"{est.argmax_s}\n")
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == LEVELS_SHA256
 
     def test_scan_refuses_after_three_widenings(self, monkeypatch):
         # an edge at order 4 leaves at most 16 columns after three
@@ -422,6 +438,53 @@ class TestEarlyStop:
         C_of_p(index_set, p)
         assert 0 < sum(evaluated) < math.ceil(20.0 / p) / 2
 
+    @pytest.mark.parametrize("p", [0.95, 0.99])
+    @pytest.mark.parametrize("index_set", [BASIC_SET, SYMMETRIC_SET])
+    def test_envelope_is_never_rebuilt(self, index_set, p, monkeypatch):
+        # at these p the search cutoff doubles one to three times
+        evaluated = []
+
+        def spy(index_set, s, p):
+            evaluated.extend(np.atleast_1d(s).tolist())
+            return _h0_rows(index_set, s, p)
+
+        monkeypatch.setattr(constants, "_h0_rows", spy)
+        C_of_p(index_set, p)
+        assert evaluated == list(range(1, len(evaluated) + 1))
+        assert len(evaluated) > math.ceil(20.0 / p)
+
+
+class TestRefusals:
+    """Each refusal of the search at p = 1/2, raised again on a second
+    call because the memo keeps no refusal."""
+
+    @staticmethod
+    def _refused_twice(index_set, match):
+        for _ in range(2):
+            with pytest.raises(AccuracyError, match=match):
+                C_of_p(index_set, 0.5)
+
+    @pytest.mark.parametrize("index_set", [BASIC_SET, SYMMETRIC_SET])
+    def test_floor_row_above_envelope(self, index_set, monkeypatch):
+        monkeypatch.setattr(constants, "_h0_rows", lambda index_set, s, p:
+                            0.5 * _h0_rows(index_set, s, p))
+        self._refused_twice(index_set, "exceeds its envelope")
+
+    @pytest.mark.parametrize("index_set", [BASIC_SET, SYMMETRIC_SET])
+    def test_cutoff_not_certified(self, index_set, monkeypatch):
+        monkeypatch.setattr(constants, "_dominated_beyond",
+                            lambda index_set, p, s: math.inf)
+        self._refused_twice(index_set, "search cutoff could not be certified")
+
+    @pytest.mark.parametrize("index_set", [BASIC_SET, SYMMETRIC_SET])
+    def test_point_check_disagrees(self, index_set, monkeypatch):
+        def off(route):
+            return lambda *args: route(*args) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(constants, "h_exact", off(h_exact))
+        monkeypatch.setattr(constants, "h_series", off(h_series))
+        self._refused_twice(index_set, "disagrees with point evaluation")
+
 
 class TestMemo:
     @staticmethod
@@ -460,11 +523,11 @@ class TestMemo:
     def test_refusals_are_not_kept(self, monkeypatch):
         calls = []
 
-        def refuse(index_set, p, s_cap):
+        def refuse(index_set, p, s_lo, s_hi):
             calls.append(p)
             raise AccuracyError("refused")
 
-        monkeypatch.setattr(constants, "_scan_max", refuse)
+        monkeypatch.setattr(constants, "_scan_rows", refuse)
         for _ in range(2):
             with pytest.raises(AccuracyError, match="refused"):
                 C_of_p(BASIC_SET, 0.3)
