@@ -11,7 +11,6 @@ from .bounds import (
     CorollaryResult,
     VarianceProfile,
     corollary_bound,
-    maclaurin_check,
     step_constants,
     stein_recurrence_rhs,
     theorem_bound,
@@ -101,7 +100,6 @@ __all__ = [
     "hermite_eval",
     "hermite_mgf_identity_check",
     "hermite_profile",
-    "maclaurin_check",
     "make_mixture",
     "make_normal",
     "make_scaled_beta",

@@ -24,7 +24,6 @@ __all__ = [
     "CorollaryResult",
     "stein_recurrence_rhs",
     "unroll_recurrence",
-    "maclaurin_check",
     "check_bound_n",
     "step_constants",
     "theorem_bound",
@@ -152,33 +151,6 @@ def unroll_recurrence(singleton_values: list[float],
         raise DomainError("chi-square values too large: the unrolled bound "
                           "overflows the float range")
     return total
-
-
-def maclaurin_check(values: list[float], k: int) -> bool:
-    """Is the k-th symmetric mean at most the k-th power of the average?
-
-    The symmetric mean is the sum over ordered tuples of distinct
-    indices divided by the falling factorial, both exact; only the final
-    comparison is floating point.
-    """
-    n = len(values)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DomainError("k must be an integer >= 1")
-    if k > n:
-        raise DomainError("k cannot exceed the number of values")
-    for v in values:
-        if not (v >= 0.0) or math.isnan(v):
-            raise DomainError("values must be nonnegative")
-    elem = [1.0] + [0.0] * k
-    for v in values:
-        for i in range(k, 0, -1):
-            elem[i] += v * elem[i - 1]
-    falling = 1
-    for i in range(k):
-        falling *= n - i
-    lhs = elem[k] * math.factorial(k) / falling
-    rhs = (math.fsum(values) / n) ** k
-    return lhs <= rhs + 1e-12
 
 
 # the per-level constants of each index set for levels 2, 3, ..., as far

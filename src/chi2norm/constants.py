@@ -4,9 +4,9 @@ The quantity of interest is ``C_J(p) = max over integer s >= 1 of
 h_J(s, p)``, where ``h_J`` is a weighted negative-binomial series over the
 orders outside the vanishing set ``J``.  Everything here serves that
 maximization: the auxiliary function ``g`` whose peak controls the
-small-``p`` limit, closed-form evaluation of ``h`` with cancellation
-guards, a certified finite search cutoff, and the explicit upper-bound
-formulas that the exact maxima are checked against.
+small-``p`` limit, the envelope ``h0``, a certified search over ``s`` and
+an independent summation of ``h`` that re-checks its winner, and the
+explicit upper-bound formulas that the exact maxima are checked against.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "maximize_g_sym",
     "h0",
     "h_series",
-    "h_exact",
     "C_of_p",
     "constants_table",
     "elementary_inequalities_check",
@@ -50,9 +49,6 @@ EXACT_MAX = "exact-max"
 CLOSED_FORM_UPPER = "closed-form-upper"
 
 MAX_EXPLICIT_S = 10_000
-
-_EPS = 2.2e-16
-
 
 @dataclass(frozen=True)
 class IndexSet:
@@ -188,63 +184,83 @@ def h0(index_set: IndexSet, s: int, p: float) -> float:
     return float(_h0_rows(index_set, s, p))
 
 
-# -- exact h: log-integral closed form with guards, series fallback -----
-
-def _h12_closed(s: int, p: float) -> float | None:
-    """Closed form of the basic-set ``h`` for ``p`` in (-1,1) minus {0}.
-
-    Returns ``None`` when overflow or cancellation would leave fewer than
-    about eleven reliable digits; the caller then uses the series route.
-    """
-    ap = abs(p)
-    lq = math.log(ap) - math.log1p(-p)
-    if s * max(-math.log(ap), abs(math.log1p(-p)), abs(lq)) > 700.0:
-        return None
-
-    j = np.arange(s, dtype=float)
-    q = p / (1.0 - p)
-    sign = -1.0 if (s % 2 == 0) else 1.0  # (-1)^(j+s+1) at j=0
-    terms = np.power(q, j + 1.0) / (j + 1.0)
-    terms *= sign * np.where(j % 2 == 0, 1.0, -1.0)
-    log_term = (1.0 if (s + 1) % 2 == 0 else -1.0) * math.log1p(-p)
-    integral = math.fsum(terms.tolist()) + log_term
-    peak_i = max(float(np.max(np.abs(terms))), abs(log_term))
-
-    # the integral of t^s/(1-t)^(s+1) has a known sign; noise flips it
-    expected_sign = 1.0 if p > 0.0 else (1.0 if (s + 1) % 2 == 0 else -1.0)
-    if integral * expected_sign <= 0.0:
-        return None
-    ratio_i = peak_i / abs(integral)
-    if ratio_i > 1e8:
-        return None
-
-    inv_ps = math.exp(-s * math.log(ap)) * (1.0 if p > 0 or s % 2 == 0 else -1.0)
-    b = [
-        p * math.exp(-(s + 1.0) * math.log1p(-p)),
-        -s * inv_ps * integral,
-        -p / (1.0 + s),
-        -2.0 * (1.0 + s) * p * p / (2.0 + s),
-    ]
-    bracket = math.fsum(b)
-    peak_b = max(abs(t) for t in b)
-    if bracket == 0.0:
-        return None
-    ratio_b = peak_b / abs(bracket)
-    if ratio_b > 1e8:
-        return None
-    # beyond the hard 1e8 trip, bail out whenever the estimated relative
-    # error would not support the 1e-10 cross-checks downstream
-    if _EPS * (ratio_i + ratio_b + 10.0) > 1e-11:
-        return None
-    return math.exp(s * math.log1p(-p)) / (p * p) * bracket
-
+# -- exact h: the defining series --------------------------------------
 
 def _series_start(index_set: IndexSet) -> tuple[int, int]:
     return (3, 1) if index_set.kind == "basic" else (4, 2)
 
 
+# terms ``h_series`` sums before it refuses; the basic series ends after
+# 5.6e5 terms at s = 5000, p = 0.99 and 1.0e6 at s = 10^6, p = 1/2
+_SERIES_TERMS = 10_000_000
+
+# binary exponent the weight is lifted by while it is below the float range
+_LIFT = 600
+
+
+def h_series(index_set: IndexSet, s: int, p: float) -> float:
+    """Direct summation of the defining series of ``h``, in plain floats.
+
+    Term ``k`` is the weight ``C(s+k, k) p^k (1-p)^s`` times
+    ``(k / (p (k+s)))^2``, over the orders ``k`` outside the index set.
+    The first weight takes the exact integer binomial, and each step
+    multiplies by its own ratio ``p (s+k+1)/(k+1)`` (two such factors per
+    step for the symmetric set).  While the weight is below the float
+    range it is carried as a mantissa and a power of two.  All terms are
+    positive, so nothing cancels; they are summed with ``math.fsum``.
+
+    The weight ratio falls with ``k`` and each term is below weight/p^2,
+    so once the ratio contracts the rest of the series is under a
+    geometric sum; the sum stops when that bound is below 1e-16 of the
+    running total.  Past ``_SERIES_TERMS`` terms it refuses.
+
+    It shares no helper with the scan rows of ``C_of_p``, whose winner it
+    re-checks.
+    """
+    _check_sp(s, p, max_s=1_000_000)
+    k0, step = _series_start(index_set)
+    log_w = (s * math.log1p(-p) + k0 * math.log(p)
+             + math.log(math.comb(s + k0, k0)))
+    # the weight is w * 2**shift, and shift < 0 only while it would underflow
+    shift = 0 if log_w > -700.0 else int(log_w / math.log(2.0))
+    w = math.exp(log_w - shift * math.log(2.0))
+    # the terms without their common factor 1/p^2
+    terms = []
+    total = 0.0
+    for k in range(k0, k0 + step * _SERIES_TERMS, step):
+        f = k / (k + s)
+        term = w * f * f
+        if shift:
+            term = math.ldexp(term, shift)
+        terms.append(term)
+        total += term
+        r = p * (s + k + 1) / (k + 1)
+        if step == 2:
+            r *= p * (s + k + 2) / (k + 2)
+        w *= r
+        if shift < 0 and w > 2.0 ** _LIFT:
+            lift = min(_LIFT, -shift)
+            w, shift = math.ldexp(w, -lift), shift + lift
+        if (r < 1.0 and math.ldexp(w, shift) / (1.0 - r)
+                <= 1e-16 * total + 1e-300):
+            return math.fsum(terms) / (p * p)
+    raise AccuracyError(f"series for h({index_set}, {s}, {p}) did not "
+                        "converge within the term budget")
+
+
+# -- the maximization over s --------------------------------------------
+
+@dataclass(frozen=True)
+class ConstantEstimate:
+    p: float
+    index_set: IndexSet
+    value: float
+    method: str
+    argmax_s: int | None = None
+
+
 def _log_start_weight(k0: int, s, p: float):
-    """``log(C(k0+s, k0) p^k0 (1-p)^s)`` for a scalar or an array of ``s``.
+    """``log(C(k0+s, k0) p^k0 (1-p)^s)`` for an array of ``s``.
 
     Term ``k`` of the series of ``h`` is this weight at order ``k`` times
     ``(k / (p (k+s)))^2``.  The binomial is summed from the logs of the
@@ -265,72 +281,6 @@ def _log_ratios(ks, s, p: float, step: int):
     if step == 2:
         inc = inc + np.log(p * (s + ks + 2.0) / (ks + 2.0))
     return inc
-
-
-def h_series(index_set: IndexSet, s: int, p: float) -> float:
-    """Direct summation of the defining series of ``h``.
-
-    All terms are positive, so this route has no cancellation; it serves
-    both as the fallback when the closed form degrades and as the
-    independent oracle the closed form is tested against.  Accepts much
-    larger ``s`` than the closed form (cost grows with the series mode).
-
-    The first block of terms ends at ``_scan_block_kmax``, the scan's
-    truncation edge past the mean of the negative-binomial weights; each
-    further block doubles, up to 4096 terms, until the geometric tail
-    certificate closes.
-    """
-    _check_sp(s, p, max_s=1_000_000)
-    k0, step = _series_start(index_set)
-    log_w = float(_log_start_weight(k0, float(s), p))
-    total = 0.0
-    k = k0
-    block = min((_scan_block_kmax(index_set, s, p) - k0) // step + 1, 4096)
-    for _ in range(20_000):
-        ks = k + step * np.arange(block, dtype=float)
-        # cumulative log-ratio w_{k+step}/w_k within the block
-        inc = _log_ratios(ks, float(s), p, step)
-        log_ws = log_w + np.concatenate(([0.0], np.cumsum(inc[:-1])))
-        weights = np.exp(log_ws)
-        total += float(np.sum(weights * (ks / (p * (ks + s))) ** 2))
-        log_w = log_ws[-1] + inc[-1]
-        # the weight ratio falls with k and each term is below weight/p^2,
-        # so once the ratio contracts the tail is under a geometric sum
-        r = math.exp(inc[-1])
-        if r < 1.0:
-            tail = float(weights[-1]) * r / ((1.0 - r) * p * p)
-            if tail <= 1e-16 * total + 1e-300:
-                return total
-        k += step * block
-        block = min(2 * block, 4096)
-    raise AccuracyError(f"series for h({index_set}, {s}, {p}) did not "
-                        "converge within the term budget")
-
-
-def h_exact(index_set: IndexSet, s: int, p: float) -> float:
-    """Exact ``h_J(s, p)``: closed form when trustworthy, series otherwise."""
-    _check_sp(s, p)
-    pos = _h12_closed(s, p)
-    if pos is None:
-        return h_series(index_set, s, p)
-    if index_set.kind == "basic":
-        return pos
-    neg = _h12_closed(s, -p)
-    if neg is None:
-        return h_series(index_set, s, p)
-    ratio_s = math.exp(s * (math.log1p(-p) - math.log1p(p)))
-    return 0.5 * (pos + ratio_s * neg)
-
-
-# -- the maximization over s --------------------------------------------
-
-@dataclass(frozen=True)
-class ConstantEstimate:
-    p: float
-    index_set: IndexSet
-    value: float
-    method: str
-    argmax_s: int | None = None
 
 
 def _scan_block_kmax(index_set: IndexSet, s_hi: int, p: float) -> int:
@@ -427,11 +377,9 @@ def C_of_p(index_set: IndexSet, p: float,
     ``_certified_max`` searches the exact maximum: the envelope ``h0``
     rules out every ``s`` outside a window, the series of ``h`` is summed
     inside it, and ``_dominated_beyond`` covers every ``s`` past the
-    cutoff.  The winner is re-verified at its ``s`` by ``h_exact``, whose
-    closed form holds where it keeps about eleven digits, for ``p`` of
-    about 1/3 and above; at every smaller ``p``, and past
-    ``MAX_EXPLICIT_S``, ``h_series`` confirms it on the scan rows' own
-    weights and ratios.
+    cutoff.  ``h_series`` then re-evaluates the winner at its ``s``, in
+    plain floats from the exact binomial and with none of the scan's
+    helpers, and a disagreement above 1e-10 relative is refused.
 
     Each exact maximum is certified once per process: later calls at the
     same set and ``p`` return the same estimate from a bounded memo.  A
@@ -501,8 +449,7 @@ def _certified_max(index_set: IndexSet, p: float) -> ConstantEstimate:
             index_set, np.arange(m + 1, grown + 1, dtype=float), p)))
         m = grown
 
-    point_route = h_exact if best_s <= MAX_EXPLICIT_S else h_series
-    check = point_route(index_set, best_s, p)
+    check = h_series(index_set, best_s, p)
     if abs(check - best) > 1e-10 * max(1.0, abs(best)):
         raise AccuracyError(
             f"scan maximum {best} disagrees with point evaluation "

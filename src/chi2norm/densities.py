@@ -34,6 +34,12 @@ __all__ = [
 
 MAX_SUM_TERMS = 12
 
+# the largest top degree, n (deg + 1) - 1, of a sum that certifies: beta:134
+# with n = 4.  Every integer beta sum measured above it was refused or
+# overflowed, and beta:301 with n = 12 (degree 7211) spent minutes in the
+# jump products
+_MAX_SUM_DEGREE = 1067
+
 # positive normal floats; a scale or normalizing constant outside them
 # cannot be evaluated, so the density is refused before it is built
 _FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
@@ -188,7 +194,7 @@ def normalized_sum_density(base: StandardizedDensity, n: int) -> StandardizedDen
 
     The sum of ``n`` copies of a base with ``k`` knots has at most
     ``C(n + k - 1, n)`` knots, one per multiset of base knots;
-    ``MAX_SUM_TERMS`` caps ``n``.
+    ``MAX_SUM_TERMS`` caps ``n``, and ``_MAX_SUM_DEGREE`` the sum's degree.
 
     The sum inherits ``symmetric`` from ``base``: for a compactly supported
     ``X`` the characteristic function is analytic, so the sum's ``phi^n`` is
@@ -204,6 +210,11 @@ def normalized_sum_density(base: StandardizedDensity, n: int) -> StandardizedDen
         raise DomainError("normalized sums need an exact piecewise density")
     if n == 1:
         return base
+    degree = n * (base.exact.degree + 1) - 1
+    if degree > _MAX_SUM_DEGREE:
+        raise CapacityError(f"the sum of {n} copies of {base.description} has "
+                            f"degree {degree}, above the supported maximum "
+                            f"{_MAX_SUM_DEGREE}")
     return _wrap_exact(base.exact.normalized_sum(n),
                        f"sum:{n}:{base.description}", base.symmetric)
 

@@ -59,7 +59,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
 __all__ = ["PiecewisePolyDensity"]
 
@@ -354,7 +354,12 @@ class PiecewisePolyDensity:
             for i in range(d):
                 for k in range(1, d - i + 1):
                     beta[k] += beta[k - 1]
-            out.append((w / kden, tuple(c / den for c in beta)))
+            try:
+                out.append((w / kden, tuple(c / den for c in beta)))
+            except OverflowError:
+                raise CapacityError(
+                    f"a Bernstein coefficient of the degree-{deg} pieces "
+                    "leaves the float range") from None
         return out
 
     @cached_property

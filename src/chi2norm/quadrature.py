@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, wraps
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -156,7 +156,23 @@ def _symmetric_rule(b: np.ndarray, mass: float, kappa: float,
     return x, w * (mass / np.sum(w))
 
 
-@cache
+def _checked_cache(build):
+    """``build``, cached, with its node count ``n`` refused unless it is an
+    integer >= 1; checked before the cache, where ``True`` and ``1.0`` are
+    the key ``1``."""
+    cached = cache(build)
+
+    @wraps(build)
+    def rule(n, *args):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise DomainError(f"a Gauss rule needs an integer node count "
+                              f">= 1, not {n!r}")
+        return cached(n, *args)
+
+    return rule
+
+
+@_checked_cache
 def jacobi_rule(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the ``n``-point Gauss rule for the weight
     ``(1 - s²)^lam`` on ``[-1, 1]``, ``lam > -1``; exact through degree
@@ -174,7 +190,7 @@ def jacobi_rule(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
                            2.0 * n + 2.0 * lam + 1.0)
 
 
-@cache
+@_checked_cache
 def hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the ``n``-point Gauss rule for the standard
     normal density, ``b_k = sqrt(k)``; weights summing to 1.  Cached: the

@@ -357,3 +357,32 @@ def check_standardized(density: StandardizedDensity,
         raise DomainError(
             f"{density.description}: not standardized within {tol:g}: "
             f"{report}")
+
+
+def maclaurin_check(values: list[float], k: int) -> bool:
+    """Is the k-th symmetric mean at most the k-th power of the average?
+    (Maclaurin's inequality, which the theorem's proof applies to the
+    per-summand chi-square values.)
+
+    The symmetric mean is the sum over ordered tuples of distinct
+    indices divided by the falling factorial, both exact; only the final
+    comparison is floating point.
+    """
+    n = len(values)
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise DomainError("k must be an integer >= 1")
+    if k > n:
+        raise DomainError("k cannot exceed the number of values")
+    for v in values:
+        if not (v >= 0.0) or math.isnan(v):
+            raise DomainError("values must be nonnegative")
+    elem = [1.0] + [0.0] * k
+    for v in values:
+        for i in range(k, 0, -1):
+            elem[i] += v * elem[i - 1]
+    falling = 1
+    for i in range(k):
+        falling *= n - i
+    lhs = elem[k] * math.factorial(k) / falling
+    rhs = (math.fsum(values) / n) ** k
+    return lhs <= rhs + 1e-12

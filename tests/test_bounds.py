@@ -14,7 +14,6 @@ from chi2norm.bounds import (
     BoundReport,
     VarianceProfile,
     corollary_bound,
-    maclaurin_check,
     stein_recurrence_rhs,
     step_constants,
     theorem_bound,
@@ -26,7 +25,7 @@ from chi2norm.distances import hermite_profile
 from chi2norm.errors import AccuracyError, CapacityError, DomainError
 from chi2norm.verify import _CHI2_UNIFORM as CHI2_UNIFORM
 from chi2norm.verify import _TABLE_BASIC, _TABLE_SYM
-from conftest import C_BASIC_HALF, CHI2_UNIFORM_SUM_2
+from conftest import C_BASIC_HALF, CHI2_UNIFORM_SUM_2, maclaurin_check
 
 SUM_ORACLES = {2: CHI2_UNIFORM_SUM_2, 3: 0.0089166858130765271,
                4: 0.0042779356146716544, 5: 0.0025922504452250574,

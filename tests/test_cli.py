@@ -11,6 +11,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,34 @@ class TestExitCodes:
         assert record["type"] == "CapacityError"
         assert record["message"] == (
             f"n={10 ** 7} exceeds the supported maximum {bounds.MAX_BOUND_N}")
+
+    @pytest.mark.parametrize("dist, n", [("beta:325", "2"),
+                                         ("beta:301", "12"),
+                                         ("beta:136", "4")])
+    def test_sum_degree_beyond_capacity(self, capsys, dist, n):
+        # refused before the jump products, by the sum's degree; beta:301
+        # with n = 12 (degree 7211) once ran for minutes, and the other two
+        # overflowed a Bernstein coefficient
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "chi2", "--dist", dist, "--n", n)
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_ACCURACY
+        assert out == ""
+        record = json.loads(err)["error"]
+        assert record["type"] == "CapacityError"
+        assert "above the supported maximum 1067" in record["message"]
+
+    def test_sum_bernstein_overflow_is_capacity(self, capsys):
+        # degree 1067, at the cap, where beta:134 with n = 4 certifies; this
+        # sum's Bernstein coefficients pass the float range once its jump
+        # products are built (several seconds), and it refuses then
+        code, out, err = invoke(capsys, "chi2", "--dist", "beta:45",
+                                "--n", "12")
+        assert code == EXIT_ACCURACY
+        assert out == ""
+        record = json.loads(err)["error"]
+        assert record["type"] == "CapacityError"
+        assert "Bernstein coefficient" in record["message"]
 
     @pytest.mark.parametrize("argv,evaluator", [
         (("subgaussian", "check", "--dist", "uniform", "--t-max", "1",
@@ -1095,7 +1124,6 @@ UNREAD_PUBLIC_API = {
         "the benchmark's normalized-sum check reads it",
     "PiecewisePolyDensity.convolve":
         "sums of non-identical summands (ROADMAP direction 2) will call it",
-    "maclaurin_check": "the acceptance tests import it",
 }
 
 

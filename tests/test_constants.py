@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -24,7 +25,6 @@ from chi2norm.constants import (
     g_sym,
     g_sym_prime,
     h0,
-    h_exact,
     h_series,
     maximize_g,
     maximize_g_sym,
@@ -35,7 +35,6 @@ from chi2norm.constants import (
     MAX_EXPLICIT_S,
     _dominated_beyond,
     _h0_rows,
-    _h12_closed,
     _scan_rows,
 )
 from chi2norm.errors import AccuracyError, CapacityError, DomainError
@@ -137,60 +136,77 @@ class TestEnvelope:
         with pytest.raises(DomainError):
             h0(BASIC_SET, 2, 1.0)
         with pytest.raises(CapacityError):
-            h_exact(BASIC_SET, 20_000, 0.5)
+            h0(BASIC_SET, MAX_EXPLICIT_S + 1, 0.5)
+        with pytest.raises(CapacityError):
+            h_series(BASIC_SET, 1_000_001, 0.5)
+
+
+def h_oracle(index_set, s, p):
+    """``h(s, p)`` at 60 digits from a closed form, no summation.
+
+    With ``c_k = C(s+k, k)``, ``sum_k c_k x^k = (1-x)^-(s+1)``,
+    ``sum_k c_k x^k / (k+s) = (1-x)^-s / s`` and
+    ``sum_k c_k x^k / (k+s)^2 = 2F1(s, s; s+1; x) / s^2``, so the sum of
+    ``c_k x^k (k/(k+s))^2`` over every ``k >= 0`` is
+    ``F(x) = (1-x)^-(s+1) - 2 (1-x)^-s + 2F1(s, s; s+1; x)``.  The basic
+    set drops orders 1 and 2 from ``F(p)``; the symmetric set takes the
+    even part ``(F(p) + F(-p))/2`` and drops order 2.  The terms of ``h``
+    are these times ``(1-p)^s / p^2``.  On every point of this module, the
+    value at 120 digits is within 1.1e-46 relative of this one.
+    """
+    with mp.workdps(60):
+        p = mp.mpf(p)
+
+        def whole(x):
+            return ((1 - x) ** -(s + 1) - 2 * (1 - x) ** -s
+                    + mp.hyp2f1(s, s, s + 1, x))
+
+        def term(k):
+            return mp.binomial(s + k, k) * p ** k * (mp.mpf(k) / (k + s)) ** 2
+
+        if index_set.kind == "basic":
+            inside = whole(p) - term(1) - term(2)
+        else:
+            inside = (whole(p) + whole(-p)) / 2 - term(2)
+        return float((1 - p) ** s / p ** 2 * inside)
 
 
 class TestExactH:
     def test_frozen_value(self):
-        assert abs(h_exact(BASIC_SET, 1, 0.5) - 1.605922055573114571) < 1e-12
+        assert abs(h_series(BASIC_SET, 1, 0.5) - 1.605922055573114571) < 1e-12
 
-    def test_closed_form_route_is_active(self):
-        assert _h12_closed(6, 0.5) is not None
-        assert _h12_closed(3, -0.5) is not None
-
-    def test_closed_form_against_series(self):
-        # dual route where the closed form engages; the guard may refuse
-        # individual pairs but most of this grid must go through
-        engaged = 0
-        for s in (1, 2, 5, 9, 17):
-            for p in (0.3, 0.5, 0.7):
-                closed = _h12_closed(s, p)
-                if closed is None:
-                    continue
-                engaged += 1
-                series = h_series(BASIC_SET, s, p)
-                assert abs(closed - series) <= 1e-9 * series
-        assert engaged >= 12
-
-    def test_symmetric_closed_against_series(self):
-        for s in (1, 2, 3, 5):
-            v = h_exact(SYMMETRIC_SET, s, 0.5)
-            w = h_series(SYMMETRIC_SET, s, 0.5)
-            assert abs(v - w) <= 1e-9 * w
-
-    def test_cancellation_falls_back(self):
-        # p^(s+1)-sized integral under O(1) terms: closed form must refuse
-        assert _h12_closed(120, 0.1) is None
-        assert h_exact(BASIC_SET, 120, 0.1) == h_series(BASIC_SET, 120, 0.1)
-
-    def test_overflow_falls_back(self):
-        assert h_exact(BASIC_SET, 5000, 0.9) == h_series(BASIC_SET, 5000, 0.9)
+    @pytest.mark.parametrize("p", [1e-4, 0.01, 0.1, 1.0 / 3.0, 0.5, 0.9,
+                                   0.99])
+    @pytest.mark.parametrize("s", [1, 2, 5, 17, 120, 5000])
+    @pytest.mark.parametrize("index_set", [BASIC_SET, SYMMETRIC_SET])
+    def test_matches_oracle(self, index_set, s, p):
+        # the first weight is exp of its logarithm, which carries about an
+        # ulp of its own magnitude; allow eight.  At s = 5000 the weight
+        # starts below the float range for p = 0.9 and 0.99
+        magnitude = 16.0 - s * math.log1p(-p) - 4.0 * math.log(p)
+        exact = h_oracle(index_set, s, p)
+        assert abs(h_series(index_set, s, p) - exact) <= (
+            2.0 ** -50 * magnitude * exact)
 
     @pytest.mark.parametrize("s, p", [(5, 0.9), (3, 0.95), (1, 0.99),
                                       (1, 0.999), (2, 0.999)])
-    def test_series_grows_past_first_block(self, s, p):
-        # the series ends two to four times as far out as its first block,
-        # which stops a dozen standard deviations past the weights' mean;
-        # the closed form engages at these points
-        closed = _h12_closed(s, p)
-        assert closed is not None
-        assert abs(h_series(BASIC_SET, s, p) - closed) <= 1e-13 * closed
-        sym = h_exact(SYMMETRIC_SET, s, p)
-        assert abs(h_series(SYMMETRIC_SET, s, p) - sym) <= 1e-13 * sym
+    def test_long_tail_at_large_p(self, s, p):
+        # the weight ratio tends to p, so the series runs thousands of
+        # orders past the weights' peak before its tail bound closes
+        for index_set in (BASIC_SET, SYMMETRIC_SET):
+            exact = h_oracle(index_set, s, p)
+            assert abs(h_series(index_set, s, p) - exact) <= 1e-14 * exact
 
     def test_series_accepts_large_s(self):
         v = h_series(BASIC_SET, 50_000, 1e-4)
         assert 1.0 < v < 1.3
+
+    def test_term_budget_refuses(self, monkeypatch):
+        # s = 120 at p = 0.9 needs 2171 terms, 1085 for the symmetric set
+        monkeypatch.setattr(constants, "_SERIES_TERMS", 500)
+        for index_set in (BASIC_SET, SYMMETRIC_SET):
+            with pytest.raises(AccuracyError, match="term budget"):
+                h_series(index_set, 120, 0.9)
 
     def test_below_envelope_fuzz(self):
         rng = np.random.default_rng(41)
@@ -198,7 +214,7 @@ class TestExactH:
             s = int(rng.integers(1, 201))
             p = float(rng.uniform(0.01, 0.95))
             for index_set in (BASIC_SET, SYMMETRIC_SET):
-                h = h_exact(index_set, s, p)
+                h = h_series(index_set, s, p)
                 env = h0(index_set, s, p)
                 assert h <= env * (1.0 + 1e-12)
 
@@ -311,23 +327,6 @@ class TestCertifiedMaxima:
 
     def test_p_floor_matches_oracle(self):
         # at p = 1e-5 gammaln differences once put both routes ~7e-10 high
-        mp = pytest.importorskip("mpmath")
-
-        def h_oracle(index_set, s, p):
-            # 40 digits; the weights peak near k = sp ~ 4, so by k = 200
-            # the remaining tail is far below double precision
-            k0, step = (3, 1) if index_set.kind == "basic" else (4, 2)
-            with mp.workdps(40):
-                p = mp.mpf(p)
-                w = mp.binomial(k0 + s, k0) * p ** (k0 - 2) * (1 - p) ** s
-                total, k = mp.mpf(0), k0
-                while k < 200:
-                    total += w * (mp.mpf(k) / (k + s)) ** 2
-                    for _ in range(step):
-                        w *= p * (k + s + 1) / (k + 1)
-                        k += 1
-                return float(total)
-
         assert abs(h_series(BASIC_SET, 321344, 1e-5)
                    - h_oracle(BASIC_SET, 321344, 1e-5)) < 1e-12
         for index_set, s_star in ((BASIC_SET, 321357), (SYMMETRIC_SET, 429714)):
@@ -478,12 +477,22 @@ class TestRefusals:
 
     @pytest.mark.parametrize("index_set", [BASIC_SET, SYMMETRIC_SET])
     def test_point_check_disagrees(self, index_set, monkeypatch):
-        def off(route):
-            return lambda *args: route(*args) * (1.0 + 1e-6)
-
-        monkeypatch.setattr(constants, "h_exact", off(h_exact))
-        monkeypatch.setattr(constants, "h_series", off(h_series))
+        monkeypatch.setattr(constants, "h_series", lambda *args:
+                            h_series(*args) * (1.0 + 1e-6))
         self._refused_twice(index_set, "disagrees with point evaluation")
+
+    @pytest.mark.parametrize("p", [0.1, 0.01])
+    @pytest.mark.parametrize("index_set", [BASIC_SET, SYMMETRIC_SET])
+    def test_point_check_catches_a_scan_fault(self, index_set, p,
+                                              monkeypatch):
+        # the point route shares no helper with the scan rows, so a fault
+        # in the scan's weight ratios cannot move both the same way
+        log_ratios = constants._log_ratios
+        monkeypatch.setattr(constants, "_log_ratios", lambda *args:
+                            log_ratios(*args) * (1.0 + 1e-6))
+        with pytest.raises(AccuracyError,
+                           match="disagrees with point evaluation"):
+            C_of_p(index_set, p)
 
 
 class TestMemo:

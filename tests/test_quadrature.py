@@ -122,6 +122,16 @@ class TestJacobiRule:
         with pytest.raises(DomainError):
             jacobi_rule(4, -1.0)
 
+    @pytest.mark.parametrize("rule, args", [
+        ("jacobi_rule", (2.5, 0.0)), ("jacobi_rule", (0, 0.0)),
+        ("jacobi_rule", (-1, 0.0)), ("jacobi_rule", (True, 0.0)),
+        ("hermite_rule", (2.5,)), ("hermite_rule", (0,)),
+        ("hermite_rule", (-1,)), ("hermite_rule", (True,))])
+    def test_node_count_must_be_a_positive_integer(self, rule, args):
+        # refused before the cache, where True and 1.0 are the key 1
+        with pytest.raises(DomainError, match="integer node count"):
+            getattr(quadrature, rule)(*args)
+
     @pytest.mark.parametrize("n", [1, 2, 5, 20, 60, 129])
     def test_hermite_matches_scipy(self, n):
         nodes, weights = hermite_rule(n)
