@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .bounds import check_bound_n, theorem_bound
 from .constants import (
@@ -412,6 +413,9 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
                         help="write the report to this path instead of stdout")
 
 
+# a parser keeps no state between parses, so one per process serves
+# every run
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chi2norm",

@@ -5,8 +5,9 @@ h_J(s, p)``, where ``h_J`` is a weighted negative-binomial series over the
 orders outside the vanishing set ``J``.  Everything here serves that
 maximization: the auxiliary function ``g`` whose peak controls the
 small-``p`` limit, the envelope ``h0``, a certified search over ``s`` and
-an independent summation of ``h`` that re-checks its winner, and the
-explicit upper-bound formulas that the exact maxima are checked against.
+an independent summation of ``h`` that sets its floor and re-checks its
+winner, and the explicit upper-bound formulas that the exact maxima are
+checked against.
 """
 
 from __future__ import annotations
@@ -214,8 +215,8 @@ def h_series(index_set: IndexSet, s: int, p: float) -> float:
     geometric sum; the sum stops when that bound is below 1e-16 of the
     running total.  Past ``_SERIES_TERMS`` terms it refuses.
 
-    It shares no helper with the scan rows of ``C_of_p``, whose winner it
-    re-checks.
+    It shares no helper with the scan rows of ``C_of_p``.  There it sets
+    the search's floor at the envelope's peak and re-checks the winner.
     """
     _check_sp(s, p, max_s=1_000_000)
     k0, step = _series_start(index_set)
@@ -374,12 +375,14 @@ def C_of_p(index_set: IndexSet, p: float,
            method: str = EXACT_MAX) -> ConstantEstimate:
     """``max over s of h(s, p)``, or the explicit closed-form upper bound.
 
-    ``_certified_max`` searches the exact maximum: the envelope ``h0``
-    rules out every ``s`` outside a window, the series of ``h`` is summed
-    inside it, and ``_dominated_beyond`` covers every ``s`` past the
-    cutoff.  ``h_series`` then re-evaluates the winner at its ``s``, in
+    ``_certified_max`` searches the exact maximum: ``h_series``, in
     plain floats from the exact binomial and with none of the scan's
-    helpers, and a disagreement above 1e-10 relative is refused.
+    helpers, sets a floor at the peak of the envelope ``h0``; ``h0`` then
+    rules out every ``s`` outside a window, the series rows of ``h`` are
+    summed inside it once per scanned cutoff, and ``_dominated_beyond``
+    covers every ``s`` past the cutoff.  ``h_series`` then re-evaluates
+    the winner at its ``s``, and a disagreement above 1e-10 relative is
+    refused.
 
     Each exact maximum is certified once per process: later calls at the
     same set and ``p`` return the same estimate from a bounded memo.  A
@@ -413,31 +416,43 @@ def _certified_max(index_set: IndexSet, p: float) -> ConstantEstimate:
     """Certified maximum of ``h(s, p)`` over ``s >= 1``, and its ``s``.
 
     ``h <= h0``, and ``h0`` is cheap: one prefix ``s = 1..m`` of it grows
-    in place, ``m`` doubling from ``8/p`` toward a cutoff ``cap``.  Every
-    ``s`` whose ``h0`` is below the series row at the prefix's peak (less
-    1e-10 relative, for rounding) is ruled out.  Once
-    ``_dominated_beyond(m)`` is below that cut too, or ``m == cap``, the
-    series rows run from the first to the last survivor, so no unimodality
-    is assumed.  If their best does not beat ``_dominated_beyond(m)``,
-    ``cap``, first ``ceil(20/p)``, doubles, at most six times, and the
-    window is summed whole again: a row's bits depend on its chunk.
+    in place, ``m`` doubling from ``8/p`` toward a cutoff ``cap``.  The
+    point route ``h_series`` at the prefix's peak sets the floor, and
+    every ``s`` whose ``h0`` is below it (less 1e-10 relative, for
+    rounding) is ruled out.  Once ``_dominated_beyond(m)`` is below that
+    cut too, or ``m == cap``, the series rows run in one scan from the
+    first to the last survivor, so no unimodality is assumed.  The peak
+    survives, so their best must reach the cut.  If it does not beat
+    ``_dominated_beyond(m)``, ``cap``, first ``ceil(20/p)``, doubles, at
+    most six times, and the window is summed whole again: a row's bits
+    depend on its chunk.  The point value is summed again only when the
+    peak moves, and it is the winner's check when the peak wins.
+
+    A point value that is too low only widens the window; one that is too
+    high is refused, by the envelope at the peak or by the rows' best.
     """
     cap = start = math.ceil(20.0 / p)
     m = math.ceil(8.0 / p)
     env = _h0_rows(index_set, np.arange(1, m + 1, dtype=float), p)
+    s_peak = 0
     while True:
-        s_peak = int(np.argmax(env)) + 1
-        floor, _ = _scan_rows(index_set, p, s_peak, s_peak)
-        if floor > env[s_peak - 1]:
-            raise AccuracyError(
-                f"row h={floor} at s={s_peak} exceeds its envelope "
-                f"{env[s_peak - 1]}")
-        cut = floor * (1.0 - 1e-10)
+        peak = int(np.argmax(env)) + 1
+        if peak != s_peak:
+            s_peak, floor = peak, h_series(index_set, peak, p)
+            if floor > env[s_peak - 1]:
+                raise AccuracyError(
+                    f"point value h={floor} at s={s_peak} exceeds its "
+                    f"envelope {env[s_peak - 1]}")
+            cut = floor * (1.0 - 1e-10)
         beyond = _dominated_beyond(index_set, p, m)
         if beyond < cut or m == cap:
             live = np.flatnonzero(env >= cut)
             best, best_s = _scan_rows(index_set, p, int(live[0]) + 1,
                                       int(live[-1]) + 1)
+            if best < cut:
+                raise AccuracyError(
+                    f"series rows peak at {best}, below the point value "
+                    f"{floor} at s={s_peak}")
             if best > beyond:
                 break
             if cap == 64 * start:
@@ -449,7 +464,7 @@ def _certified_max(index_set: IndexSet, p: float) -> ConstantEstimate:
             index_set, np.arange(m + 1, grown + 1, dtype=float), p)))
         m = grown
 
-    check = h_series(index_set, best_s, p)
+    check = floor if best_s == s_peak else h_series(index_set, best_s, p)
     if abs(check - best) > 1e-10 * max(1.0, abs(best)):
         raise AccuracyError(
             f"scan maximum {best} disagrees with point evaluation "

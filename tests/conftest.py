@@ -31,6 +31,19 @@ C_BASIC_HALF = 2.1326596308470269
 # chi² of the standardized sum of two uniforms
 CHI2_UNIFORM_SUM_2 = 0.032032844541205434
 
+# the README's command-line section
+README_COMMANDS = (
+    "chi2 --dist uniform --method both",
+    "table1",
+    "constants --set basic --p 0.25",
+    "bound --n 4 --avg-chi2 0.3285 --symmetric",
+    "subgaussian threshold --set sym",
+    "subgaussian check --dist uniform --t-max 10 --t-steps 40",
+    "plotdata --x-max 20 --steps 200",
+    "verify",
+    "verify stein --dist uniform --n 3 --max-order 24",
+)
+
 _EPS = float(np.finfo(float).eps)
 
 

@@ -24,7 +24,7 @@ from chi2norm.constants import g, g_sym
 from chi2norm.densities import StandardizedDensity
 from chi2norm.quadrature import Panels
 from chi2norm.verify import TIERS, VerifyReport
-from conftest import CHI2_UNIFORM_SUM_2
+from conftest import CHI2_UNIFORM_SUM_2, README_COMMANDS
 
 
 def invoke(capsys, *argv):
@@ -378,6 +378,27 @@ class TestDeterminism:
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
         assert out1
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_runs_leave_nothing_for_the_next(self, capsys):
+        # one parser serves every run of a process: the README commands
+        # twice over, then a usage error and plotdata, whose default format
+        # is CSV, between two chi2 runs
+        def outcome(*argv):
+            return invoke(capsys, *argv)[:2]
+
+        commands = [command.split() for command in README_COMMANDS]
+        first = [outcome(*argv) for argv in commands]
+        assert [outcome(*argv) for argv in commands] == first
+        chi2 = ("chi2", "--dist", "uniform", "--method", "direct")
+        before = outcome(*chi2)
+        assert outcome("chi2", "--method", "direct") == (EXIT_USAGE, "")
+        code, out = outcome("plotdata", "--steps", "4")
+        assert code == EXIT_OK and out.startswith("x,")
+        assert outcome(*chi2) == before
+        assert before[0] == EXIT_OK and not before[1].startswith("x,")
 
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         code, out, _ = invoke(capsys, "table1", "--format", "csv")

@@ -69,6 +69,22 @@ LARGE_P = [
 # p = 1/k, k = 2..1000, basic lines first
 LEVELS_SHA256 = ("7c518be3fb7187649c33d048c24e75a6"
                  "ad3f4fee82ab050172b9bf74f820c0c2")
+# the same lines at 256 geometric p in [1e-3, 0.5], the band of the
+# seeded C_of_p ops of perfbench's constants workload
+BAND_SHA256 = ("58f6cd5c6761287d2b65c03dfbf3752d"
+               "e944fada5d1c40ea4a8e2ad112717012")
+
+
+def levels_digest(ps) -> str:
+    """SHA-256 of one "set p.hex() value.hex() argmax_s" line per ``p``
+    of ``ps``, basic lines first."""
+    lines = []
+    for index_set in (BASIC_SET, SYMMETRIC_SET):
+        for p in ps:
+            est = C_of_p(index_set, p)
+            lines.append(f"{index_set} {est.p.hex()} {est.value.hex()} "
+                         f"{est.argmax_s}\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
 class TestAuxiliaryFunctions:
@@ -356,14 +372,11 @@ class TestCertifiedMaxima:
         assert est.argmax_s == s_star
 
     def test_levels_digest(self):
-        lines = []
-        for index_set in (BASIC_SET, SYMMETRIC_SET):
-            for k in range(2, 1001):
-                est = C_of_p(index_set, 1.0 / k)
-                lines.append(f"{index_set} {est.p.hex()} {est.value.hex()} "
-                             f"{est.argmax_s}\n")
-        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-        assert digest == LEVELS_SHA256
+        assert levels_digest([1.0 / k for k in range(2, 1001)]) == LEVELS_SHA256
+
+    def test_band_digest(self):
+        assert (levels_digest(np.geomspace(1e-3, 0.5, 256).tolist())
+                == BAND_SHA256)
 
     def test_scan_refuses_after_three_widenings(self, monkeypatch):
         # an edge at order 4 leaves at most 16 columns after three
@@ -452,22 +465,90 @@ class TestEarlyStop:
         assert evaluated == list(range(1, len(evaluated) + 1))
         assert len(evaluated) > math.ceil(20.0 / p)
 
+    @pytest.mark.parametrize("p", [0.5, 0.01, 1e-4, 0.95, 0.99])
+    @pytest.mark.parametrize("index_set", [BASIC_SET, SYMMETRIC_SET])
+    def test_rows_scanned_once_per_cutoff(self, index_set, p, monkeypatch):
+        # the point route sets the floor, so the rows run only over
+        # windows: one scan right after the tail bound of each cutoff that
+        # is scanned, none before it, and the last one ends the search.
+        # The point route runs once at each s it is asked for.
+        events = []
+        points = []
+
+        def point(index_set, s, p):
+            points.append(s)
+            return h_series(index_set, s, p)
+
+        def beyond(index_set, p, s):
+            events.append(("cutoff", s))
+            return _dominated_beyond(index_set, p, s)
+
+        def scan(index_set, p, s_lo, s_hi):
+            events.append(("scan", s_lo, s_hi))
+            return _scan_rows(index_set, p, s_lo, s_hi)
+
+        monkeypatch.setattr(constants, "_dominated_beyond", beyond)
+        monkeypatch.setattr(constants, "_scan_rows", scan)
+        monkeypatch.setattr(constants, "h_series", point)
+        est = C_of_p(index_set, p)
+        assert points[-1] == est.argmax_s
+        assert len(set(points)) == len(points)
+        assert events[0][0] == "cutoff" and events[-1][0] == "scan"
+        for before, event in zip(events, events[1:]):
+            if event[0] != "scan":
+                continue
+            _, s_lo, s_hi = event
+            assert before[0] == "cutoff" and s_hi <= before[1]
+            if s_lo == s_hi:
+                # a one-row window: h0 rules out both neighbours
+                near = np.array([s for s in (s_lo - 1, s_lo + 1) if s >= 1],
+                                dtype=float)
+                assert np.all(_h0_rows(index_set, near, p) < est.value)
+        assert events[-1][1] <= est.argmax_s <= events[-1][2]
+
 
 class TestRefusals:
-    """Each refusal of the search at p = 1/2, raised again on a second
-    call because the memo keeps no refusal."""
+    """Each refusal of the search, at p = 1/2 unless a test names another
+    p, raised again on a second call because the memo keeps no refusal."""
 
     @staticmethod
-    def _refused_twice(index_set, match):
+    def _refused_twice(index_set, match, p=0.5):
         for _ in range(2):
             with pytest.raises(AccuracyError, match=match):
-                C_of_p(index_set, 0.5)
+                C_of_p(index_set, p)
 
     @pytest.mark.parametrize("index_set", [BASIC_SET, SYMMETRIC_SET])
     def test_floor_row_above_envelope(self, index_set, monkeypatch):
         monkeypatch.setattr(constants, "_h0_rows", lambda index_set, s, p:
                             0.5 * _h0_rows(index_set, s, p))
         self._refused_twice(index_set, "exceeds its envelope")
+
+    @pytest.mark.parametrize("scale, match", [
+        (0.5, "below the point value"),
+        (1.0 - 1e-9, "disagrees with point evaluation"),
+    ])
+    @pytest.mark.parametrize("p", [0.5, 1e-3])
+    @pytest.mark.parametrize("index_set", [BASIC_SET, SYMMETRIC_SET])
+    def test_rows_below_the_point_floor(self, index_set, p, scale, match,
+                                        monkeypatch):
+        # the envelope's peak is one of the rows scanned, so rows that all
+        # fall short of the point value there are refused; rows 1e-9 low
+        # stay above the cut, which sits 6e-8 to 1.1e-2 below the winner
+        # at these p, and the point check at the winner refuses them
+        def scaled(*args):
+            best, best_s = _scan_rows(*args)
+            return scale * best, best_s
+
+        monkeypatch.setattr(constants, "_scan_rows", scaled)
+        self._refused_twice(index_set, match, p)
+
+    @pytest.mark.parametrize("index_set", [BASIC_SET, SYMMETRIC_SET])
+    def test_point_floor_above_every_row(self, index_set, monkeypatch):
+        # at p = 1e-3 the envelope's peak is within 1.4e-7 of the winner,
+        # so a point route 1e-6 high puts the floor above every row
+        monkeypatch.setattr(constants, "h_series", lambda *args:
+                            h_series(*args) * (1.0 + 1e-6))
+        self._refused_twice(index_set, "below the point value", 1e-3)
 
     @pytest.mark.parametrize("index_set", [BASIC_SET, SYMMETRIC_SET])
     def test_cutoff_not_certified(self, index_set, monkeypatch):

@@ -17,20 +17,12 @@ from pathlib import Path
 import pytest
 
 from chi2norm.cli import run
+from conftest import README_COMMANDS
 
 GOLDEN = Path(__file__).with_name("golden") / "cli_stdout.txt"
 
 COMMANDS = (
-    # the README's command-line section
-    "chi2 --dist uniform --method both",
-    "table1",
-    "constants --set basic --p 0.25",
-    "bound --n 4 --avg-chi2 0.3285 --symmetric",
-    "subgaussian threshold --set sym",
-    "subgaussian check --dist uniform --t-max 10 --t-steps 40",
-    "plotdata --x-max 20 --steps 200",
-    "verify",
-    "verify stein --dist uniform --n 3 --max-order 24",
+    *README_COMMANDS,
     # the jump route, then the Gauss-rule fallback (beta:2 at n = 12 and
     # beta:3 at n = 9), the Jacobi and Hermite rules and the direct route
     "chi2 --dist beta:2 --n 5 --method both",
