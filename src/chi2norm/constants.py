@@ -51,6 +51,10 @@ CLOSED_FORM_UPPER = "closed-form-upper"
 
 MAX_EXPLICIT_S = 10_000
 
+# the least p whose exact maximum is certified; below it C_of_p refuses
+_EXACT_P_MIN = 1e-5
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """Set of Hermite orders with vanishing moments.
@@ -399,10 +403,10 @@ def C_of_p(index_set: IndexSet, p: float,
         return ConstantEstimate(p, index_set, value, CLOSED_FORM_UPPER)
     if method != EXACT_MAX:
         raise DomainError(f"unknown method {method!r}")
-    if not (1e-5 <= p <= 0.999):
+    if not (_EXACT_P_MIN <= p <= 0.999):
         raise CapacityError(
-            "exact maximization is supported for p in [1e-5, 0.999]; "
-            "outside it use the closed-form upper bound instead")
+            f"exact maximization is supported for p in [{_EXACT_P_MIN}, "
+            "0.999]; outside it use the closed-form upper bound instead")
     return _certified_max(index_set, p)
 
 
@@ -486,12 +490,20 @@ class Table1Entry:
 
 
 def constants_table(n_lo: int = 2, n_hi: int = 10) -> list[Table1Entry]:
-    """Exact-max constants at ``p = 1/n`` for both sets, basic rows first."""
+    """Exact-max constants at ``p = 1/n`` for both sets, basic rows first.
+
+    An ``n_hi`` whose ``1/n_hi`` lies below the exact range of
+    :func:`C_of_p` is refused before any level is certified."""
     if any(not isinstance(n, int) or isinstance(n, bool)
            for n in (n_lo, n_hi)):
         raise DomainError("n_lo and n_hi must be integers")
     if n_lo < 2 or n_hi < n_lo:
         raise DomainError("need 2 <= n_lo <= n_hi")
+    # int / int division rounds as C_of_p's p = 1.0 / n, and never overflows
+    if 1 / n_hi < _EXACT_P_MIN:
+        raise CapacityError(
+            f"n_hi={n_hi} puts p = 1/n_hi below {_EXACT_P_MIN}, the least p "
+            "whose constant is certified exactly")
     out = []
     for index_set in (BASIC_SET, SYMMETRIC_SET):
         for n in range(n_lo, n_hi + 1):

@@ -89,6 +89,14 @@ def make_uniform() -> StandardizedDensity:
     return _wrap_exact(d, "uniform")
 
 
+def _finite_fraction(value: float | Fraction, what: str) -> Fraction:
+    """``value`` as an exact fraction; an infinite or nan float is refused."""
+    try:
+        return Fraction(value)
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(f"{what} must be finite, got {value!r}") from exc
+
+
 def make_scaled_beta(shape: float | Fraction) -> StandardizedDensity:
     """Symmetric beta with both parameters equal to ``shape``, standardized.
 
@@ -100,7 +108,7 @@ def make_scaled_beta(shape: float | Fraction) -> StandardizedDensity:
     read from ``lgamma`` before any factorial is built, and so is a shape
     at most ``2^-54``, where ``a - 1`` rounds to -1.
     """
-    a = Fraction(shape)
+    a = _finite_fraction(shape, "beta shape")
     if a <= 0:
         raise DomainError("shape must be positive")
     af = float(a) if _FLOAT_MIN <= a <= _FLOAT_MAX else math.nan
@@ -161,7 +169,9 @@ def make_mixture(components: Sequence[tuple[Fraction | float, Fraction | float]]
     """
     if not components:
         raise DomainError("mixture needs at least one component")
-    pairs = [(Fraction(w), Fraction(h)) for w, h in components]
+    pairs = [(_finite_fraction(w, "a mixture weight"),
+              _finite_fraction(h, "a mixture half-width"))
+             for w, h in components]
     if any(w <= 0 for w, _ in pairs) or any(h <= 0 for _, h in pairs):
         raise DomainError("weights and half-widths must be positive")
     total = sum(w for w, _ in pairs)

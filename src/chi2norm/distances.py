@@ -4,8 +4,8 @@ Two independent routes compute the same quantity: a direct integral of
 ``p²/φ − 1`` as one Gauss-rule sum with a stated error bound (see
 :mod:`~chi2norm.quadrature`), and the Parseval sum of squared normalized
 Hermite moments over a ladder of truncation orders.  Every rung of one
-ladder reads one row source, filled rung by rung, so a ladder that stops
-early computes no row above its stopping order:
+ladder reads one row source, whose rows to the ladder's top order come from
+one Hermite pass:
 
 * the derivative jumps of an exact piecewise density, integrated by parts,
   with Hermite rows at its knots only, while the rounding bound they state
@@ -143,28 +143,33 @@ def _tail_from_window(absvals: np.ndarray, order: int,
     return 4.0 * second * second * r2 / (1.0 - r2)
 
 
-def _gauss_rows(density: StandardizedDensity, top: int):
+def _rungs(start: int, top: int) -> list[int]:
+    """The ladder's orders: ``start, 2 start, ...`` below ``top``, then
+    ``top``."""
+    orders = [start]
+    while orders[-1] < top:
+        orders.append(min(2 * orders[-1], top))
+    return orders
+
+
+def _gauss_rows(density: StandardizedDensity, start: int, top: int):
     """Row source over the Gauss rule of degree ``top`` on the density's
-    panels: fills ``values[lo:order + 1]`` and returns the stated rounding
-    error, ``4 N`` ulps per term ``w_i h_j(x_i)`` and one per node."""
+    panels: ``a_0..a_top`` and the rounding error stated at each order
+    ``m``, ``4 m`` ulps per term ``w_i h_j(x_i)`` and one per node, on the
+    largest ``sum_i |w_i h_j(x_i)|`` for ``j <= m``.  Each rung's block of
+    rows gets its own matrix products, whose bits then do not depend on the
+    rows above it."""
     nodes, weights = moment_rule(density.panels(), top)
-    table = np.empty((top + 1, len(nodes)))
-    absw = np.abs(weights)
-    magnitude = 0.0
-
-    def fill(lo: int, order: int, values: np.ndarray) -> float:
-        nonlocal magnitude
-        # rows lo..order only: a ladder that stops early never reads more;
-        # rows at far nodes may overflow to nan, which _ladder refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            block = hermite_row_normalized(order, nodes, table,
-                                           lo)[lo:order + 1]
-            values[lo:order + 1] = block @ weights
-            # max_j sum_i |w_i h_j(x_i)|, over the rows this rung adds too
-            magnitude = max(magnitude, np.max(np.abs(block) @ absw))
-        return float(_EPS * (len(nodes) + 4 * order) * magnitude)
-
-    return fill
+    m = np.arange(top + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = np.split(hermite_row_normalized(top, nodes),
+                          [order + 1 for order in _rungs(start, top)])
+        values = np.concatenate([block @ weights for block in blocks])
+        magnitude = np.concatenate([np.abs(block) @ np.abs(weights)
+                                    for block in blocks])
+        errors = (_EPS * (len(nodes) + 4 * m)
+                  * np.maximum.accumulate(magnitude))
+    return values, errors, None
 
 
 def _jump_rows(density: StandardizedDensity, top: int):
@@ -177,11 +182,12 @@ def _jump_rows(density: StandardizedDensity, top: int):
     ``h_{m+1} / sqrt(m + 1)``, gives
     ``a_m = sum_o sum_j (-1)^(j+1) J[o, j] sqrt(m!/(m+j+1)!) h_{m+j+1}(x_o)``,
     so the Hermite rows are read at the ``K + 1`` knots only, up to
-    ``order + d + 1``.  Each term carries ``4 (m + j + 1)`` ulps for its row,
+    ``top + d + 1``.  Each term carries ``4 (m + j + 1)`` ulps for its row,
     ``j + 3`` for its jump, factorial ratio and products, and ``K (d + 1)``
-    for the sum.  At a rung whose stated error exceeds ``N + 4 order`` ulps,
-    the least that the Gauss rule of degree ``top`` with its ``N`` nodes
-    could state, the source gives up and returns ``None``."""
+    for the sum; order ``m`` states the largest bound of orders ``<= m``.
+    At an order whose stated error exceeds ``N + 4 m`` ulps, the least that
+    the Gauss rule of degree ``top`` with its ``N`` nodes could state, the
+    source gives up."""
     exact = density.exact
     # d is the top jump degree, read before any jump is converted
     if (exact is None or exact.degree >= MAX_ORDER
@@ -200,47 +206,43 @@ def _jump_rows(density: StandardizedDensity, top: int):
     for i in range(1, d + 1):
         ratio[:, i] = ratio[:, i - 1] / np.sqrt(m + i + 1.0)
     ulps = ratio * (k * (d + 1) + 4 * (m[:, None] + j + 1) + j + 3)
-    table = np.empty((top + d + 2, k + 1))
-    # window[i, o, j] is table[i + j, o]
-    window = np.lib.stride_tricks.sliding_window_view(table, d + 1, axis=0)
-    stated = 0.0
-
-    def fill(lo: int, order: int, values: np.ndarray) -> float | None:
-        nonlocal stated
-        rows = window[lo + 1:order + 2]
-        # rows at far knots may overflow; their bound then fails the test
-        with np.errstate(over="ignore", invalid="ignore"):
-            hermite_row_normalized(order + d + 1, knots, table,
-                                   lo + d + 1 if lo else 0)
-            values[lo:order + 1] = np.einsum("moj,oj,mj->m", rows, signed,
-                                             ratio[lo:order + 1])
-            # max_m sum_{o,j} ulps * |term|; np.max keeps a nan, which
-            # fails the test below like an infinite bound
-            stated = float(np.max(np.einsum(
-                "moj,oj,mj->m", np.abs(rows), np.abs(signed),
-                ulps[lo:order + 1]), initial=stated))
-        round_err = _EPS * stated
-        if not round_err <= _EPS * (least + 4 * order):
-            return None
-        return round_err
-
-    return fill
+    # rows at far knots may overflow; their bound then gives up
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = hermite_row_normalized(top + d + 1, knots)
+        # rows[i, o, j] is table[i + 1 + j, o]
+        rows = np.lib.stride_tricks.sliding_window_view(table, d + 1,
+                                                        axis=0)[1:]
+        values = np.einsum("moj,oj,mj->m", rows, signed, ratio)
+        # max over orders <= m of sum_{o,j} ulps * |term|; a nan is kept,
+        # and gives up like an infinite bound
+        errors = _EPS * np.maximum.accumulate(np.einsum(
+            "moj,oj,mj->m", np.abs(rows), np.abs(signed), ulps))
+        gives_up = ~(errors <= _EPS * (least + 4 * m))
+    return values, errors, gives_up
 
 
-def _ladder(fill, start: int, top: int, tail_tol: float,
+def _unit_rows(top: int):
+    """Row source of the standard normal, exact: ``E H_j(Z) = 0``."""
+    values = np.zeros(top + 1)
+    values[0] = 1.0
+    return values, np.zeros(top + 1), None
+
+
+def _ladder(rows, start: int, top: int, tail_tol: float,
             direct: Chi2Result | None) -> HermiteProfile | None:
-    """Profile at the first rung ``N`` of ``start, 2 start, ..., top`` with a
-    tail bound below ``tail_tol``, else at ``top``; each rung has ``fill``
-    add its rows and state their rounding error, or give up with ``None``.
-    A value or error that is not finite raises ``AccuracyError``."""
-    values = np.empty(top + 1)
-    order, done = start, 0
-    while True:
-        round_err = fill(done, order, values)
-        if round_err is None:
+    """Profile at the first rung ``N`` of :func:`_rungs` with a tail bound
+    below ``tail_tol``, else at ``top``, read off a row source: values
+    ``a_0..a_top``, the rounding error stated at each order, and the orders
+    where the source gives up, ``None`` if none.  At a rung where it gives
+    up, returns ``None``; a value or error up to the rung that is not
+    finite raises ``AccuracyError``."""
+    values, errors, gives_up = rows
+    for order in _rungs(start, top):
+        if gives_up is not None and gives_up[order]:
             return None
+        round_err = float(errors[order])
         if not (math.isfinite(round_err)
-                and np.all(np.isfinite(values[done:order + 1]))):
+                and np.all(np.isfinite(values[:order + 1]))):
             raise AccuracyError(
                 f"Hermite profile is not finite by order {order}: the rows "
                 "at the rule's nodes left the float range")
@@ -254,16 +256,8 @@ def _ladder(fill, start: int, top: int, tail_tol: float,
             cross = (max(direct.value - partial, 0.0)
                      + direct.error_estimate + series_err)
             tail = max(tail, cross) if math.isfinite(tail) else cross
-        if tail < tail_tol or order >= top:
+        if tail < tail_tol or order == top:
             return HermiteProfile(tuple(values[:order + 1].tolist()), order, tail)
-        order, done = min(2 * order, top), order + 1
-
-
-def _unit_rows(lo: int, order: int, values: np.ndarray) -> float:
-    """Row source of the standard normal, exact: ``E H_j(Z) = 0``."""
-    values[lo:order + 1] = 0.0
-    values[0] = 1.0
-    return 0.0
 
 
 def _profile(density: StandardizedDensity, start: int, top: int,
@@ -271,7 +265,7 @@ def _profile(density: StandardizedDensity, start: int, top: int,
     """The ladder of :func:`_ladder` on the density's knot jumps while they
     state no more rounding error than its Gauss rule of degree ``top``
     could, else from the start on that rule; the normal's is exact.  Each
-    rung fills and reads only the Hermite rows it adds."""
+    source computes its rows to ``top`` in one Hermite pass."""
     if not isinstance(start, int) or isinstance(start, bool):
         raise DomainError("order must be an integer")
     if start < 2:
@@ -279,15 +273,15 @@ def _profile(density: StandardizedDensity, start: int, top: int,
     if top > MAX_ORDER:
         raise DomainError(f"order must be <= {MAX_ORDER}")
     if density.is_standard_normal:
-        return _ladder(_unit_rows, start, top, tail_tol, direct)
+        return _ladder(_unit_rows(top), start, top, tail_tol, direct)
     if density.panels is None:
         raise DomainError(f"{density.description}: no Gauss rule for the profile")
     jumps = _jump_rows(density, top)
     profile = None if jumps is None else _ladder(jumps, start, top, tail_tol,
                                                  direct)
     if profile is None:
-        profile = _ladder(_gauss_rows(density, top), start, top, tail_tol,
-                          direct)
+        profile = _ladder(_gauss_rows(density, start, top), start, top,
+                          tail_tol, direct)
     return profile
 
 

@@ -5,21 +5,19 @@ additive-splitting identity used when a standardized variable is decomposed
 into two independent components.
 
 The recurrence lives in one place, ``_row``, behind
-:func:`hermite_row_normalized`.
-It writes each row into a table that the caller may own, so a caller that
-needs more rows later resumes from the last two it has, with the same bits
-as one pass from order 0.  It has two loops over the same float operations
-in the same order, so they give the same bits.  Up to ``_SCALAR_MAX``
-abscissas (a single value, the two points of the splitting identity, the
-2 to 17 knots of a catalog density or small sum) it runs one loop on
-Python floats per abscissa and writes its rows as one block; past that (the
-Gauss rules, the knots of large mixture sums) it runs one numpy step per
-row across all abscissas.  On arrays of a few floats a numpy step costs its
-call overhead, about 2 us, while a scalar step costs about 0.1 us per
-abscissa, so the two loops break even near 20 abscissas, where the
-threshold sits.  Row tables reach ``2 MAX_ORDER``: a moment of
-order ``MAX_ORDER`` taken by parts from the derivative jumps of a degree
-``d < MAX_ORDER`` density reads rows up to ``MAX_ORDER + d + 1``.
+:func:`hermite_row_normalized`, and always runs from order 0.
+It has two loops over the same float operations in the same order, so
+they give the same bits.  Up to ``_SCALAR_MAX`` abscissas (a single value,
+the two points of the splitting identity, the 2 to 17 knots of a catalog
+density or small sum) it runs one loop on Python floats per abscissa and
+writes its rows as one block; past that (the Gauss rules, the knots of
+large mixture sums) it runs one numpy step per row across all abscissas.
+On arrays of a few floats a numpy step costs its call overhead, about
+2 us, while a scalar step costs about 0.1 us per abscissa, so the two
+loops break even near 20 abscissas, where the threshold sits.  Row tables
+reach ``2 MAX_ORDER``: a moment of order ``MAX_ORDER`` taken by parts from
+the derivative jumps of a degree ``d < MAX_ORDER`` density reads rows up to
+``MAX_ORDER + d + 1``.
 """
 
 from __future__ import annotations
@@ -62,43 +60,31 @@ def _check_order(n: int, limit: int = MAX_ORDER) -> None:
         raise CapacityError(f"order {n} exceeds the supported maximum {limit}")
 
 
-def _row(n: int, x, table: np.ndarray | None = None, lo: int = 0) -> np.ndarray:
+def _row(n: int, x) -> np.ndarray:
     """``[H_0(x)/sqrt(0!), ..., H_n(x)/sqrt(n!)]`` along a new first axis.
 
     The rescaled recurrence keeps intermediate values of moderate size, and
     each step is the same float operations at every abscissa of ``x``,
     whichever loop runs it.
-    Rows ``lo..n`` are written into ``table`` (a new one when it is
-    ``None``) from the rows ``lo - 2`` and ``lo - 1`` already stored there,
-    so resuming at any ``lo`` gives the same bits as one pass from 0.
     """
     x = np.asarray(x, dtype=float)
-    if table is None:
-        table = np.empty((n + 1, *x.shape))
-    start = max(lo, 2)
     if x.size <= _SCALAR_MAX:
-        # rows start - 2 and start - 1 seed each abscissa's column
-        xs = x.ravel().tolist()
-        if lo >= 2:
-            below = table[lo - 2].ravel().tolist()
-            above = table[lo - 1].ravel().tolist()
-        else:
-            below = table[0].ravel().tolist() if lo else [1.0] * len(xs)
-            above = xs
+        # rows 0 and 1 seed each abscissa's column
         sq, cols = _SQRT, []
-        for v, t0, t1 in zip(xs, below, above):
+        for v in x.ravel().tolist():
+            t0, t1 = 1.0, v
             col = [t0, t1]
-            for k in range(start - 1, n):
+            for k in range(1, n):
                 t0, t1 = t1, (v * t1 - sq[k] * t0) / sq[k + 1]
                 col.append(t1)
-            cols.append(col[lo - start + 2:n - start + 3])
-        table[lo:n + 1] = np.array(cols).T.reshape(n + 1 - lo, *x.shape)
-        return table
-    if lo == 0:
-        table[0] = 1.0
-    if lo <= 1 and n >= 1:
+            cols.append(col[:n + 1])
+        return np.ascontiguousarray(np.array(cols).T).reshape(n + 1,
+                                                              *x.shape)
+    table = np.empty((n + 1, *x.shape))
+    table[0] = 1.0
+    if n >= 1:
         table[1] = x
-    for k in range(start - 1, n):
+    for k in range(1, n):
         table[k + 1] = (x * table[k] - _SQRT[k] * table[k - 1]) / _SQRT[k + 1]
     return table
 
@@ -134,32 +120,18 @@ def hermite_eval(n: int, x: float) -> float:
     return float(_row(n, x)[n]) * _sqrt_factorial(n)
 
 
-def hermite_row_normalized(n: int, x, table: np.ndarray | None = None,
-                           lo: int = 0) -> np.ndarray:
+def hermite_row_normalized(n: int, x) -> np.ndarray:
     """``[H_0(x)/sqrt(0!), ..., H_n(x)/sqrt(n!)]`` in one recurrence pass;
     for an array ``x``, the ``(n + 1, len(x))`` table of one row per node.
-
-    Given a caller-owned float ``table`` of shape ``(top + 1, *x.shape)``
-    with ``top >= n``, the pass fills its rows ``lo..n`` in place, reading
-    rows ``lo - 2`` and ``lo - 1`` from an earlier call on the same ``x``,
-    and returns ``table``.  Rows outside ``lo..n`` are not touched.  Every
-    row has the same bits whichever ``lo`` the pass resumed from.  ``n`` may
-    reach ``2 MAX_ORDER``.
+    ``n`` may reach ``2 MAX_ORDER``.
     """
     _check_order(n, _MAX_ROW)
-    if table is None and lo != 0:
-        raise DomainError("a pass from lo > 0 needs the caller's table")
-    if table is not None and (table.dtype != float or table.ndim == 0
-                              or len(table) <= n
-                              or table.shape[1:] != np.shape(x)):
-        raise DomainError(f"table must be float, (> {n}) x {np.shape(x)}")
-    if isinstance(lo, bool) or not isinstance(lo, int) or not 0 <= lo <= n:
-        raise DomainError(f"lo must be an integer in 0..{n}, got {lo!r}")
-    return _row(n, x, table, lo)
+    return _row(n, x)
 
 
 def _check_weights(alpha: float, beta: float) -> None:
-    if abs(alpha * alpha + beta * beta - 1.0) > _WEIGHT_TOL:
+    # written so that a nan weight fails it
+    if not abs(alpha * alpha + beta * beta - 1.0) <= _WEIGHT_TOL:
         raise DomainError(
             f"weights must satisfy alpha^2 + beta^2 = 1, got {alpha}, {beta}")
 

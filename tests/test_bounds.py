@@ -63,6 +63,8 @@ class TestVarianceProfile:
         vp = VarianceProfile.equal(4)
         assert len(vp) == 4
         assert abs(math.fsum(vp.sigma_sq) - 1.0) < 1e-15
+        with pytest.raises(DomainError, match="n >= 2"):
+            VarianceProfile.equal(1)
 
     @pytest.mark.parametrize("bad", [
         (0.5, 0.5, 0.5),

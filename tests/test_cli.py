@@ -22,8 +22,9 @@ from chi2norm.cli import (CONFIG_ENV_VAR, EXIT_ACCURACY, EXIT_OK, EXIT_USAGE,
                           run)
 from chi2norm.constants import g, g_sym
 from chi2norm.densities import StandardizedDensity
+from chi2norm.errors import DomainError
 from chi2norm.quadrature import Panels
-from chi2norm.verify import TIERS, VerifyReport
+from chi2norm.verify import TIERS, VerifyReport, run_suite
 from conftest import CHI2_UNIFORM_SUM_2, README_COMMANDS
 
 
@@ -148,10 +149,19 @@ class TestExitCodes:
         ("chi2", "--dist", "mixture:1:1e400"),
         ("chi2", "--dist", "beta:1000"),
         ("chi2", "--dist", "beta:1e10"),
+        ("chi2", "--dist", "mixture:1:a"),
+        ("bound", "--n", "3", "--per-var", "a,b,c"),
+        ("plotdata", "--steps", "0"),
+        ("plotdata", "--x-max", "-1"),
+        ("verify", "--tiers", "x"),
+        ("verify", "stein", "--n", "7"),
+        ("verify", "stein", "--n", "1"),
+        ("verify", "stein", "--max-order", "2"),
+        ("verify", "stein", "--max-order", "201"),
     ])
     def test_out_of_range_input_is_usage(self, capsys, monkeypatch, argv):
         # refused before any large computation: no factorial is built and
-        # no step constant computed
+        # no step constant computed; one usage record, nothing on stdout
         def refuse(*args):
             raise AssertionError("a large computation started")
 
@@ -160,7 +170,9 @@ class TestExitCodes:
         code, out, err = invoke(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
-        assert json.loads(err)["error"]["type"] == "DomainError"
+        record = json.loads(err)["error"]
+        assert record["type"] == "DomainError"
+        assert record["kind"] == "usage"
 
     def test_bound_beyond_capacity_builds_no_list(self, capsys, monkeypatch):
         # refused before the n per-summand values are built or summed
@@ -593,6 +605,9 @@ class TestVerifyCommand:
     def test_bad_tier(self, capsys):
         code, _, _ = invoke(capsys, "verify", "--tiers", "9")
         assert code == EXIT_USAGE
+        # the library call refuses it too, without the command line's check
+        with pytest.raises(DomainError, match="unknown tier 4"):
+            run_suite((4,))
 
 
 class TestPlotdata:

@@ -403,6 +403,22 @@ class TestCertifiedMaxima:
         with pytest.raises(DomainError):
             constants_table(1, 4)
 
+    @pytest.mark.parametrize("n_hi", [100_001, 10 ** 9, 10 ** 400],
+                             ids=["100001", "1e9", "1e400"])
+    def test_table_past_the_exact_range_refused_up_front(self, n_hi,
+                                                          monkeypatch):
+        # 1/n_hi below C_of_p's exact range: no level is certified first
+        def refuse(*args):
+            raise AssertionError("a level was certified")
+
+        monkeypatch.setattr(constants, "C_of_p", refuse)
+        with pytest.raises(CapacityError, match="below 1e-05"):
+            constants_table(2, n_hi)
+        with pytest.raises(CapacityError, match="below 1e-05"):
+            constants_table(100_000, n_hi)
+        with pytest.raises(AssertionError, match="certified"):
+            constants_table(100_000, 100_000)
+
     @pytest.mark.parametrize("p", [math.nextafter(0.999, 1.0), 0.9999,
                                    0.999999])
     def test_p_near_one_refused_before_any_grid(self, p, monkeypatch):

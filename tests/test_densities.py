@@ -20,6 +20,7 @@ from chi2norm.densities import (
 )
 from chi2norm.distances import hermite_profile
 from chi2norm.errors import CapacityError, DomainError
+from chi2norm.hermite import addition_formula_eval
 from chi2norm.piecewise import PiecewisePolyDensity
 from conftest import check_standardized, lopsided
 
@@ -211,6 +212,22 @@ class TestNormal:
         d = make_normal()
         assert d.is_standard_normal
         assert d.panels is None and d.exact is None
+
+
+@pytest.mark.parametrize("build", [
+    lambda: addition_formula_eval(3, 0.5, 0.2, math.nan, math.nan),
+    lambda: addition_formula_eval(3, 0.5, 0.2, 1.0, math.nan),
+    lambda: make_scaled_beta(math.inf),
+    lambda: make_scaled_beta(math.nan),
+    lambda: make_mixture([(1.0, math.inf)]),
+    lambda: make_mixture([(math.nan, 1.0)]),
+], ids=["nan-weights", "nan-beta-weight", "inf-shape", "nan-shape",
+        "inf-half-width", "nan-weight"])
+def test_non_finite_inputs_refused(build):
+    # a nan once passed the splitting identity's weight check and came back
+    # as nan, and Fraction's OverflowError or ValueError escaped the builders
+    with pytest.raises(DomainError):
+        build()
 
 
 class TestFromName:

@@ -222,6 +222,30 @@ def build(name: str, n: int) -> StandardizedDensity:
     return base if n == 1 else normalized_sum_density(base, n)
 
 
+# ladders_digest() as the per-rung fills of the parent commit gave it: the
+# one pass to the top gives every value, tail and order bit for bit
+PROFILE_SHA256 = (
+    "3d5a06713446a3a504a6cac03761b360121c6c4b4fe02b486d72abe070be9c03")
+
+
+def ladders_digest() -> str:
+    # SHA-256 of float.hex of every value and tail, and of the order, of
+    # each ladder over ladder_cases(): without and with the direct hint to
+    # the top, then from order 6 to 100
+    text = []
+    for name, n in ladder_cases():
+        d = build(name, n)
+        direct = chi2_direct(d)
+        hint = direct if math.isfinite(direct.value) else None
+        for profile in (profile_until_converged(d),
+                        profile_until_converged(d, hint),
+                        distances._profile(d, 6, 100, 1e-6, None)):
+            text.append(f"{name} {n} {profile.truncation_order} "
+                        + " ".join(float.hex(v) for v in profile.values
+                                   + (profile.tail_bound,)))
+    return hashlib.sha256("\n".join(text).encode()).hexdigest()
+
+
 class TestProfile:
     def test_uniform_low_orders(self):
         prof = hermite_profile(make_uniform(), 8)
@@ -269,6 +293,8 @@ class TestProfile:
     def test_profile_type_validation(self):
         with pytest.raises(DomainError):
             HermiteProfile((1.0, 0.0), 2, 0.0)
+        with pytest.raises(DomainError, match="order >= 2"):
+            HermiteProfile((1.0, 0.0), 1, 0.0)
         with pytest.raises(DomainError):
             HermiteProfile((1.0, 0.0, 0.0), 2, -1.0)
 
@@ -327,31 +353,57 @@ class TestLadder:
         ("normal", 1, 40, 40), ("uniform", 7, 80, 40), ("uniform", 6, 80, 80),
         ("mixture:1:1,1:2", 6, 40, 40), ("uniform", 1, 256, 256),
         ("beta:13/2", 1, 160, 160)])
-    def test_rows_computed_once_up_to_the_stop(self, name, n, stop,
-                                               stop_with_direct, monkeypatch):
-        # the jump route reads rows 0..stop+d+1 at the knots, the Gauss rule
-        # of a non-integer beta rows 0..stop at its nodes; the normal, whose
+    def test_rows_computed_in_one_pass(self, name, n, stop, stop_with_direct,
+                                       monkeypatch):
+        # one pass per ladder to its top, whichever rung it stops at: the
+        # jump route reads rows 0..top+d+1 at the knots, the Gauss rule of a
+        # non-integer beta rows 0..top at its nodes; the normal, whose
         # profile is exact, reads none
         d = build(name, n)
-        reach = 0 if d.exact is None else d.exact.x_jumps[1].shape[1]
-        read = not d.is_standard_normal
         passes = []
 
-        def spy(order, x, table=None, lo=0):
-            passes.append((lo, order))
-            return hermite_row_normalized(order, x, table, lo)
+        def spy(order, x):
+            passes.append((order, np.asarray(x).tobytes()))
+            return hermite_row_normalized(order, x)
+
+        def one_pass(top):
+            if d.is_standard_normal:
+                return []
+            if d.exact is None:
+                return [(top, gauss_rule(d, top)[0].tobytes())]
+            knots, jump = d.exact.x_jumps
+            return [(top + jump.shape[1], knots.tobytes())]
 
         monkeypatch.setattr(distances, "hermite_row_normalized", spy)
         for direct, want in ((None, stop), (chi2_direct(d), stop_with_direct)):
             passes.clear()
             got = profile_until_converged(d, direct=direct)
             assert got.truncation_order == want
-            rows = [j for lo, hi in passes for j in range(lo, hi + 1)]
-            # each row once, in order, and none above the stopping rung
-            assert rows == (list(range(want + reach + 1)) if read else [])
+            assert passes == one_pass(MAX_ORDER)
         passes.clear()
         hermite_profile(d, 30)
-        assert passes == ([(0, 30 + reach)] if read else [])
+        assert passes == one_pass(30)
+
+    @pytest.mark.parametrize("name,n", [("mixture:1:1,1:2", 6), ("beta:3", 6)])
+    def test_rows_above_the_stop_are_not_read(self, name, n, monkeypatch):
+        # rows past those that order 40 reads are nan, on the jump route and
+        # on the Gauss rule; the ladder's tail at 40 is below its tolerance,
+        # so it returns the order-40 profile instead of refusing
+        d = build(name, n)
+        want = [profile_until_converged(d, direct=direct)
+                for direct in (None, chi2_direct(d))]
+        assert [p.truncation_order for p in want] == [40, 40]
+
+        def spoiled(order, x):
+            table = hermite_row_normalized(order, x).copy()
+            table[len(table) - (MAX_ORDER - 40):] = np.nan
+            return table
+
+        monkeypatch.setattr(distances, "hermite_row_normalized", spoiled)
+        assert [profile_until_converged(d, direct=direct)
+                for direct in (None, chi2_direct(d))] == want
+        with pytest.raises(AccuracyError, match="not finite by order 80"):
+            distances._profile(d, 40, MAX_ORDER, 0.0, None)
 
     @pytest.mark.parametrize("name,start,top", [("normal", 40, MAX_ORDER),
                                                 ("beta:61/2", 40, MAX_ORDER),
@@ -388,6 +440,9 @@ class TestLadder:
     def test_top_above_hermite_limit_is_refused(self):
         with pytest.raises(DomainError, match="order must be <= 256"):
             distances._profile(make_normal(), 40, MAX_ORDER + 1, 1e-8, None)
+
+    def test_ladders_digest(self):
+        assert ladders_digest() == PROFILE_SHA256
 
     @pytest.mark.parametrize("name,n,order,gauss_digest,digest",
                              PINNED_PROFILES)
@@ -522,15 +577,15 @@ class TestRoutes:
         real = distances._jump_rows
 
         def first_rung_only(density, top):
-            fill = real(density, top)
-            return lambda lo, order, values: (
-                fill(lo, order, values) if lo == 0 else None)
+            values, errors, gives_up = real(density, top)
+            assert not gives_up.any()
+            return values, errors, np.arange(top + 1) > 40
 
         monkeypatch.setattr(distances, "_jump_rows", first_rung_only)
         got = profile_until_converged(d)
         assert got.truncation_order == 80
-        assert got == distances._ladder(distances._gauss_rows(d, MAX_ORDER),
-                                        40, MAX_ORDER, 1e-8, None)
+        assert got == distances._ladder(
+            distances._gauss_rows(d, 40, MAX_ORDER), 40, MAX_ORDER, 1e-8, None)
 
     def test_rows_beyond_float_range_give_up(self):
         # knots near 1.2e10: the Hermite rows at them overflow by order 30
@@ -538,8 +593,10 @@ class TestRoutes:
         d = from_name("mixture:1/100000000000000000000:10000000000,1:1")
         p = d.panels()
         assert max(p.center + p.half) > 1e10
-        fill = distances._jump_rows(d, 40)
-        assert fill(0, 40, np.empty(41)) is None
+        rows = distances._jump_rows(d, 40)
+        _, errors, gives_up = rows
+        assert not math.isfinite(errors[40]) and gives_up[40]
+        assert distances._ladder(rows, 40, 40, 1e-8, None) is None
 
 
 class TestChi2Direct:

@@ -99,10 +99,10 @@ PIN_WEIGHTS = ((1.0, 0.0), (0.6, 0.8), (math.cos(0.3), math.sin(0.3)))
 
 # 0-d, tuple, empty and 1-d abscissas; 37 points run the per-row numpy loop,
 # and the last two sit at the scalar loop's threshold and just past it
-RESUME_INPUTS = [np.float64(0.7), (1.5, -2.0), np.empty(0),
-                 np.linspace(-9.0, 9.0, 37),
-                 np.linspace(-9.0, 9.0, _SCALAR_MAX),
-                 np.linspace(-9.0, 9.0, _SCALAR_MAX + 1)]
+SHAPE_INPUTS = [np.float64(0.7), (1.5, -2.0), np.empty(0),
+                np.linspace(-9.0, 9.0, 37),
+                np.linspace(-9.0, 9.0, _SCALAR_MAX),
+                np.linspace(-9.0, 9.0, _SCALAR_MAX + 1)]
 
 
 def float_digest(values) -> str:
@@ -129,13 +129,6 @@ class TestLoops:
         with np.errstate(over="ignore", invalid="ignore"):
             want = hermite_rows_numpy(2 * MAX_ORDER, x)
             got = hermite_row_normalized(2 * MAX_ORDER, x)
-            for lo in (1, 2, 3, 31, 400):
-                # a pass resumed before and after the overflow, into a
-                # table whose rows lo.. hold nan until the pass fills them
-                table = np.full_like(want, np.nan)
-                table[:lo] = want[:lo]
-                hermite_row_normalized(2 * MAX_ORDER, x, table, lo)
-                assert table.tobytes() == want.tobytes(), lo
         assert got.tobytes() == want.tobytes()
         if count:
             # the far points reach inf and then nan in the same rows
@@ -161,63 +154,17 @@ class TestLoops:
         assert got.shape == (MAX_ORDER + 1, *shape)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("shape", [(5,), (_SCALAR_MAX,),
-                                       (_SCALAR_MAX + 1,), (3, 4)])
-    @pytest.mark.parametrize("order", ["strided", "fortran"])
-    def test_caller_table_is_filled_in_place(self, shape, order):
-        # a table that is not one contiguous run of rows: every other column
-        # of a wider array (whose axes no reshape can merge without a
-        # copy), or column-major; the rows land in it, and the columns
-        # between its own stay as they were
-        x = np.linspace(-9.0, 9.0, math.prod(shape)).reshape(shape)
-        n, lo, k = 90, 41, shape[-1]
-        wide = (n + 1, *shape[:-1], 2 * k + 1)
-        backing = {"strided": np.full(wide, 7.0),
-                   "fortran": np.full((n + 1, *shape), 7.0, order="F")}[order]
-        table = backing[..., :2 * k:2] if order == "strided" else backing
-        want = hermite_rows_numpy(n, x)
-        assert hermite_row_normalized(lo - 1, x, table) is table
-        assert hermite_row_normalized(n, x, table, lo) is table
-        assert np.ascontiguousarray(table).tobytes() == want.tobytes()
-        if order == "strided":
-            assert (backing[..., 1::2] == 7.0).all()
-            assert (backing[..., -1] == 7.0).all()
-
-
-class TestResume:
-    """Rows ``lo..n`` filled in place from the two rows stored above them."""
-
-    @pytest.mark.parametrize("x", RESUME_INPUTS, ids=[
+    @pytest.mark.parametrize("x", SHAPE_INPUTS, ids=[
         "0d", "tuple", "empty", "1d", "at-threshold", "past-threshold"])
-    def test_every_split_is_bitwise_one_shot(self, x):
+    def test_every_prefix_is_a_shorter_pass(self, x):
+        # a profile reads its rows off one pass to the ladder's top order,
+        # with the bits that a pass stopping at its rung gives
         want = hermite_row_normalized(MAX_ORDER, x)
         assert want.shape == (MAX_ORDER + 1, *np.shape(x))
-        for lo in range(2, MAX_ORDER + 1):
-            table = np.empty_like(want)
-            assert hermite_row_normalized(lo - 1, x, table) is table
-            assert hermite_row_normalized(MAX_ORDER, x, table, lo) is table
-            assert table.tobytes() == want.tobytes(), lo
-
-    def test_rows_outside_the_pass_are_untouched(self):
-        x = np.linspace(-3.0, 3.0, 7)
-        want = hermite_row_normalized(60, x)
-        table = np.full((81, 7), np.nan)
-        table[38:40] = want[38:40]
-        hermite_row_normalized(60, x, table, 40)
-        assert table[38:61].tobytes() == want[38:61].tobytes()
-        assert np.isnan(table[:38]).all() and np.isnan(table[61:]).all()
-
-    def test_resume_validation(self):
-        x = np.zeros(3)
-        with pytest.raises(DomainError):
-            hermite_row_normalized(8, x, lo=4)
-        for table in (np.empty((8, 3)), np.empty((9, 4)), np.empty(()),
-                      np.empty((9, 3), dtype=np.float32)):
-            with pytest.raises(DomainError):
-                hermite_row_normalized(8, x, table)
-        for lo in (-1, 9, 2.0, True):
-            with pytest.raises(DomainError):
-                hermite_row_normalized(8, x, np.empty((9, 3)), lo)
+        assert want.flags.c_contiguous
+        for n in range(MAX_ORDER + 1):
+            assert (hermite_row_normalized(n, x).tobytes()
+                    == want[:n + 1].tobytes()), n
 
     def test_pinned_scalar_evaluations(self):
         # digests recorded before the recurrence could resume

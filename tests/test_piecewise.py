@@ -150,6 +150,8 @@ class TestExactQueries:
         assert moment_t(d, 1) == Fraction(1, 2)
         assert d.central_moment(2) == Fraction(1, 12)
         assert d.is_standardized()
+        with pytest.raises(DomainError, match="order must be >= 0"):
+            d.central_moment(-1)
 
     def test_standardization_needs_mass_mean_and_variance(self):
         # each clause alone: mass 2, mean 1/3 instead of the shift 1/2, and
@@ -292,6 +294,8 @@ class TestConvolution:
     def test_convolution_requires_matching_scale(self):
         with pytest.raises(DomainError):
             unit_box().convolve(rescaled(unit_box(), Fraction(6)))
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            unit_box().normalized_sum(0)
 
 
 class TestExactConvolution:

@@ -121,6 +121,10 @@ class TestJacobiRule:
     def test_weight_must_be_integrable(self):
         with pytest.raises(DomainError):
             jacobi_rule(4, -1.0)
+        # p² of beta:1/4 carries the weight (1 - s²)^-1.5
+        panels = make_scaled_beta(Fraction(1, 4)).panels()
+        with pytest.raises(DomainError, match="not integrable"):
+            rule_sum(panels, 2, [(0.0, 0.0, 0.5)], "overflow")
 
     @pytest.mark.parametrize("rule, args", [
         ("jacobi_rule", (2.5, 0.0)), ("jacobi_rule", (0, 0.0)),
