@@ -3,16 +3,16 @@
 Two independent routes compute the same quantity: a direct integral of
 ``p²/φ − 1`` as one Gauss-rule sum with a stated error bound (see
 :mod:`~chi2norm.quadrature`), and the Parseval sum of squared normalized
-Hermite moments over a ladder of truncation orders.  Every rung of one
-ladder reads one row source, whose rows to the ladder's top order come from
-one Hermite pass:
+Hermite moments to one truncation order.  A closed-form bound on the tail
+past each order, read off the density's exact jump table before any Hermite
+row is computed, picks that order; its rows then come from one Hermite pass
+of one row source:
 
 * the derivative jumps of an exact piecewise density, integrated by parts,
   with Hermite rows at its knots only, while the rounding bound they state
   is at most the least that the Gauss rule below could state;
-* otherwise, from the first rung, one exact Gauss rule at the ladder's top
-  order, built from the panels that the direct route reads, with Hermite
-  rows at its nodes.
+* otherwise one exact Gauss rule of that order, built from the panels that
+  the direct route reads, with Hermite rows at its nodes.
 
 The standard normal's profile is exact: ``E H_j(Z) = 0`` for ``j >= 1``.
 
@@ -57,11 +57,13 @@ _DIRECT_OVERFLOW = ("direct integral is not finite, but the density is "
                     "bounded with compact support, or a beta of shape above "
                     "1/2: p^2/phi left the float range")
 
-# the series ladder: first rung, tail bound that stops it, and the amplitude
-# below which the window certifies neither decay nor growth
-_LADDER_START = 40
-_LADDER_TAIL_TOL = 1e-8
-_NOISE_FLOOR = 1e-9
+# the series order is the least whose tail bound is below this
+_SERIES_TAIL_TOL = 1e-8
+# Cramér's inequality |h_k(x)| <= K e^(x²/4) for every k and x (Abramowitz
+# & Stegun 22.14.17, in normalized probabilists' form).  Indritz (Proc. AMS
+# 1961) proves it with K = 1, the value at k = 0 and x = 0, so the 8.6%
+# margin covers the rounding of the logarithms and sums below
+_CRAMER_K = 1.086435
 
 _EPS = float(np.finfo(float).eps)
 
@@ -71,8 +73,11 @@ class HermiteProfile:
     """Normalized Hermite moments ``a_j = E H_j(Y)/sqrt(j!)`` for ``j <= N``.
 
     ``tail_bound`` bounds the mass ``sum_{j>N} a_j²`` left out of the
-    profile.  It is ``inf`` when nothing in the computed window certifies
-    decay and no independent total was supplied.
+    profile plus the rounding of the partial sum ``sum_{1<=j<=N} a_j²``:
+    the closed-form tail bound at ``N``, plus ``2 δ sum |a_j| + N δ²`` for
+    the stated rounding error ``δ`` of each ``a_j``.  The bound is ``inf``
+    for a density with a jump in its value or with no jump form; the tail
+    is then ``inf`` unless an independent total was supplied.
     """
 
     values: tuple[float, ...]
@@ -116,60 +121,73 @@ def _direct_result(total: float, err: float) -> Chi2Result:
     return Chi2Result(value, DIRECT_METHOD, None, err + _EPS * value)
 
 
-def _tail_from_window(absvals: np.ndarray, order: int,
-                      noise_floor: float) -> float:
-    """Geometric-envelope tail estimate from the last quarter of orders.
-
-    Returns ``inf`` when the window does not establish decay.  Amplitudes
-    below the noise floor cannot certify anything either way, so
-    they are reported at the floor itself rather than extrapolated.
-    """
-    width = max(order // 4, 6)
-    window = absvals[max(1, order - width):]
-    half = len(window) // 2
-    first = float(np.max(window[:half]))
-    second = float(np.max(window[half:]))
-    if second <= noise_floor:
-        return second * second
-    if first <= 0.0 or second >= first:
-        return math.inf
-    step_ratio = (second / first) ** (1.0 / half)
-    if step_ratio > 0.98:
-        # too flat to certify geometric decay from this window
-        return math.inf
-    r2 = step_ratio * step_ratio
-    # envelope |a_j| <= 2 * second * ratio^(j-N): factor 2 covers a window
-    # maximum that undershoots the true envelope between oscillation beats
-    return 4.0 * second * second * r2 / (1.0 - r2)
+def _logsumexp(logs: np.ndarray) -> np.ndarray:
+    """``log sum exp`` down the first axis; ``-inf`` for a column of
+    ``-inf``."""
+    top = np.max(logs, axis=0)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return top + np.log(np.sum(np.exp(logs - top), axis=0))
 
 
-def _rungs(start: int, top: int) -> list[int]:
-    """The ladder's orders: ``start, 2 start, ...`` below ``top``, then
-    ``top``."""
-    orders = [start]
-    while orders[-1] < top:
-        orders.append(min(2 * orders[-1], top))
-    return orders
+def _tail_bounds(density: StandardizedDensity) -> np.ndarray:
+    """Proven bounds on ``sum_{m>N} a_m²`` for ``N = 0..MAX_ORDER``, with
+    no Hermite row computed.
+
+    The jump form that :func:`_jump_rows` sums, Cramér's inequality and
+    ``sqrt(m!/(m+j+1)!) <= (m+1)^(-(j+1)/2)`` give
+    ``|a_m| <= sum_j c_j (m+1)^(-(j+1)/2)`` with
+    ``c_j = K sum_o |J[o, j]| e^(x_o²/4)``.  With
+    ``C_s = sum_{j+k=s} c_j c_k`` and
+    ``sum_{m>N} (m+1)^(-1-s/2) <= (N+1)^(-s/2) / (s/2)``, the tail is at
+    most ``sum_{s>=1} C_s (N+1)^(-s/2) / (s/2)``, finite exactly when the
+    density is continuous (``c_0 = 0``).  Each ``c_j`` is summed in
+    logarithms from the exact integer jumps, so jumps past the float range
+    still give a bound.  The normal's tail is 0; a density with no jump
+    form (the non-integer beta) gets ``inf``."""
+    if density.is_standard_normal:
+        return np.zeros(MAX_ORDER + 1)
+    exact = density.exact
+    if exact is None:
+        return np.full(MAX_ORDER + 1, math.inf)
+    kden, jden, table = exact.jumps
+    d = exact.degree
+    p, q = exact.scale_sq.numerator, exact.scale_sq.denominator
+    num, den = exact.shift.numerator, exact.shift.denominator
+    half_log_s = 0.5 * (math.log(p) - math.log(q))
+    # log(|J[o, j]| e^(x_o²/4)) in the actual variable, -inf for no jump,
+    # with x_o² = p (o den - num K)² / (q (K den)²) one int/int division
+    logs = np.full((len(table), d + 1), -math.inf)
+    for row, (o, jo) in zip(logs, table.items()):
+        quarter = p * (o * den - num * kden) ** 2 / (4 * q * (kden * den) ** 2)
+        for j, v in enumerate(jo):
+            if v:
+                row[j] = math.log(abs(v)) + quarter - (j + 1) * half_log_s
+    log_c = _logsumexp(logs) + (math.log(_CRAMER_K) - math.log(jden))
+    if log_c[0] > -math.inf:
+        return np.full(MAX_ORDER + 1, math.inf)
+    # log C_s: column s holds log c_j + log c_{s-j} in row j
+    j = np.arange(d + 1)
+    pairs = np.full((d + 1, 2 * d + 1), -math.inf)
+    pairs[j[:, None], j[:, None] + j] = log_c[:, None] + log_c
+    s = np.arange(1, 2 * d + 1)[:, None]
+    with np.errstate(over="ignore"):
+        return np.sum(np.exp(_logsumexp(pairs)[1:, None] + np.log(2.0 / s)
+                             - 0.5 * s * np.log(np.arange(1, MAX_ORDER + 2))),
+                      axis=0)
 
 
-def _gauss_rows(density: StandardizedDensity, start: int, top: int):
+def _gauss_rows(density: StandardizedDensity, top: int):
     """Row source over the Gauss rule of degree ``top`` on the density's
-    panels: ``a_0..a_top`` and the rounding error stated at each order
-    ``m``, ``4 m`` ulps per term ``w_i h_j(x_i)`` and one per node, on the
-    largest ``sum_i |w_i h_j(x_i)|`` for ``j <= m``.  Each rung's block of
-    rows gets its own matrix products, whose bits then do not depend on the
-    rows above it."""
+    panels: ``a_0..a_top`` and their stated rounding error, ``4 top`` ulps
+    per term ``w_i h_j(x_i)`` and one per node, on the largest
+    ``sum_i |w_i h_j(x_i)|``."""
     nodes, weights = moment_rule(density.panels(), top)
-    m = np.arange(top + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = np.split(hermite_row_normalized(top, nodes),
-                          [order + 1 for order in _rungs(start, top)])
-        values = np.concatenate([block @ weights for block in blocks])
-        magnitude = np.concatenate([np.abs(block) @ np.abs(weights)
-                                    for block in blocks])
-        errors = (_EPS * (len(nodes) + 4 * m)
-                  * np.maximum.accumulate(magnitude))
-    return values, errors, None
+        table = hermite_row_normalized(top, nodes)
+        error = (_EPS * (len(nodes) + 4 * top)
+                 * float(np.max(np.abs(table) @ np.abs(weights))))
+        return table @ weights, error
 
 
 def _jump_rows(density: StandardizedDensity, top: int):
@@ -184,10 +202,10 @@ def _jump_rows(density: StandardizedDensity, top: int):
     so the Hermite rows are read at the ``K + 1`` knots only, up to
     ``top + d + 1``.  Each term carries ``4 (m + j + 1)`` ulps for its row,
     ``j + 3`` for its jump, factorial ratio and products, and ``K (d + 1)``
-    for the sum; order ``m`` states the largest bound of orders ``<= m``.
-    At an order whose stated error exceeds ``N + 4 m`` ulps, the least that
-    the Gauss rule of degree ``top`` with its ``N`` nodes could state, the
-    source gives up."""
+    for the sum; the source states the largest bound of orders ``<= top``.
+    When that exceeds ``N + 4 top`` ulps, the least that the Gauss rule of
+    degree ``top`` with its ``N`` nodes could state, the source gives up
+    with ``None``."""
     exact = density.exact
     # d is the top jump degree, read before any jump is converted
     if (exact is None or exact.degree >= MAX_ORDER
@@ -212,94 +230,73 @@ def _jump_rows(density: StandardizedDensity, top: int):
         # rows[i, o, j] is table[i + 1 + j, o]
         rows = np.lib.stride_tricks.sliding_window_view(table, d + 1,
                                                         axis=0)[1:]
-        values = np.einsum("moj,oj,mj->m", rows, signed, ratio)
-        # max over orders <= m of sum_{o,j} ulps * |term|; a nan is kept,
-        # and gives up like an infinite bound
-        errors = _EPS * np.maximum.accumulate(np.einsum(
-            "moj,oj,mj->m", np.abs(rows), np.abs(signed), ulps))
-        gives_up = ~(errors <= _EPS * (least + 4 * m))
-    return values, errors, gives_up
-
-
-def _unit_rows(top: int):
-    """Row source of the standard normal, exact: ``E H_j(Z) = 0``."""
-    values = np.zeros(top + 1)
-    values[0] = 1.0
-    return values, np.zeros(top + 1), None
-
-
-def _ladder(rows, start: int, top: int, tail_tol: float,
-            direct: Chi2Result | None) -> HermiteProfile | None:
-    """Profile at the first rung ``N`` of :func:`_rungs` with a tail bound
-    below ``tail_tol``, else at ``top``, read off a row source: values
-    ``a_0..a_top``, the rounding error stated at each order, and the orders
-    where the source gives up, ``None`` if none.  At a rung where it gives
-    up, returns ``None``; a value or error up to the rung that is not
-    finite raises ``AccuracyError``."""
-    values, errors, gives_up = rows
-    for order in _rungs(start, top):
-        if gives_up is not None and gives_up[order]:
+        # a nan is kept, and gives up like an infinite bound
+        error = _EPS * float(np.max(np.einsum(
+            "moj,oj,mj->m", np.abs(rows), np.abs(signed), ulps)))
+        if not error <= _EPS * (least + 4 * top):
             return None
-        round_err = float(errors[order])
-        if not (math.isfinite(round_err)
-                and np.all(np.isfinite(values[:order + 1]))):
-            raise AccuracyError(
-                f"Hermite profile is not finite by order {order}: the rows "
-                "at the rule's nodes left the float range")
-        noise_floor = max(10.0 * round_err, _NOISE_FLOOR)
-        absvals = np.abs(values[:order + 1])
-        tail = _tail_from_window(absvals, order, noise_floor)
-        if direct is not None:
-            partial = float(np.sum(values[1:order + 1] ** 2))
-            # a_j known to +-round_err each; linearized effect on the sum
-            series_err = 2.0 * round_err * float(np.sum(absvals[1:order + 1]))
-            cross = (max(direct.value - partial, 0.0)
-                     + direct.error_estimate + series_err)
-            tail = max(tail, cross) if math.isfinite(tail) else cross
-        if tail < tail_tol or order == top:
-            return HermiteProfile(tuple(values[:order + 1].tolist()), order, tail)
+        return np.einsum("moj,oj,mj->m", rows, signed, ratio), error
 
 
-def _profile(density: StandardizedDensity, start: int, top: int,
-             tail_tol: float, direct: Chi2Result | None) -> HermiteProfile:
-    """The ladder of :func:`_ladder` on the density's knot jumps while they
-    state no more rounding error than its Gauss rule of degree ``top``
-    could, else from the start on that rule; the normal's is exact.  Each
-    source computes its rows to ``top`` in one Hermite pass."""
-    if not isinstance(start, int) or isinstance(start, bool):
-        raise DomainError("order must be an integer")
-    if start < 2:
-        raise DomainError("order must be >= 2")
-    if top > MAX_ORDER:
-        raise DomainError(f"order must be <= {MAX_ORDER}")
+def _profile(density: StandardizedDensity, order: int, bound: float,
+             direct: Chi2Result | None) -> HermiteProfile:
+    """Profile to ``order`` whose tail is ``bound`` plus the rounding of the
+    partial sum, read off the density's knot jumps while they state no more
+    rounding error than its Gauss rule of degree ``order`` could, else off
+    that rule; the normal's is exact.  Given a direct result for the same
+    density, the tail also covers its gap ``chi² - sum a_j²``.  A value or
+    error that is not finite raises ``AccuracyError``."""
     if density.is_standard_normal:
-        return _ladder(_unit_rows(top), start, top, tail_tol, direct)
-    if density.panels is None:
+        values, round_err = np.zeros(order + 1), 0.0
+        values[0] = 1.0
+    elif density.panels is None:
         raise DomainError(f"{density.description}: no Gauss rule for the profile")
-    jumps = _jump_rows(density, top)
-    profile = None if jumps is None else _ladder(jumps, start, top, tail_tol,
-                                                 direct)
-    if profile is None:
-        profile = _ladder(_gauss_rows(density, start, top), start, top,
-                          tail_tol, direct)
-    return profile
+    else:
+        rows = _jump_rows(density, order)
+        values, round_err = (_gauss_rows(density, order) if rows is None
+                             else rows)
+    if not (math.isfinite(round_err) and np.all(np.isfinite(values))):
+        raise AccuracyError(
+            f"Hermite profile is not finite by order {order}: the rows "
+            "at the rule's nodes left the float range")
+    # a_j known to +-round_err each: the partial sum's error
+    series_err = 2.0 * round_err * float(np.sum(np.abs(values[1:])))
+    tail = bound + series_err + order * round_err * round_err
+    if direct is not None:
+        partial = float(np.sum(values[1:] ** 2))
+        cross = (max(direct.value - partial, 0.0)
+                 + direct.error_estimate + series_err)
+        tail = max(tail, cross) if math.isfinite(tail) else cross
+    return HermiteProfile(tuple(values.tolist()), order, tail)
 
 
 def hermite_profile(density: StandardizedDensity,
                     order: int = 40) -> HermiteProfile:
-    """``E H_j(Y)/sqrt(j!)`` for ``j <= order``."""
-    return _profile(density, order, order, 0.0, None)
+    """``E H_j(Y)/sqrt(j!)`` for ``j <= order``, with the closed-form tail
+    bound at ``order``."""
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise DomainError("order must be an integer")
+    if order < 2:
+        raise DomainError("order must be >= 2")
+    if order > MAX_ORDER:
+        raise DomainError(f"order must be <= {MAX_ORDER}")
+    return _profile(density, order, float(_tail_bounds(density)[order]),
+                    None)
 
 
 def profile_until_converged(density: StandardizedDensity,
                             direct: Chi2Result | None = None) -> HermiteProfile:
-    """Double the order from 40 until the tail bound is below 1e-8, every
-    rung read off one rule and table of degree ``MAX_ORDER``; given a
-    direct result for the same density, the tail bound also covers its gap
-    ``chi² - sum a_j²``.  Rough densities (the uniform itself) may exhaust
-    ``MAX_ORDER`` and come back with an honest large tail instead."""
-    return _profile(density, _LADDER_START, MAX_ORDER, _LADDER_TAIL_TOL,
-                    direct)
+    """Profile at the least order ``N`` in ``2..MAX_ORDER`` whose
+    closed-form tail bound is below 1e-8, else at ``MAX_ORDER``, its rows
+    computed once to ``N``; given a direct result for the same density, the
+    tail also covers its gap ``chi² - sum a_j²``.  A density with a jump
+    in its value (the uniform itself) or with no jump form has an infinite
+    bound, and comes back at ``MAX_ORDER`` with an infinite tail or the
+    direct result's gap."""
+    bounds = _tail_bounds(density)
+    below = np.flatnonzero(bounds[2:] < _SERIES_TAIL_TOL)
+    order = 2 + int(below[0]) if below.size else MAX_ORDER
+    return _profile(density, order, float(bounds[order]), direct)
 
 
 def chi2_direct(density: StandardizedDensity) -> Chi2Result:

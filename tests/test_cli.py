@@ -354,9 +354,10 @@ class TestExitCodes:
         assert (json.loads(err)["error"]["message"]
                 == f"{cfg}:1: unknown key {key!r}")
 
-    @pytest.mark.parametrize("shape", ["3", "1e-10"])
+    @pytest.mark.parametrize("shape", ["3/4", "1e-10"])
     def test_uncertified_series_is_accuracy(self, capsys, shape):
-        # the ladder ends at order 256 with no finite tail bound; for
+        # a non-integer beta has no jump form, so no closed-form tail bound:
+        # the profile ends at order 256 with an infinite tail; for
         # beta:1e-10 the true divergence is infinite
         code, out, err = invoke(capsys, "chi2", "--dist", f"beta:{shape}",
                                 "--method", "series")
@@ -365,13 +366,46 @@ class TestExitCodes:
         message = json.loads(err)["error"]["message"]
         assert "order 256" in message and "partial sum" in message
 
-    def test_series_with_finite_tail_exits_ok(self, capsys):
-        # the tail bound is finite, whether or not it is honest (ROADMAP
-        # defect 4)
-        code, out, _ = invoke(capsys, "chi2", "--dist", "mixture:1:1,1:2",
-                              "--n", "4", "--method", "series")
+    def test_jump_in_value_has_no_series_certificate(self, capsys):
+        # the mixture's value jumps at its box edges, so its tail bound is
+        # infinite; the window tail printed 0.2996 +- 0.00315 here, 12.6
+        # times its error below the direct value 0.33938
+        code, out, err = invoke(capsys, "chi2", "--dist", "mixture:1:1/2,1:2",
+                                "--method", "series")
+        assert code == EXIT_ACCURACY
+        assert out == ""
+        assert "order 256" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [("--dist", "uniform", "--n", "4"),
+                                      ("--dist", "beta:2")])
+    def test_continuous_density_certifies_series(self, capsys, argv):
+        # a continuous density has a finite tail bound, independent of the
+        # direct route (ROADMAP defect 6: both exited 3); it covers the gap
+        # to the direct value
+        code, out, _ = invoke(capsys, "chi2", *argv, "--method", "series",
+                              "--format", "json")
         assert code == EXIT_OK
-        assert out.splitlines()[2].split()[0] == "series"
+        (_, value, error, order, _), = json.loads(out)["rows"]
+        assert error < 0.03 and order == 256
+        _, out, _ = invoke(capsys, "chi2", *argv, "--method", "direct",
+                           "--format", "json")
+        (_, direct, direct_error, _, _), = json.loads(out)["rows"]
+        assert abs(value - direct) <= error + direct_error
+
+    def test_series_with_finite_tail_exits_ok(self, capsys):
+        # the stated tail covers the gap to the direct value: the window
+        # tail stated 1.79e-9 here, 176 times below it (ROADMAP defect 4)
+        code, out, _ = invoke(capsys, "chi2", "--dist", "mixture:1:1,1:2",
+                              "--n", "4", "--method", "series",
+                              "--format", "json")
+        assert code == EXIT_OK
+        (method, value, error, _, _), = json.loads(out)["rows"]
+        assert method == "series"
+        _, out, _ = invoke(capsys, "chi2", "--dist", "mixture:1:1,1:2",
+                           "--n", "4", "--method", "direct", "--format",
+                           "json")
+        (_, direct, direct_error, _, _), = json.loads(out)["rows"]
+        assert abs(value - direct) <= error + direct_error
 
 
 class TestDeterminism:

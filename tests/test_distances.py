@@ -7,6 +7,7 @@ import hashlib
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermevander
@@ -27,7 +28,6 @@ from chi2norm.distances import (
     DIRECT_METHOD,
     Chi2Result,
     HermiteProfile,
-    _tail_from_window,
     chi2_both,
     chi2_direct,
     chi2_series,
@@ -134,9 +134,32 @@ def jump_rounding_bound(density: StandardizedDensity, order: int) -> float:
     return float(np.finfo(float).eps * np.max(np.sum(ulps * terms, axis=(0, 2))))
 
 
+def _tail_from_window(absvals: np.ndarray, order: int,
+                      noise_floor: float) -> float:
+    # the series route's tail before its closed-form bound: a geometric
+    # envelope from the last quarter of orders, which certified nothing
+    # (ROADMAP defect 4); kept as the reference that the Gauss-rule digests
+    # of PINNED_PROFILES were pinned with
+    width = max(order // 4, 6)
+    window = absvals[max(1, order - width):]
+    half = len(window) // 2
+    first = float(np.max(window[:half]))
+    second = float(np.max(window[half:]))
+    if second <= noise_floor:
+        return second * second
+    if first <= 0.0 or second >= first:
+        return math.inf
+    step_ratio = (second / first) ** (1.0 / half)
+    if step_ratio > 0.98:
+        return math.inf
+    r2 = step_ratio * step_ratio
+    return 4.0 * second * second * r2 / (1.0 - r2)
+
+
 def ref_profile(density, order, direct=None, degree=None):
-    # the one-rung profile as it stood before the ladders shared one table;
-    # with ``degree``, read off the rows <= order of that rule instead
+    # the one-rung profile as it stood before the ladders shared one table,
+    # with the window tail; with ``degree``, read off the rows <= order of
+    # that rule instead
     nodes, weights = gauss_rule(density, order if degree is None
                                 else degree)
     table = hermite_row_normalized(order, nodes)
@@ -154,15 +177,48 @@ def ref_profile(density, order, direct=None, degree=None):
     return HermiteProfile(tuple(float(v) for v in values), order, tail)
 
 
-def ref_ladder(density, start=40, max_order=MAX_ORDER, tail_tol=1e-8,
-               direct=None):
-    # the per-rung ladder: a fresh Gauss rule and table at every order
-    order = min(start, max_order)
-    while True:
-        profile = ref_profile(density, order, direct)
-        if profile.tail_bound < tail_tol or order >= max_order:
-            return profile
-        order = min(2 * order, max_order)
+def ref_tail_bounds(density: StandardizedDensity) -> np.ndarray:
+    # the closed-form tail bound at every order 0..MAX_ORDER, recomputed by
+    # other formulas: c_j = K sum_o |J[o, j]| e^(x_o²/4) from the exact
+    # jumps in 30-digit mpmath, then in floats the double sum of
+    # c_j c_k (N+1)^(-(j+k)/2) / ((j+k)/2) over j + k >= 1, not grouped by
+    # j + k
+    if density.is_standard_normal:
+        return np.zeros(MAX_ORDER + 1)
+    exact = density.exact
+    if exact is None:
+        return np.full(MAX_ORDER + 1, math.inf)
+    kden, jden, table = exact.jumps
+    c = [mpmath.mpf(0)] * (exact.degree + 1)
+    with mpmath.workdps(30):
+        scale_sq = (mpmath.mpf(exact.scale_sq.numerator)
+                    / exact.scale_sq.denominator)
+        shift = mpmath.mpf(exact.shift.numerator) / exact.shift.denominator
+        for o, jo in table.items():
+            x = mpmath.sqrt(scale_sq) * (mpmath.mpf(o) / kden - shift)
+            for j, v in enumerate(jo):
+                c[j] += (distances._CRAMER_K * abs(mpmath.mpf(v)) / jden
+                         / scale_sq ** ((j + 1) / 2) * mpmath.exp(x * x / 4))
+    if c[0]:
+        return np.full(MAX_ORDER + 1, math.inf)
+    c = np.array([float(v) for v in c])
+    s = np.add.outer(np.arange(len(c)), np.arange(len(c)))[:, :, None]
+    orders = np.arange(MAX_ORDER + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = (np.multiply.outer(c, c)[:, :, None]
+                 * (orders + 1.0) ** (-s / 2.0) * 2.0 / s)
+    return np.sum(np.where(s > 0, terms, 0.0), axis=(0, 1))
+
+
+def ref_ladder(density, direct=None):
+    # the per-rung ladder: every order from 2 a rung, stopping at the first
+    # whose bound from ref_tail_bounds is below 1e-8, else at MAX_ORDER,
+    # with a fresh Gauss rule and table at that order
+    bounds = ref_tail_bounds(density)
+    order = 2
+    while bounds[order] >= 1e-8 and order < MAX_ORDER:
+        order += 1
+    return ref_profile(density, order, direct)
 
 
 def pin(name, n, order, first, gauss_digest, digest):
@@ -173,10 +229,12 @@ def pin(name, n, order, first, gauss_digest, digest):
 
 
 # fixed-order profiles: the first Gauss-rule digest, the digest of the
-# per-rung Gauss-rule profile, then that of the package's profile, from the
-# knot jumps for the uniform.  The Gauss-rule digests were re-pinned when
-# the rule's Legendre nodes came from jacobi_rule and its values from
-# panel_values
+# per-rung Gauss-rule profile with its window tail, then that of the
+# package's profile, from the knot jumps for the uniform.  The Gauss-rule
+# digests were re-pinned when the rule's Legendre nodes came from
+# jacobi_rule and its values from panel_values; the package's digests when
+# the closed-form tail bound replaced the window, which left every value as
+# it was (VALUES_SHA256)
 PINNED_PROFILES = [
     pin("uniform", 1, 8,
         "fe38aa7ccc7b39fc38529d19a91fed5ce7dc345af3b36c97eea603dd4e168043",
@@ -190,20 +248,20 @@ PINNED_PROFILES = [
     pin("uniform", 1, 30,
         "64d27766b4b457d70291c9bf9a8beb39c36de9dd8424e0231ff16c10e4fbf46d",
         "722de415637e3e02251ed1659eb0d1bb0a9afb8e584e62e5e5b98156926a7dab",
-        "83b2ede021b17a43bf049e884af2bd858d88c42d403eecfd785c4dc0451fb551"),
+        "c5f6ba60f3e3ba4f971a4462ae1af3282f9dfaa05b2e48142a3215c15bc4693a"),
     pin("uniform", 2, 30,
         "6f8be67e45bbb247e4541f6a7e7050097ad0e4e66b94e4b9e5a6f0e132ce455d",
         "bc479c4cb714b48c3df3a4d576959c6f6ea03634a9786e8483bb7e892116612c",
-        "654408b42deaf2e0f1798709b93bfb7c09e6368a35abb1914e5ec9a85c074338"),
+        "5e389315e7b646a4ee719ee764b70e68cfaccfd7af9349d74a1e274a25d46315"),
     pin("uniform", 3, 30,
         "122b3294f900c4c17c636e0632c4a1bc583e71fb09f748e11141c91b56535895",
         "daa54427c7a0cf29b88e8a44915029a03fb2372df506feda2463facdb1020d39",
-        "2dcb2a347e92077c1c2864b02b5be2f5ffb8fcdb80d40dca4807791a55300eb8"),
-    # falls back to the Gauss rule: one digest
+        "e7075df4a364b6adc3d1323aad035e1f0c78b16a3e0ba1fa4d790615e0a75428"),
+    # falls back to the Gauss rule: the same values, a different tail
     pin("beta:2", 6, 30,
         "7f360b5f1d215f06cde7900983eae06c0d363b5e9c3f2cbc2a18d7112279ebc2",
         "06b197bda91d8a8b42981e8a28b0c98024d7a89d263c1d18b7bdbb1e72527fe4",
-        "06b197bda91d8a8b42981e8a28b0c98024d7a89d263c1d18b7bdbb1e72527fe4"),
+        "d9d3c74000000d3774c423ae3e3adab373dc0ed3848684ac288abb92a667c066"),
 ]
 
 
@@ -222,16 +280,34 @@ def build(name: str, n: int) -> StandardizedDensity:
     return base if n == 1 else normalized_sum_density(base, n)
 
 
-# ladders_digest() as the per-rung fills of the parent commit gave it: the
-# one pass to the top gives every value, tail and order bit for bit
+# ladders_digest() as pinned when the closed-form tail bound picked the
+# order: each fixed-order profile's values were bit for bit those before it
 PROFILE_SHA256 = (
-    "3d5a06713446a3a504a6cac03761b360121c6c4b4fe02b486d72abe070be9c03")
+    "db3d100b9ef4a56cd2a843c3d83d60b6a00f90191af9358ee1b8d08c938b3f7b")
+
+
+# values_digest(): the same at the commit before the closed-form tail bound
+# replaced the window, which moved the tails alone
+VALUES_SHA256 = (
+    "679ca746bf0cb5bb0fd9b9dae2b4a43944f9a4e686b8caee3525ae38434f2311")
+
+
+def values_digest() -> str:
+    # SHA-256 of float.hex of the values of each fixed-order profile over
+    # ladder_cases(), at orders 8, 30, 40, 100 and 256
+    text = []
+    for name, n in ladder_cases():
+        d = build(name, n)
+        for order in (8, 30, 40, 100, 256):
+            text.append(f"{name} {n} {order} " + " ".join(
+                float.hex(v) for v in hermite_profile(d, order).values))
+    return hashlib.sha256("\n".join(text).encode()).hexdigest()
 
 
 def ladders_digest() -> str:
     # SHA-256 of float.hex of every value and tail, and of the order, of
-    # each ladder over ladder_cases(): without and with the direct hint to
-    # the top, then from order 6 to 100
+    # each profile over ladder_cases(): without and with the direct hint,
+    # then at the fixed order 100
     text = []
     for name, n in ladder_cases():
         d = build(name, n)
@@ -239,7 +315,7 @@ def ladders_digest() -> str:
         hint = direct if math.isfinite(direct.value) else None
         for profile in (profile_until_converged(d),
                         profile_until_converged(d, hint),
-                        distances._profile(d, 6, 100, 1e-6, None)):
+                        hermite_profile(d, 100)):
             text.append(f"{name} {n} {profile.truncation_order} "
                         + " ".join(float.hex(v) for v in profile.values
                                    + (profile.tail_bound,)))
@@ -273,7 +349,7 @@ class TestProfile:
     def test_tail_bound_with_direct_hint_covers_truth(self):
         u = make_uniform()
         direct = chi2_direct(u)
-        prof = distances._profile(u, 64, 64, 0.0, direct)
+        prof = distances._profile(u, 64, math.inf, direct)
         partial = sum(v * v for v in prof.values[1:])
         assert CHI2_UNIFORM - partial <= prof.tail_bound
 
@@ -300,11 +376,17 @@ class TestProfile:
 
 
 class TestLadder:
-    """One Gauss rule and one table per ladder, against the per-rung one."""
+    """One order per profile, fixed by the closed-form tail bound before any
+    row is computed, against the per-rung reference ladder."""
 
     @pytest.mark.parametrize("with_direct", [False, True])
     @pytest.mark.parametrize("name,n", ladder_cases())
     def test_matches_per_rung_ladder(self, name, n, with_direct):
+        # the order is the least in 2..MAX_ORDER whose bound, recomputed by
+        # ref_tail_bounds, is below 1e-8, else MAX_ORDER, with or without
+        # the hint; the values there are the fixed-order profile's bit for
+        # bit, and each side is within its own rounding bound of the exact
+        # moments
         d = build(name, n)
         hint = None
         if with_direct:
@@ -314,22 +396,10 @@ class TestLadder:
         want = ref_ladder(d, direct=hint)
         order = want.truncation_order
         assert got.truncation_order == order
-        # each side is within its own rounding bound of the exact moments
-        bound = (rounding_bound(d, MAX_ORDER, order)
-                 + rounding_bound(d, order, order))
-        assert max(abs(a - b) for a, b in zip(got.values, want.values)) <= bound
-
-    @pytest.mark.parametrize("name,n", [("uniform", n) for n in (1, 2, 3, 4)]
-                             + [("beta:2", 3), ("lopsided", 2)])
-    def test_short_ladder_matches_per_rung_ladder(self, name, n):
-        # a top that is not a doubling of the start
-        d = build(name, n)
-        got = distances._profile(d, 6, 100, 1e-6, None)
-        want = ref_ladder(d, start=6, max_order=100, tail_tol=1e-6)
-        assert got.truncation_order == want.truncation_order
-        bound = (rounding_bound(d, 100, want.truncation_order)
-                 + rounding_bound(d, want.truncation_order,
-                                  want.truncation_order))
+        assert distances._tail_bounds(d)[order] == pytest.approx(
+            ref_tail_bounds(d)[order], rel=1e-12)
+        assert got.values == hermite_profile(d, order).values
+        bound = 2.0 * rounding_bound(d, order, order)
         assert max(abs(a - b) for a, b in zip(got.values, want.values)) <= bound
 
     @pytest.mark.parametrize("with_direct", [False, True])
@@ -339,25 +409,25 @@ class TestLadder:
     def test_one_gauss_rule_per_ladder(self, name, n, with_direct,
                                        monkeypatch):
         # densities on the jump route build no rule, nor does the normal,
-        # whose profile is exact; the rest build one per ladder, at its top
+        # whose profile is exact; the rest build one per profile, at its
+        # order
         rules = 1 if (name, n) == ("beta:2", 6) else 0
         d = build(name, n)
         degrees = count_rules(monkeypatch)
         direct = chi2_direct(d) if with_direct else None
-        profile_until_converged(d, direct=direct)
-        assert degrees == [MAX_ORDER] * rules
-        distances._profile(d, 30, 30, 0.0, direct)
-        assert degrees == [MAX_ORDER, 30] * rules
+        order = profile_until_converged(d, direct=direct).truncation_order
+        assert degrees == [order] * rules
+        distances._profile(d, 30, math.inf, direct)
+        assert degrees == [order, 30] * rules
 
-    @pytest.mark.parametrize("name,n,stop,stop_with_direct", [
-        ("normal", 1, 40, 40), ("uniform", 7, 80, 40), ("uniform", 6, 80, 80),
-        ("mixture:1:1,1:2", 6, 40, 40), ("uniform", 1, 256, 256),
-        ("beta:13/2", 1, 160, 160)])
-    def test_rows_computed_in_one_pass(self, name, n, stop, stop_with_direct,
-                                       monkeypatch):
-        # one pass per ladder to its top, whichever rung it stops at: the
-        # jump route reads rows 0..top+d+1 at the knots, the Gauss rule of a
-        # non-integer beta rows 0..top at its nodes; the normal, whose
+    @pytest.mark.parametrize("name,n,stop", [
+        ("normal", 1, 2), ("uniform", 7, 80), ("uniform", 6, 133),
+        ("mixture:1:1,1:2", 6, 144), ("uniform", 1, 256),
+        ("beta:13/2", 1, 256)])
+    def test_rows_computed_in_one_pass(self, name, n, stop, monkeypatch):
+        # one pass per profile to its order, with or without the hint: the
+        # jump route reads rows 0..stop+d+1 at the knots, the Gauss rule of
+        # a non-integer beta rows 0..stop at its nodes; the normal, whose
         # profile is exact, reads none
         d = build(name, n)
         passes = []
@@ -375,85 +445,133 @@ class TestLadder:
             return [(top + jump.shape[1], knots.tobytes())]
 
         monkeypatch.setattr(distances, "hermite_row_normalized", spy)
-        for direct, want in ((None, stop), (chi2_direct(d), stop_with_direct)):
+        for direct in (None, chi2_direct(d)):
             passes.clear()
             got = profile_until_converged(d, direct=direct)
-            assert got.truncation_order == want
-            assert passes == one_pass(MAX_ORDER)
+            assert got.truncation_order == stop
+            assert passes == one_pass(stop)
         passes.clear()
         hermite_profile(d, 30)
         assert passes == one_pass(30)
 
     @pytest.mark.parametrize("name,n", [("mixture:1:1,1:2", 6), ("beta:3", 6)])
     def test_rows_above_the_stop_are_not_read(self, name, n, monkeypatch):
-        # rows past those that order 40 reads are nan, on the jump route and
-        # on the Gauss rule; the ladder's tail at 40 is below its tolerance,
-        # so it returns the order-40 profile instead of refusing
+        # a row source asked for rows past those its stop reads raises, on
+        # the jump route and on the Gauss rule; a nan in the stop's top row
+        # refuses the profile
         d = build(name, n)
         want = [profile_until_converged(d, direct=direct)
                 for direct in (None, chi2_direct(d))]
-        assert [p.truncation_order for p in want] == [40, 40]
+        stop = want[0].truncation_order
+        assert want[1].truncation_order == stop < MAX_ORDER
+        # the jump source reads its rows first, also where it gives up
+        reads = stop + d.exact.degree + 1
+
+        def guarded(order, x):
+            assert order <= reads
+            return hermite_row_normalized(order, x)
+
+        monkeypatch.setattr(distances, "hermite_row_normalized", guarded)
+        assert [profile_until_converged(d, direct=direct)
+                for direct in (None, chi2_direct(d))] == want
 
         def spoiled(order, x):
             table = hermite_row_normalized(order, x).copy()
-            table[len(table) - (MAX_ORDER - 40):] = np.nan
+            table[-1] = np.nan
             return table
 
         monkeypatch.setattr(distances, "hermite_row_normalized", spoiled)
-        assert [profile_until_converged(d, direct=direct)
-                for direct in (None, chi2_direct(d))] == want
-        with pytest.raises(AccuracyError, match="not finite by order 80"):
-            distances._profile(d, 40, MAX_ORDER, 0.0, None)
+        with pytest.raises(AccuracyError, match=f"not finite by order {stop}"):
+            profile_until_converged(d)
 
     @pytest.mark.parametrize("name,start,top", [("normal", 40, MAX_ORDER),
                                                 ("beta:61/2", 40, MAX_ORDER),
-                                                ("mixture:19:1,1:4", 4, 64)])
+                                                ("mixture:19:1,1:4", 4, 64),
+                                                ("mixture:19:1,1:4", 17, 64)])
     def test_rounding_bound_reads_rows_up_to_the_stop(self, name, start, top):
-        # a direct value just under the partial sum leaves the rounding term
-        # as the whole stated tail.  For the Gauss rule of beta:61/2 it
-        # counts 4 ulps per rung order and the largest row sum among rows
-        # <= the stop, both recomputed here from the same rule; its window's
-        # tail is 13% below that term, and the ulps of the top order would
-        # inflate the term 4x.  The mixture takes the jump route, whose
-        # bound is recomputed by jump_rounding_bound; its largest row bound
-        # is at order 53, above the stop at 4, and reading rows to the top
-        # would inflate the tail 3.8x.  The normal's profile is exact: it
+        # with a zero tail bound and a direct value just under the partial
+        # sum, the stated tail is the rounding of the partial sum alone,
+        # 2 δ sum |a_j| + N δ², with δ stated at the stop ``start`` and
+        # recomputed here.  On the Gauss rule (beta:61/2, and the mixture at
+        # 4, where its jumps state more than that rule could) it comes from
+        # the rule of that degree, whose bound the rule of degree ``top``
+        # would inflate 6x and 25x; on the jump route (the mixture at 17) it
+        # comes from jump_rounding_bound.  The normal's profile is exact: it
         # states no rounding term, so its tail is the hint's gap alone
         d = from_name(name)
-        first = ref_profile(d, start, degree=top)
+        first = ref_profile(d, start)
         partial = math.fsum(a * a for a in first.values[1:])
         hint = Chi2Result(partial * (1.0 - 1e-12), DIRECT_METHOD, None, 0.0)
-        got = distances._profile(d, start, top, 1e-8, hint)
+        got = distances._profile(d, start, 0.0, hint)
         assert got.truncation_order == start
         if d.is_standard_normal:
             assert got.tail_bound == hint.value > 0.0
             return
-        if d.exact is None:
-            want = ref_profile(d, start, direct=hint, degree=top).tail_bound
+        if distances._jump_rows(d, start) is None:
+            delta = rounding_bound(d, start, start)
+            assert rounding_bound(d, top, top) > 6.0 * delta
         else:
-            want = (2.0 * jump_rounding_bound(d, start)
-                    * math.fsum(abs(a) for a in got.values[1:]))
-            assert jump_rounding_bound(d, top) > 1.9 * jump_rounding_bound(
-                d, start)
+            delta = jump_rounding_bound(d, start)
+            assert jump_rounding_bound(d, top) > delta
+        want = (2.0 * delta * math.fsum(abs(a) for a in got.values[1:])
+                + start * delta * delta)
         assert got.tail_bound == pytest.approx(want, rel=1e-2, abs=0)
 
     def test_top_above_hermite_limit_is_refused(self):
         with pytest.raises(DomainError, match="order must be <= 256"):
-            distances._profile(make_normal(), 40, MAX_ORDER + 1, 1e-8, None)
+            hermite_profile(make_normal(), MAX_ORDER + 1)
 
     def test_ladders_digest(self):
         assert ladders_digest() == PROFILE_SHA256
+
+    def test_fixed_order_values_digest(self):
+        assert values_digest() == VALUES_SHA256
 
     @pytest.mark.parametrize("name,n,order,gauss_digest,digest",
                              PINNED_PROFILES)
     def test_pinned_fixed_order_profiles(self, name, n, order, gauss_digest,
                                          digest):
-        # the uniform's profiles come from its knot jumps, pinned when that
-        # route came in; the per-rung Gauss-rule profile keeps its own pin,
-        # and a density that falls back to the rule reads it bit for bit
+        # the uniform's profiles come from its knot jumps; the per-rung
+        # Gauss-rule profile keeps its own pin, and a density that falls
+        # back to the rule reads its values bit for bit
         prof = hermite_profile(build(name, n), order)
         assert profile_digest(prof) == digest
         assert profile_digest(ref_profile(build(name, n), order)) == gauss_digest
+
+
+# the coverage test's densities: ladder_cases() and the lopsided sums to
+# n = 12
+COVERAGE_CASES = ladder_cases() + [("lopsided", n)
+                                   for n in (4, 6, 7, 8, 9, 10, 11, 12)]
+
+
+class TestTailBound:
+    """The closed-form tail bound against the direct route, and Cramér's
+    constant on a grid."""
+
+    @pytest.mark.parametrize("name,n", COVERAGE_CASES)
+    def test_finite_tail_covers_the_direct_gap(self, name, n):
+        # every finite stated tail is at least chi² - sum a_j² as far as the
+        # direct route knows it, which the window tail missed 176x on
+        # mixture:1:1,1:2 at n = 4 (ROADMAP defect 4); it is finite exactly
+        # for the continuous densities, those with a jump form and no jump
+        # in their value
+        d = build(name, n)
+        direct = chi2_direct(d)
+        continuous = n >= 2 or name in ("normal", "beta:2", "beta:3")
+        for profile in (profile_until_converged(d), hermite_profile(d, 40)):
+            assert math.isfinite(profile.tail_bound) == continuous
+            if continuous:
+                partial = math.fsum(a * a for a in profile.values[1:])
+                assert profile.tail_bound >= (direct.value - partial
+                                              - direct.error_estimate)
+
+    def test_cramer_constant_on_a_grid(self):
+        # |h_k(x)| <= K e^(x²/4) for k <= 512 and |x| <= 30; the largest
+        # ratio is 1, at k = 0 and x = 0, Indritz's sharp constant
+        x = np.linspace(-30.0, 30.0, 6001)
+        ratio = np.abs(hermite_row_normalized(512, x)) * np.exp(-x * x / 4)
+        assert np.max(ratio) == ratio[0, 3000] == 1.0 < distances._CRAMER_K
 
 
 class TestGaussRules:
@@ -570,22 +688,18 @@ class TestRoutes:
             assert max(abs(a - b) for a, b in zip(got, want)) <= bound, order
 
 
-    def test_giving_up_mid_ladder_restarts_on_the_rule(self, monkeypatch):
-        # a jump source that gives up at its second rung leaves the whole
-        # ladder to the Gauss rule, from the first rung
+    def test_giving_up_falls_back_to_the_rule(self, monkeypatch):
+        # a jump source that gives up leaves the profile, at the same order
+        # and bound, to the Gauss rule of that order
         d = build("uniform", 6)
-        real = distances._jump_rows
-
-        def first_rung_only(density, top):
-            values, errors, gives_up = real(density, top)
-            assert not gives_up.any()
-            return values, errors, np.arange(top + 1) > 40
-
-        monkeypatch.setattr(distances, "_jump_rows", first_rung_only)
+        want = profile_until_converged(d)
+        assert distances._jump_rows(d, want.truncation_order) is not None
+        monkeypatch.setattr(distances, "_jump_rows", lambda density, top: None)
         got = profile_until_converged(d)
-        assert got.truncation_order == 80
-        assert got == distances._ladder(
-            distances._gauss_rows(d, 40, MAX_ORDER), 40, MAX_ORDER, 1e-8, None)
+        values, _ = distances._gauss_rows(d, want.truncation_order)
+        assert got.values == tuple(values.tolist())
+        assert got.truncation_order == want.truncation_order
+        assert got.tail_bound == pytest.approx(want.tail_bound, rel=1e-6)
 
     def test_rows_beyond_float_range_give_up(self):
         # knots near 1.2e10: the Hermite rows at them overflow by order 30
@@ -593,10 +707,8 @@ class TestRoutes:
         d = from_name("mixture:1/100000000000000000000:10000000000,1:1")
         p = d.panels()
         assert max(p.center + p.half) > 1e10
-        rows = distances._jump_rows(d, 40)
-        _, errors, gives_up = rows
-        assert not math.isfinite(errors[40]) and gives_up[40]
-        assert distances._ladder(rows, 40, 40, 1e-8, None) is None
+        assert d.exact.x_jumps is not None
+        assert distances._jump_rows(d, 40) is None
 
 
 class TestChi2Direct:
