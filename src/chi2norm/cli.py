@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Every subcommand builds one report (a titled table) and emits it in the
-configured format.  Output is deterministic: floats are serialized at
+format its flags give.  Output is deterministic: floats are serialized at
 twelve significant digits, rows come out in a fixed order, and repeated
 invocations produce byte-identical bytes.
 """
@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -42,7 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ACCURACY = 3
 
-CONFIG_ENV_VAR = "CHI2NORM_CONFIG"
 FORMATS = ("table", "json", "csv")
 
 # the most steps of a --t-steps or --steps grid: at about 0.1 ms per MGF
@@ -226,6 +224,8 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[Report, int]:
         raise DomainError("bound supports table and json output")
     # before a list of n values is built
     check_bound_n(args.n)
+    if (args.avg_chi2 is None) == (args.per_var is None):
+        raise DomainError("give exactly one of --avg-chi2 and --per-var")
     if args.per_var is not None:
         try:
             values = [float(tok) for tok in args.per_var.split(",") if tok]
@@ -234,10 +234,8 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[Report, int]:
                               "numbers") from None
         if len(values) != args.n:
             raise DomainError(f"--per-var needs exactly {args.n} values")
-    elif args.avg_chi2 is not None:
-        values = [args.avg_chi2] * args.n
     else:
-        raise DomainError("one of --avg-chi2 or --per-var is required")
+        values = [args.avg_chi2] * args.n
     report = theorem_bound(args.n, values, symmetric=args.symmetric)
     rows: list[tuple[object, ...]] = [
         ("n", report.n),
@@ -318,12 +316,6 @@ def _cmd_plotdata(args: argparse.Namespace) -> tuple[Report, int]:
                   tuple(rows), ()), EXIT_OK
 
 
-def _parse_format(raw: str) -> str:
-    if raw not in FORMATS:
-        raise DomainError(f"format must be one of {', '.join(FORMATS)}")
-    return raw
-
-
 def _parse_output(raw: str) -> str:
     if not raw:
         raise DomainError("output path must be nonempty when given")
@@ -347,54 +339,16 @@ def _parse_tiers(raw: str) -> tuple[int, ...]:
     return tuple(sorted(tiers))
 
 
-# each setting's parser, run on a config file's value and a flag's alike
-_SETTINGS = {"format": _parse_format, "output": _parse_output,
-             "tiers": _parse_tiers}
-# the settings of a command that neither the file nor a flag gives
+# each setting's check on a given flag's value (argparse's choices check
+# --format), and its value where no flag gives it
+_SETTINGS = {"format": str, "output": _parse_output, "tiers": _parse_tiers}
 _DEFAULTS = {"format": "table", "output": None, "tiers": TIERS}
 
 
-def _read_config(path: str) -> dict[str, str]:
-    """Raw key=value pairs from ``path``; later duplicates win.
-
-    Blank lines and ``#`` comments are skipped.  Keys are validated
-    here, values by their setting's parser.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise DomainError(f"cannot read config {path!r}: {exc}") from None
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise DomainError(
-                f"{path}:{lineno}: expected key=value, got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key not in _SETTINGS:
-            raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
-        raw[key] = value.strip()
-    return raw
-
-
 def _apply_settings(args: argparse.Namespace) -> None:
-    """Set ``format``, ``output`` and ``tiers`` on ``args``: a flag wins
-    over the config file, which wins over the command's default.
-
-    The file is named by ``--config`` or, without it, by the
-    ``CHI2NORM_CONFIG`` environment variable; when neither names one, no
-    file is read.
-    """
-    path = getattr(args, "config", None)
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR) or None
-    from_file = {} if path is None else _read_config(path)
+    """Set ``format``, ``output`` and ``tiers`` on ``args``: a given flag
+    wins over the command's default."""
     values = dict(args.defaults)
-    values |= {key: _SETTINGS[key](raw) for key, raw in from_file.items()}
     for key, parse in _SETTINGS.items():
         if hasattr(args, key):
             values[key] = parse(getattr(args, key))
@@ -404,11 +358,10 @@ def _apply_settings(args: argparse.Namespace) -> None:
 def _common_options(parser: argparse.ArgumentParser) -> None:
     # a subparser copies every value it holds over its parent's, so only a
     # flag that was given may land in the namespace: the innermost one wins
-    parser.add_argument("--config", default=argparse.SUPPRESS,
-                        help="path to a key=value config file")
     parser.add_argument("--format", choices=FORMATS,
                         default=argparse.SUPPRESS,
-                        help="output format (default from config)")
+                        help="output format (default: table; csv for "
+                             "plotdata)")
     parser.add_argument("--output", default=argparse.SUPPRESS,
                         help="write the report to this path instead of stdout")
 
@@ -486,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_options(p)
     p.add_argument("--x-max", type=float, default=20.0)
     p.add_argument("--steps", type=int, default=200)
-    # figure-data consumers want CSV unless the file or a flag says otherwise
+    # figure-data consumers want CSV unless a flag says otherwise
     p.set_defaults(handler=_cmd_plotdata,
                    defaults={**_DEFAULTS, "format": "csv"})
 

@@ -118,16 +118,22 @@ def _trim(c: list[int]) -> list[int]:
     return c
 
 
-def _pshift(a: list[int], p: int, q: int) -> list[int]:
-    """``q^d a(p/q + z)`` for ``a`` of degree ``d``, that is
-    ``sum_j a_j q^(d-j) (p + q z)^j``: a Taylor shift by ``p`` (repeated
-    synthetic division) of the ``a_j q^(d-j)``, then ``z`` scaled by ``q``,
-    all in integers (von zur Gathen & Gerhard, ISSAC 1997)."""
+def _taylor_shift(a: list[int], p: int) -> None:
+    """Replace ``a`` by the coefficients of ``a(z + p)``, in place, by
+    repeated synthetic division (von zur Gathen & Gerhard, ISSAC 1997)."""
     d = len(a) - 1
-    out = [c * q ** (d - j) for j, c in enumerate(a)]
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
-            out[j] += p * out[j + 1]
+            a[j] += p * a[j + 1]
+
+
+def _pshift(a: list[int], p: int, q: int) -> list[int]:
+    """``q^d a(p/q + z)`` for ``a`` of degree ``d``, that is
+    ``sum_j a_j q^(d-j) (p + q z)^j``: a Taylor shift by ``p`` of the
+    ``a_j q^(d-j)``, then ``z`` scaled by ``q``, all in integers."""
+    d = len(a) - 1
+    out = [c * q ** (d - j) for j, c in enumerate(a)]
+    _taylor_shift(out, p)
     return [c * q ** i for i, c in enumerate(out)]
 
 
@@ -340,12 +346,7 @@ class PiecewisePolyDensity:
         p = [0] * (deg + 1)
         out = []
         for last, o, b in zip((origins[0], *origins), origins, origins[1:]):
-            # p(u + gap): _pshift's synthetic division, without the scaling
-            # that q = 1 makes a multiplication by 1 per coefficient
-            gap = o - last
-            for i in range(deg):
-                for j in range(deg - 1, i - 1, -1):
-                    p[j] += gap * p[j + 1]
+            _taylor_shift(p, o - last)
             for k, x in enumerate(table[o]):
                 p[k] += x * lifts[k]
             w = b - o

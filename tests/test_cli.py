@@ -9,6 +9,7 @@ import graphlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -18,8 +19,7 @@ import numpy as np
 import pytest
 
 from chi2norm import bounds, cli
-from chi2norm.cli import (CONFIG_ENV_VAR, EXIT_ACCURACY, EXIT_OK, EXIT_USAGE,
-                          run)
+from chi2norm.cli import EXIT_ACCURACY, EXIT_OK, EXIT_USAGE, run
 from chi2norm.constants import g, g_sym
 from chi2norm.densities import StandardizedDensity
 from chi2norm.errors import DomainError
@@ -158,6 +158,8 @@ class TestExitCodes:
         ("verify", "stein", "--n", "1"),
         ("verify", "stein", "--max-order", "2"),
         ("verify", "stein", "--max-order", "201"),
+        ("bound", "--n", "3", "--avg-chi2", "0.9", "--per-var",
+         "0.1,0.1,0.1"),
     ])
     def test_out_of_range_input_is_usage(self, capsys, monkeypatch, argv):
         # refused before any large computation: no factorial is built and
@@ -336,23 +338,6 @@ class TestExitCodes:
         code, _, _ = invoke(capsys, "bound", "--n", "3", "--avg-chi2",
                             "0.1", "--format", "csv")
         assert code == EXIT_USAGE
-
-    @pytest.mark.parametrize("key", [
-        "quad_abs_tol", "quad_rel_tol", "series_start_order",
-        "series_max_order", "series_tail_tol"])
-    def test_retired_key_is_usage(self, capsys, monkeypatch, tmp_path, key):
-        # the numeric policy is fixed in the code; a file that still names
-        # it is refused when read, before any density or route runs
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key}=1\n", encoding="utf-8")
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
-        monkeypatch.setattr(cli, "_build_density", None)
-        code, out, err = invoke(capsys, "chi2", "--dist", "uniform",
-                                "--method", "series")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert (json.loads(err)["error"]["message"]
-                == f"{cfg}:1: unknown key {key!r}")
 
     @pytest.mark.parametrize("shape", ["3/4", "1e-10"])
     def test_uncertified_series_is_accuracy(self, capsys, shape):
@@ -803,97 +788,7 @@ def _third_party_imports(path: Path) -> set[str]:
     return found
 
 
-class TestConfig:
-    def test_config_imports_no_upper_layer(self):
-        # the package __init__ loads every module, so the import graph is
-        # read from the source rather than from sys.modules
-        graphlib.TopologicalSorter(LAYER_IMPORTS).prepare()
-        paths = sorted(Path(cli.__file__).parent.glob("*.py"))
-        assert {path.stem for path in paths} == set(LAYER_IMPORTS)
-        extra = {path.stem: names for path in paths
-                 if (names := sorted(_package_imports(path)
-                                     - LAYER_IMPORTS[path.stem]))}
-        assert extra == {}
-
-    def test_module_level_third_party_imports(self):
-        paths = sorted(Path(cli.__file__).parent.glob("*.py"))
-        found = {path.stem: _third_party_imports(path) for path in paths}
-        assert found == THIRD_PARTY_IMPORTS
-
-    def test_no_scipy_at_run_time(self):
-        # scipy is a test-only oracle, and numpy.polynomial is no rule
-        # source (its leggauss solves the full companion matrix): neither
-        # the import nor a call of a route on the normal, a non-integer
-        # beta and two sums, beta:3 at n = 3 on the Gauss-rule fallback of
-        # the series route, may load either
-        src = Path(cli.__file__).parent.parent
-        script = SCIPY_PROBE.format(src=str(src))
-        out = subprocess.run([sys.executable, "-c", script], check=True,
-                             capture_output=True, text=True, timeout=120)
-        assert out.stdout.split("\n")[:2] == ["after import: []",
-                                               "after calls: []"]
-
-    def test_file_then_flag_precedence(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("format=json\n# comment\ntiers = 1\n",
-                       encoding="utf-8")
-        _, out, _ = invoke(capsys, "--config", str(cfg), "constants",
-                           "--set", "basic", "--p", "0.5")
-        json.loads(out)
-        _, out2, _ = invoke(capsys, "--config", str(cfg), "constants",
-                            "--set", "basic", "--p", "0.5",
-                            "--format", "table")
-        with pytest.raises(json.JSONDecodeError):
-            json.loads(out2)
-
-    def test_env_var_default_path(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "env.cfg"
-        cfg.write_text("format=json\n", encoding="utf-8")
-        monkeypatch.setenv("CHI2NORM_CONFIG", str(cfg))
-        _, out, _ = invoke(capsys, "constants", "--set", "basic",
-                           "--p", "0.5")
-        json.loads(out)
-
-    def test_unknown_key_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("no_such_knob=3\n", encoding="utf-8")
-        code, _, err = invoke(capsys, "--config", str(cfg), "table1")
-        assert code == EXIT_USAGE
-        assert "no_such_knob" in json.loads(err)["error"]["message"]
-
-    @pytest.mark.parametrize("via", ["flag", "env"])
-    def test_config_file_read_once(self, capsys, tmp_path, monkeypatch,
-                                   via):
-        # plotdata's CSV default gives way to the file's format, which is
-        # learnt from the same single read
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("format=json\n", encoding="utf-8")
-        opened = []
-
-        def spy_open(file, *args, **kwargs):
-            opened.append(file)
-            return builtin_open(file, *args, **kwargs)
-
-        builtin_open = open
-        monkeypatch.setattr("builtins.open", spy_open)
-        argv = ("plotdata", "--steps", "2")
-        if via == "flag":
-            argv = ("--config", str(cfg), *argv)
-        else:
-            monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
-        code, out, _ = invoke(capsys, *argv)
-        assert code == EXIT_OK
-        assert json.loads(out)["columns"] == ["x", "g", "g_sym"]
-        assert opened.count(str(cfg)) == 1
-
-    def test_malformed_line_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("just some words\n", encoding="utf-8")
-        code, out, err = invoke(capsys, "--config", str(cfg), "table1")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert f"{cfg}:1" in json.loads(err)["error"]["message"]
-
+class TestSettings:
     @staticmethod
     def _spy_suite(monkeypatch):
         """Record the tiers each ``verify`` run asks for, running none."""
@@ -907,7 +802,6 @@ class TestConfig:
         return asked
 
     def test_defaults(self, capsys, monkeypatch):
-        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
         asked = self._spy_suite(monkeypatch)
         code, out, _ = invoke(capsys, "verify")
         assert code == EXIT_OK
@@ -915,66 +809,50 @@ class TestConfig:
         assert out.splitlines()[:2] == ["verification suite",
                                         "tier  check  passed  detail"]
 
-    def test_load_config_typed_overrides(self, capsys, tmp_path,
-                                         monkeypatch):
+    def test_flags_set_tiers_format_and_output(self, capsys, tmp_path,
+                                               monkeypatch):
         report = tmp_path / "report.txt"
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"output={report}\ntiers=2,1\n", encoding="utf-8")
         asked = self._spy_suite(monkeypatch)
-        code, out, _ = invoke(capsys, "--config", str(cfg), "verify",
-                              "--format", "csv")
+        code, out, _ = invoke(capsys, "verify", "--tiers", "2,1",
+                              "--format", "csv", "--output", str(report))
         assert code == EXIT_OK
         assert out == ""
         assert asked == [(1, 2)]
         assert report.read_text(encoding="utf-8") == (
             "tier,check,passed,detail\n")
 
-    def test_runconfig_validation(self, capsys, tmp_path):
-        # each setting's parser refuses a bad value from a file or a flag,
-        # also where a flag would override the file's value
-        cfg = tmp_path / "run.cfg"
-        for line, flags, message in [
-                ("format=yaml", (), "format must be one of table, json, csv"),
-                ("format=yaml", ("--format", "json"),
-                 "format must be one of table, json, csv"),
-                ("tiers=", (), "tiers must not be empty"),
-                ("", ("--output=",),
-                 "output path must be nonempty when given")]:
-            cfg.write_text(line + "\n", encoding="utf-8")
-            code, out, err = invoke(capsys, "--config", str(cfg), "table1",
-                                    *flags)
-            assert code == EXIT_USAGE
-            assert out == ""
-            assert json.loads(err)["error"]["message"] == message
-
-    def test_tiers_flag_beats_file(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("tiers=2\n", encoding="utf-8")
-        asked = self._spy_suite(monkeypatch)
-        code, _, _ = invoke(capsys, "--config", str(cfg), "verify",
-                            "--tiers", "1")
+    def test_innermost_flag_wins(self, capsys, tmp_path):
+        # given before the subcommand, after it and between verify and stein
+        outer, middle, inner = (tmp_path / name for name in "abc")
+        code, out, _ = invoke(capsys, "--format", "json", "--output",
+                              str(outer), "verify", "--format", "table",
+                              "--output", str(middle), "stein",
+                              "--max-order", "5", "--format", "csv",
+                              "--output", str(inner))
         assert code == EXIT_OK
-        assert asked == [(1,)]
+        assert out == ""
+        assert not outer.exists() and not middle.exists()
+        assert inner.read_text(encoding="utf-8").splitlines()[0] == (
+            "dist,n,max_order,passed,detail")
 
-    def test_config_flag_beats_env_var(self, capsys, tmp_path, monkeypatch):
-        env_cfg, flag_cfg = tmp_path / "env.cfg", tmp_path / "flag.cfg"
-        env_cfg.write_text("format=json\n", encoding="utf-8")
-        flag_cfg.write_text("format=csv\n", encoding="utf-8")
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(env_cfg))
-        code, out, _ = invoke(capsys, "--config", str(flag_cfg), "constants",
-                              "--set", "basic", "--p", "0.5")
-        assert code == EXIT_OK
-        assert out.splitlines()[0] == "set,p,method,value,argmax_s"
-
-    def test_empty_config_path_is_usage(self, capsys, monkeypatch):
-        # an empty --config names no readable file: it is not read as
-        # "no file", as an empty CHI2NORM_CONFIG is
-        monkeypatch.setenv(CONFIG_ENV_VAR, "")
-        code, out, err = invoke(capsys, "--config", "", "table1")
+    @pytest.mark.parametrize("flags, message", [
+        (("table1", "--output="), "output path must be nonempty when given"),
+        (("verify", "--tiers="), "tiers must not be empty"),
+    ])
+    def test_empty_setting_is_usage(self, capsys, flags, message):
+        code, out, err = invoke(capsys, *flags)
         assert code == EXIT_USAGE
         assert out == ""
-        assert ("cannot read config ''"
-                in json.loads(err)["error"]["message"])
+        assert json.loads(err)["error"]["message"] == message
+
+    def test_config_flag_is_unknown(self, capsys, monkeypatch):
+        # refused by the parser with its usage text, before any
+        # constant is certified
+        monkeypatch.setattr(cli, "constants_table", None)
+        code, out, err = invoke(capsys, "--config", "x", "table1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage: chi2norm")
 
     @pytest.mark.parametrize("target", ["missing/report.txt", "."])
     def test_unwritable_output_is_usage(self, capsys, tmp_path, target):
@@ -988,6 +866,30 @@ class TestConfig:
         assert record["kind"] == "usage"
         assert record["type"] == "DomainError"
         assert record["message"].startswith(f"cannot write output {path!r}: ")
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of ``parser`` and of the parsers under it."""
+    found: set[str] = set()
+    for action in parser._actions:
+        found |= set(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= _option_strings(sub)
+    return found
+
+
+class TestDocs:
+    def test_documented_flags_exist(self):
+        # a flag the docs name that no parser takes is drift: it would
+        # exit 2 as an unrecognized argument
+        root = Path(__file__).resolve().parent.parent
+        named = set()
+        for doc in ("README.md", "docs/formats.md"):
+            text = (root / doc).read_text(encoding="utf-8")
+            named |= set(re.findall(r"--[a-z][a-z0-9-]*", text))
+        assert "--format" in named
+        assert named - _option_strings(cli._build_parser()) == set()
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -1198,6 +1100,35 @@ UNREAD_PUBLIC_API = {
 
 
 class TestImportHygiene:
+    def test_import_graph_matches_layer_table(self):
+        # the package __init__ loads every module, so the import graph is
+        # read from the source rather than from sys.modules
+        graphlib.TopologicalSorter(LAYER_IMPORTS).prepare()
+        paths = sorted(Path(cli.__file__).parent.glob("*.py"))
+        assert {path.stem for path in paths} == set(LAYER_IMPORTS)
+        extra = {path.stem: names for path in paths
+                 if (names := sorted(_package_imports(path)
+                                     - LAYER_IMPORTS[path.stem]))}
+        assert extra == {}
+
+    def test_third_party_imports_match_table(self):
+        paths = sorted(Path(cli.__file__).parent.glob("*.py"))
+        found = {path.stem: _third_party_imports(path) for path in paths}
+        assert found == THIRD_PARTY_IMPORTS
+
+    def test_no_scipy_at_run_time(self):
+        # scipy is a test-only oracle, and numpy.polynomial is no rule
+        # source (its leggauss solves the full companion matrix): neither
+        # the import nor a call of a route on the normal, a non-integer
+        # beta and two sums, beta:3 at n = 3 on the Gauss-rule fallback of
+        # the series route, may load either
+        src = Path(cli.__file__).parent.parent
+        script = SCIPY_PROBE.format(src=str(src))
+        out = subprocess.run([sys.executable, "-c", script], check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split("\n")[:2] == ["after import: []",
+                                               "after calls: []"]
+
     def test_no_private_names_across_package_modules(self):
         # each module reaches another only through its public names, so the
         # Hermite recurrence stays behind hermite_row_normalized

@@ -67,5 +67,16 @@ def test_stdout_matches_golden_file(command):
     assert block(command) == golden_blocks()[command]
 
 
+def test_stdout_ignores_a_config_variable(monkeypatch, tmp_path):
+    # the settings come from flags alone: no file that a variable names
+    # moves a byte
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=json\n", encoding="utf-8")
+    monkeypatch.setenv("CHI2NORM_CONFIG", str(cfg))
+    golden = golden_blocks()
+    assert [block(command) for command in COMMANDS] == [
+        golden[command] for command in COMMANDS]
+
+
 if __name__ == "__main__":
     GOLDEN.write_text("".join(block(command) for command in COMMANDS))
